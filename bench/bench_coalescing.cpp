@@ -1,5 +1,5 @@
 // Coalesced batch IO: per-row IO vs dedup + block coalescing + batched SQE
-// submission (the TuningConfig::coalesce_io ablation).
+// submission (the TuningConfig::io_batching = kPerRow ablation).
 //
 // Setup mirrors bench_fig5_spatial_locality: Zipf-over-permuted-rows access
 // streams against an M2 user table, served from SM at the standard 1/1024
@@ -61,13 +61,13 @@ struct RunResult {
 /// counters. Row/pooled caches are off so every query exercises the IO
 /// path (cache organization is benched elsewhere).
 RunResult RunWorkload(const TableConfig& table, const std::vector<std::vector<RowIndex>>& bags,
-                      bool coalesce) {
+                      IoBatching mode) {
   EventLoop loop;
   SdmStoreConfig cfg;
   cfg.fm_capacity = 32 * kMiB;
   cfg.sm_specs = {MakeOptaneSsdSpec()};
   cfg.sm_backing_bytes = {table.total_bytes() + kMiB};
-  cfg.tuning.coalesce_io = coalesce;
+  cfg.tuning.io_batching = mode;
   cfg.tuning.enable_row_cache = false;
   // Serve whatever table we're given from SM — including item tables (the
   // M3 / multi-tenant scenario where the item side outgrows FM).
@@ -146,8 +146,8 @@ void Compare(const char* title, const TableConfig& table, int queries, int bag_l
   const SpatialLocality loc =
       AnalyzeSpatialLocality(flat, table.row_bytes(), /*window=*/50'000);
 
-  const RunResult per_row = RunWorkload(table, bags, /*coalesce=*/false);
-  const RunResult coal = RunWorkload(table, bags, /*coalesce=*/true);
+  const RunResult per_row = RunWorkload(table, bags, IoBatching::kPerRow);
+  const RunResult coal = RunWorkload(table, bags, IoBatching::kCrossRequest);
 
   bench::Section(bench::Fmt("%s — table %s: %llu rows x %llu B (%llu rows/4KB), "
                             "bag %d, zipf %.2f, spatial ratio %.3f",
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
 
   bench::Note("");
   bench::Note("paper tie-in: coalescing wins scale with Fig. 5 spatial locality (item >>");
-  bench::Note("user); the per-row path stays available via TuningConfig::coalesce_io=false");
+  bench::Note("user); per-row IO stays available via TuningConfig::io_batching=kPerRow");
   bench::Note("for ablation.");
   return 0;
 }

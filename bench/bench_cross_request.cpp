@@ -60,8 +60,7 @@ RunResult RunWorkload(const TableConfig& table,
   cfg.fm_capacity = 32 * kMiB;
   cfg.sm_specs = {MakeOptaneSsdSpec()};
   cfg.sm_backing_bytes = {table.total_bytes() + kMiB};
-  cfg.tuning.coalesce_io = true;
-  cfg.tuning.cross_request_batching = cross_request;
+  cfg.tuning.io_batching = cross_request ? IoBatching::kCrossRequest : IoBatching::kPerRequest;
   // A short batching window covers the CPU-phase skew between concurrent
   // operators without adding visible latency at Optane timescales.
   cfg.tuning.max_batch_delay = Micros(10);
@@ -211,8 +210,8 @@ int main(int argc, char** argv) {
   bench::Note("paper tie-in: §4's io_uring deployment amortizes doorbells host-wide; the");
   bench::Note("BatchScheduler extends that across concurrent operators, so device reads");
   bench::Note("per query FALL as concurrency rises instead of staying flat. Bypass mode");
-  bench::Note("(TuningConfig::cross_request_batching=false) preserves PR 1 per-request");
-  bench::Note("batches for ablation. The §4.1 per-table throttle runs at its default");
+  bench::Note("(TuningConfig::io_batching=kPerRequest) keeps per-request reads unshared");
+  bench::Note("for ablation. The §4.1 per-table throttle runs at its default");
   bench::Note("here: admission counts device reads after merging (a run the scheduler");
   bench::Note("will fully cover skips the slot queue via WouldShare), so single-flight");
   bench::Note("survives a finite outstanding-IO budget.");

@@ -78,8 +78,7 @@ RunResult RunWorkload(const TableConfig& table,
   cfg.fm_capacity = 32 * kMiB;
   cfg.sm_specs = {MakeOptaneSsdSpec()};
   cfg.sm_backing_bytes = {table.total_bytes() + kMiB};
-  cfg.tuning.coalesce_io = true;
-  cfg.tuning.cross_request_batching = true;
+  cfg.tuning.io_batching = IoBatching::kCrossRequest;
   cfg.tuning.max_batch_delay = Micros(10);
   // The row cache holds a fraction of the hot set, so steady-state demand
   // misses exist for speculation to beat (capacity >> hot set would hide

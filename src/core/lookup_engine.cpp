@@ -13,9 +13,16 @@ namespace {
 /// CPU cost of translating one index through the mapping tensor.
 constexpr SimDuration kMapCostPerIndex = Nanos(4);
 
-/// CPU cost of the intra-request dedup hash probe per index (coalesced
-/// path only; the per-row ablation path skips dedup entirely).
+/// CPU cost of the intra-request dedup hash probe per index (skipped by the
+/// kPerRow ablation, which does not dedup).
 constexpr SimDuration kDedupCostPerIndex = Nanos(3);
+
+/// Transient-error re-reads of one run before it fails (or is repaired);
+/// NVMe drivers retry media errors similarly.
+constexpr int kReadRetries = 1;
+
+/// Modeled memcpy throughput of scattering rows out of read buffers.
+constexpr double kMemcpyBytesPerSec = 12e9;
 
 }  // namespace
 
@@ -61,15 +68,15 @@ struct LookupEngine::RequestState {
 struct LookupEngine::RunContext {
   PlannedRun run;
   bool sgl = false;
-  /// Bus bytes this run would move as its own SQE, and the savings versus
-  /// per-row reads — request-level accounting; the scheduler recomputes
-  /// SQE-level numbers after cross-request merging.
-  Bytes bus = 0;
+  /// Bus bytes this run saves as its own SQE versus per-row reads —
+  /// request-level accounting; the scheduler recomputes SQE-level numbers
+  /// after cross-request merging.
   Bytes bytes_saved = 0;
-  /// Whether this run owns its blocks' block-cache fill. Single-flight
-  /// joiners ride a read whose owner already inserts those blocks; a
-  /// second insert would only duplicate the copy cost and LRU churn.
-  bool insert_blocks = true;
+  /// Whether this run fills the block cache with its blocks: set in
+  /// block-cache mode, cleared for single-flight joiners, which ride a read
+  /// whose owner already inserts those blocks (a second insert would only
+  /// duplicate the copy cost and LRU churn).
+  bool insert_blocks = false;
   /// Scheduler-aware throttling: only runs that became their own SQE
   /// (Admission::kNewRead) keep holding a throttle slot until completion —
   /// admission budgets *device reads after merging*. Shared runs release
@@ -106,9 +113,6 @@ LookupEngine::LookupEngine(SdmStore* store) : store_(store), loop_(store->loop()
   shed_lookups_ = stats_.GetCounter("shed_lookups");
   replica_reads_ = stats_.GetCounter("replica_reads");
   read_repairs_ = stats_.GetCounter("read_repairs");
-  if (store->sm_device_count() > 0) {
-    memcpy_bytes_per_sec_ = store->reader(0).memcpy_bytes_per_sec();
-  }
   Observability* obs = store->obs();
   const std::string& prefix = store->obs_prefix();
   obs_lookups_ = ObsCounter(obs, prefix + "lookup/requests");
@@ -148,8 +152,8 @@ void LookupEngine::RecordObsCompletion(const RequestState& st) {
   }
 }
 
-SimDuration LookupEngine::CopyCost(Bytes bytes) const {
-  return Seconds(static_cast<double>(bytes) / memcpy_bytes_per_sec_);
+SimDuration LookupEngine::CopyCost(Bytes bytes) {
+  return Seconds(static_cast<double>(bytes) / kMemcpyBytesPerSec);
 }
 
 void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
@@ -218,16 +222,16 @@ void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
   st->row_bytes.assign(st->slots.size() * st->stored_row_bytes, 0);
 
   // ---- Row resolution: dedup / FM direct / row cache / SM IO ----
-  const bool coalesce = store_->tuning().coalesce_io;
+  const bool dedup = store_->tuning().io_batching != IoBatching::kPerRow;
   std::unordered_map<RowIndex, uint32_t> first_slot_for_row;
-  if (coalesce) first_slot_for_row.reserve(st->slots.size());
+  if (dedup) first_slot_for_row.reserve(st->slots.size());
   DualRowCache* cache = store_->row_cache();
   int misses = 0;
   for (size_t i = 0; i < st->slots.size(); ++i) {
     auto& slot = st->slots[i];
     if (slot.pruned) continue;
 
-    if (coalesce) {
+    if (dedup) {
       // Duplicate indices within the bag resolve once; the other slots fan
       // out from that fetch (whatever source it comes from).
       st->cpu_pre += kDedupCostPerIndex;
@@ -351,7 +355,7 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
     if (health.Sick(dev) && !health.AdmitProbe(dev)) {
       const auto route =
           store_->device_service().FindReplicaRoute(table.extent_id, dev);
-      if (route.has_value() && tuning.coalesce_io) {
+      if (route.has_value()) {
         st->io_device = route->device;
         st->io_shift = route->shift;
       } else {
@@ -365,23 +369,8 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
     }
   }
 
-  if (!tuning.coalesce_io) {
-    // Per-row ablation path: one device IO per missing row.
-    int ios = 0;
-    for (const auto& slot : st->slots) ios += slot.needs_io ? 1 : 0;
-    st->outstanding_ios = ios;
-    for (uint32_t i = 0; i < st->slots.size(); ++i) {
-      if (st->slots[i].needs_io) SubmitRowIo(st, i);
-    }
-    if (Prefetcher* pf = store_->prefetcher(); pf != nullptr) {
-      pf->MaybeIssue(st->request.table);
-    }
-    return;
-  }
-
-  DirectIoReader& reader = store_->reader(table.sm_device);
   const bool block_cache_mode = store_->block_cache() != nullptr && table.cache_enabled;
-  const bool sgl = !block_cache_mode && reader.sub_block();
+  const bool sgl = !block_cache_mode && store_->device_service().sub_block_reads(st->io_device);
   const Bytes rb = st->stored_row_bytes;
 
   std::vector<IoPlanner::Miss> misses;
@@ -396,13 +385,24 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
   PlannerConfig pcfg;
   pcfg.row_bytes = rb;
   pcfg.sub_block = sgl;
+  pcfg.merge = tuning.io_batching != IoBatching::kPerRow;
   pcfg.max_coalesce_bytes = tuning.max_coalesce_bytes;
   pcfg.coalesce_gap_bytes = tuning.coalesce_gap_bytes;
-  IoPlan plan = IoPlanner::Plan(std::move(misses), pcfg);
+  std::vector<PlannedRun> runs = IoPlanner::Plan(std::move(misses), pcfg);
 
-  st->outstanding_ios = static_cast<int>(plan.TotalIos());
-  for (const uint32_t i : plan.fallback_slots) SubmitRowIo(st, i);
-  if (!plan.runs.empty()) SubmitPlannedRuns(st, std::move(plan.runs));
+  st->outstanding_ios = static_cast<int>(runs.size());
+  for (PlannedRun& planned : runs) {
+    auto run = std::make_shared<RunContext>();
+    run->run = std::move(planned);
+    run->sgl = sgl;
+    run->insert_blocks = block_cache_mode;
+    run->device = st->io_device;
+    run->shift = st->io_shift;
+    const Bytes bus = NvmeDevice::BusBytes(run->run.span_begin,
+                                           run->run.span_end - run->run.span_begin, sgl);
+    run->bytes_saved = run->run.per_row_bus > bus ? run->run.per_row_bus - bus : 0;
+    SubmitRun(st, run);
+  }
 
   // Demand runs are enqueued (holding whatever batch is forming); now let
   // the prefetcher speculate into the scheduler's low-priority lane, where
@@ -412,227 +412,35 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
   }
 }
 
-void LookupEngine::SubmitRowIo(const std::shared_ptr<RequestState>& st,
-                               uint32_t slot_index) {
-  const TableRuntime& table = store_->table(st->request.table);
-  DirectIoReader& reader = store_->reader(st->io_device);
-  const bool block_mode = store_->block_cache() != nullptr && table.cache_enabled;
-
-  auto& slot = st->slots[slot_index];
-  // `off` stays in primary space (cache keys live there); the device offset
-  // applies the request's replica shift at issue time.
-  const Bytes off = table.offset + slot.physical_row * st->stored_row_bytes;
-  const int64_t shift = st->io_shift;
-  std::span<uint8_t> dest(st->row_bytes.data() + slot_index * st->stored_row_bytes,
-                          st->stored_row_bytes);
-  const RowIndex physical = slot.physical_row;
-
-  ++st->trace.device_reads;
-  device_reads_->Add(1);
-  if (st->io_device != table.sm_device) {
-    ++st->trace.replica_reads;
-    replica_reads_->Add(1);
-  }
-
-  // Shared completion: cache fills + join bookkeeping. Errored reads count
-  // only toward io_errors, not toward rows served from SM. `device` is the
-  // device that served (or terminally failed) the row — after a repair
-  // re-drive it differs from st->io_device.
-  auto on_row_done = [this, st, slot_index, dest, physical](Status status,
-                                                           size_t device) {
-    store_->ReleaseIoSlot(st->request.table);
-    store_->device_service().health().Record(device, status.ok());
-    if (!status.ok()) {
-      io_errors_->Add(1);
-      if (st->first_error.ok()) st->first_error = status;
-    } else {
-      rows_sm_read_->Add(1);
-      ++st->trace.rows_from_sm;
-      st->slots[slot_index].source = RequestState::Slot::Source::kSm;
-      // Read-through insert (§4.3): with sub-block reads the row goes
-      // straight into cache storage.
-      DualRowCache* cache = store_->row_cache();
-      const TableRuntime& t = store_->table(st->request.table);
-      if (cache != nullptr && t.cache_enabled) {
-        cache->Insert(RowKey{st->request.table, physical}, dest);
-        st->cpu_post += cache->RouteCpuCost(st->request.table);
-      }
-    }
-    if (--st->outstanding_ios == 0) FinishRequest(st);
-  };
-
-  // Both branches below re-drive a terminally-failed row once against the
-  // extent's other copy (the per-row twin of MakeRunCompletion's
-  // read-repair) before the row is allowed to pool as zeros.
-  if (block_mode && off / kBlockSize == (off + st->stored_row_bytes - 1) / kBlockSize) {
-    // Multi-level path: fetch the whole 4KB block, fill the block cache,
-    // then extract the row.
-    const Bytes block_start = off / kBlockSize * kBlockSize;
-    const auto device = static_cast<uint32_t>(st->io_device);
-    const int max_retries = reader.max_retries();
-    store_->AcquireIoSlot(st->request.table, [this, st, off, dest, block_start, device,
-                                              shift, max_retries, on_row_done] {
-      BlockRowReadAttempt(
-          st, off, block_start, dest, device, shift, max_retries,
-          [this, st, off, dest, block_start, device, on_row_done](Status status) {
-            std::optional<SharedDeviceService::ReplicaRoute> route;
-            if (!status.ok()) route = RepairRoute(st->request.table, device);
-            if (!route.has_value()) {
-              on_row_done(std::move(status), device);
-              return;
-            }
-            const auto rdev = static_cast<uint32_t>(route->device);
-            BlockRowReadAttempt(st, off, block_start, dest, rdev, route->shift,
-                                store_->reader(rdev).max_retries(),
-                                [this, st, rdev, on_row_done](Status repaired) {
-                                  if (repaired.ok()) {
-                                    read_repairs_->Add(1);
-                                    ++st->trace.read_repairs;
-                                  }
-                                  on_row_done(std::move(repaired), rdev);
-                                });
-          });
-    });
+void LookupEngine::SubmitRun(const std::shared_ptr<RequestState>& st,
+                             const std::shared_ptr<RunContext>& run) {
+  // Scheduler-aware throttle admission: the per-table budget (§4.1) counts
+  // device reads *after* merging. A run the scheduler will join or merge
+  // adds no device read, so it enqueues immediately without a slot —
+  // queueing it would let the read it shares retire first and force a
+  // duplicate read. Only runs that need their own SQE go through Acquire
+  // (and if merging happens by dispatch time anyway, EnqueueRun releases
+  // the slot on the spot). The probe uses the same shifted coordinates the
+  // enqueue will. In the bypass modes nothing is shared, so every run
+  // takes a slot, and the scheduler's delay-0 flush timer rings one
+  // doorbell per virtual instant.
+  BatchScheduler& scheduler = store_->scheduler(run->device);
+  const int64_t shift = run->shift;
+  const auto sb = static_cast<Bytes>(static_cast<int64_t>(run->run.span_begin) + shift);
+  const auto se = static_cast<Bytes>(static_cast<int64_t>(run->run.span_end) + shift);
+  const uint64_t fb = run->run.first_block + static_cast<uint64_t>(shift / kBlockSize);
+  const uint64_t lb = run->run.last_block + static_cast<uint64_t>(shift / kBlockSize);
+  if (scheduler.WouldShare(sb, se, fb, lb, run->sgl)) {
+    EnqueueRun(st, run, kReadRetries, /*first_attempt=*/true, /*acquired_slot=*/false);
     return;
   }
-
-  store_->AcquireIoSlot(st->request.table, [this, st, off, shift, dest, on_row_done] {
-    const size_t device = st->io_device;
-    const Bytes routed = static_cast<Bytes>(static_cast<int64_t>(off) + shift);
-    store_->reader(device).ReadRow(
-        routed, dest,
-        [this, st, off, dest, device, on_row_done](Status status, SimDuration /*lat*/) {
-          std::optional<SharedDeviceService::ReplicaRoute> route;
-          if (!status.ok()) route = RepairRoute(st->request.table, device);
-          if (!route.has_value()) {
-            on_row_done(std::move(status), device);
-            return;
-          }
-          const Bytes rerouted =
-              static_cast<Bytes>(static_cast<int64_t>(off) + route->shift);
-          store_->reader(route->device)
-              .ReadRow(rerouted, dest,
-                       [this, st, dev = route->device, on_row_done](Status repaired,
-                                                                    SimDuration) {
-                         if (repaired.ok()) {
-                           read_repairs_->Add(1);
-                           ++st->trace.read_repairs;
-                         }
-                         on_row_done(std::move(repaired), dev);
-                       });
-        });
+  store_->AcquireIoSlot(st->request.table, [this, st, run] {
+    EnqueueRun(st, run, kReadRetries, /*first_attempt=*/true, /*acquired_slot=*/true);
   });
 }
 
-void LookupEngine::BlockRowReadAttempt(const std::shared_ptr<RequestState>& st, Bytes off,
-                                       Bytes block_start, std::span<uint8_t> dest,
-                                       uint32_t device, int64_t shift, int attempts_left,
-                                       std::function<void(Status)> done) {
-  IoEngine& engine = store_->io_engine(device);
-  auto block_buf = store_->buffer_arena().Acquire(kBlockSize);
-  const std::span<uint8_t> block_span(block_buf->data(), block_buf->size());
-  // off/block_start are primary-space; the replica shift (a whole number of
-  // blocks) only moves the device offset — cache keys stay primary.
-  const Bytes routed_start = static_cast<Bytes>(static_cast<int64_t>(block_start) + shift);
-  engine.SubmitRead(
-      routed_start, kBlockSize, /*sub_block=*/false, block_span,
-      [this, st, off, dest, block_start, device, shift, attempts_left, block_buf,
-       done = std::move(done)](Status status, SimDuration /*lat*/) mutable {
-        // Retry transient media errors inside the held throttle slot, like
-        // DirectIoReader does for the sub-block path (same backoff schedule).
-        if (!status.ok() && IsTransientError(status.code()) && attempts_left > 0) {
-          io_retries_->Add(1);
-          const int attempt_index =
-              store_->reader(device).max_retries() - attempts_left;
-          const SimDuration backoff =
-              SimDuration(store_->tuning().retry_backoff_base.nanos()
-                          << std::min(attempt_index, 30));
-          if (backoff > SimDuration(0)) {
-            loop_->ScheduleAfter(backoff, [this, st, off, block_start, dest, device,
-                                           shift, attempts_left,
-                                           done = std::move(done)]() mutable {
-              BlockRowReadAttempt(st, off, block_start, dest, device, shift,
-                                  attempts_left - 1, std::move(done));
-            });
-            return;
-          }
-          BlockRowReadAttempt(st, off, block_start, dest, device, shift,
-                              attempts_left - 1, std::move(done));
-          return;
-        }
-        if (status.ok()) {
-          const auto primary =
-              static_cast<uint32_t>(store_->table(st->request.table).sm_device);
-          store_->block_cache()->InsertBlock(
-              BlockCache::BlockKey{primary, block_start / kBlockSize}, *block_buf);
-          std::memcpy(dest.data(), block_buf->data() + (off - block_start), dest.size());
-          st->cpu_post += CopyCost(kBlockSize);
-        }
-        done(std::move(status));
-      });
-}
-
-void LookupEngine::SubmitPlannedRuns(const std::shared_ptr<RequestState>& st,
-                                     std::vector<PlannedRun> runs) {
-  const TableRuntime& table = store_->table(st->request.table);
-  DirectIoReader& reader = store_->reader(st->io_device);
-  const bool block_cache_mode = store_->block_cache() != nullptr && table.cache_enabled;
-  const bool sgl = !block_cache_mode && reader.sub_block();
-  const int max_retries = reader.max_retries();
-
-  // Bypass ablation = PR 1 semantics: runs admitted during this call share
-  // one request-private doorbell; throttled stragglers (admitted after
-  // `collecting` drops) ring their own bell the moment they enqueue, so a
-  // straggler never shares a flush with another request's batch.
-  const bool bypass = !store_->tuning().cross_request_batching;
-  auto collecting = std::make_shared<bool>(true);
-
-  for (PlannedRun& planned : runs) {
-    auto run = std::make_shared<RunContext>();
-    run->run = std::move(planned);
-    run->sgl = sgl;
-    run->device = st->io_device;
-    run->shift = st->io_shift;
-    run->bus = NvmeDevice::BusBytes(run->run.span_begin,
-                                    run->run.span_end - run->run.span_begin, sgl);
-    run->bytes_saved = run->run.per_row_bus > run->bus ? run->run.per_row_bus - run->bus : 0;
-
-    // Scheduler-aware throttle admission: the per-table budget (§4.1)
-    // counts device reads *after* merging. A run the scheduler will join
-    // or merge adds no device read, so it enqueues immediately without a
-    // slot — queueing it would let the read it shares retire first and
-    // force a duplicate read. Only runs that need their own SQE go
-    // through Acquire (and if merging happens by dispatch time anyway,
-    // EnqueueRun releases the slot on the spot). The probe uses the same
-    // shifted coordinates the enqueue will.
-    BatchScheduler& scheduler = store_->scheduler(run->device);
-    const int64_t shift = run->shift;
-    const auto sb = static_cast<Bytes>(static_cast<int64_t>(run->run.span_begin) + shift);
-    const auto se = static_cast<Bytes>(static_cast<int64_t>(run->run.span_end) + shift);
-    const uint64_t fb = run->run.first_block + static_cast<uint64_t>(shift / kBlockSize);
-    const uint64_t lb = run->run.last_block + static_cast<uint64_t>(shift / kBlockSize);
-    if (scheduler.WouldShare(sb, se, fb, lb, sgl)) {
-      EnqueueRun(st, run, block_cache_mode, max_retries, /*first_attempt=*/true,
-                 /*acquired_slot=*/false);
-      continue;
-    }
-    store_->AcquireIoSlot(st->request.table, [this, st, run, block_cache_mode,
-                                              max_retries, bypass, collecting] {
-      EnqueueRun(st, run, block_cache_mode, max_retries, /*first_attempt=*/true,
-                 /*acquired_slot=*/true);
-      if (bypass && !*collecting) {
-        store_->scheduler(run->device).Flush();
-      }
-    });
-  }
-
-  *collecting = false;
-  if (bypass) store_->scheduler(st->io_device).Flush();
-}
-
 void LookupEngine::EnqueueRun(const std::shared_ptr<RequestState>& st,
-                              const std::shared_ptr<RunContext>& run,
-                              bool block_cache_mode, int attempts_left,
+                              const std::shared_ptr<RunContext>& run, int attempts_left,
                               bool first_attempt, bool acquired_slot) {
   BatchScheduler& scheduler = store_->scheduler(run->device);
 
@@ -654,7 +462,7 @@ void LookupEngine::EnqueueRun(const std::shared_ptr<RequestState>& st,
   // logical read and must not double-count.
   req.rows = first_attempt ? static_cast<uint32_t>(run->run.slot_indices.size()) : 0;
   req.per_row_bus = first_attempt ? run->run.per_row_bus : 0;
-  req.cb = MakeRunCompletion(st, run, block_cache_mode, attempts_left);
+  req.cb = MakeRunCompletion(st, run, attempts_left);
 
   const BatchScheduler::Admission admission = scheduler.Enqueue(std::move(req));
   assert(admission != BatchScheduler::Admission::kDropped);  // demand is never dropped
@@ -707,29 +515,24 @@ std::optional<SharedDeviceService::ReplicaRoute> LookupEngine::RepairRoute(
 
 BatchScheduler::Completion LookupEngine::MakeRunCompletion(
     const std::shared_ptr<RequestState>& st, const std::shared_ptr<RunContext>& run,
-    bool block_cache_mode, int attempts_left) {
-  return [this, st, run, block_cache_mode, attempts_left](Status status,
-                                                          const uint8_t* data,
-                                                          Bytes base) {
+    int attempts_left) {
+  return [this, st, run, attempts_left](Status status, const uint8_t* data, Bytes base) {
     if (run->holds_slot) store_->ReleaseIoSlot(st->request.table);
     store_->device_service().health().Record(run->device, status.ok());
     if (!status.ok()) {
-      // Transient (device-side) errors are retried like DirectIoReader's
-      // per-row reads; invalid requests surface immediately.
+      // Transient (device-side) errors are retried after an exponential
+      // backoff; invalid requests surface immediately.
       if (IsTransientError(status.code()) && attempts_left > 0) {
         io_retries_->Add(1);
-        const int attempt_index =
-            store_->reader(run->device).max_retries() - attempts_left;
+        const int attempt_index = kReadRetries - attempts_left;
         const SimDuration backoff =
             SimDuration(store_->tuning().retry_backoff_base.nanos()
                         << std::min(attempt_index, 30));
-        auto reenqueue = [this, st, run, block_cache_mode, attempts_left] {
-          store_->AcquireIoSlot(st->request.table,
-                                [this, st, run, block_cache_mode, attempts_left] {
-                                  EnqueueRun(st, run, block_cache_mode, attempts_left - 1,
-                                             /*first_attempt=*/false,
-                                             /*acquired_slot=*/true);
-                                });
+        auto reenqueue = [this, st, run, attempts_left] {
+          store_->AcquireIoSlot(st->request.table, [this, st, run, attempts_left] {
+            EnqueueRun(st, run, attempts_left - 1, /*first_attempt=*/false,
+                       /*acquired_slot=*/true);
+          });
         };
         if (backoff > SimDuration(0)) {
           loop_->ScheduleAfter(backoff, std::move(reenqueue));
@@ -748,13 +551,10 @@ BatchScheduler::Completion LookupEngine::MakeRunCompletion(
           run->repairing = true;
           run->device = route->device;
           run->shift = route->shift;
-          const int retries = store_->reader(run->device).max_retries();
-          store_->AcquireIoSlot(st->request.table,
-                                [this, st, run, block_cache_mode, retries] {
-                                  EnqueueRun(st, run, block_cache_mode, retries,
-                                             /*first_attempt=*/false,
-                                             /*acquired_slot=*/true);
-                                });
+          store_->AcquireIoSlot(st->request.table, [this, st, run] {
+            EnqueueRun(st, run, kReadRetries, /*first_attempt=*/false,
+                       /*acquired_slot=*/true);
+          });
           return;
         }
       }
@@ -791,7 +591,7 @@ BatchScheduler::Completion LookupEngine::MakeRunCompletion(
         }
       }
       st->cpu_post += CopyCost(copied);
-      if (block_cache_mode && run->insert_blocks) {
+      if (run->insert_blocks) {
         // The shared buffer holds whole blocks: fill the block layer with
         // this run's slice of them (joiners skip this; the owner inserts).
         // Replica bytes are content-identical, so the keys stay primary.

@@ -8,12 +8,16 @@
 //   when every row is in FM: fused dequantize+pool; insert rows and the
 //   pooled output into their caches
 //
-// The engine orchestrates; the IO policy lives in src/sched. Misses are
-// planned into coalesced runs by IoPlanner (pure, per request) and handed
-// to the device's BatchScheduler, which merges and single-flights reads
-// across every concurrent lookup before ringing the IoEngine doorbell.
-// This engine's completions then scatter rows out of the (possibly
-// shared) read buffers and fill the caches.
+// The engine orchestrates; the IO policy lives in src/sched. There is one
+// IO path: misses are planned into runs by IoPlanner (pure, per request;
+// a row straddling a block boundary is a two-block run like any other) and
+// handed to the device's BatchScheduler, which merges and single-flights
+// reads across every concurrent lookup before ringing the IoEngine
+// doorbell. This engine's run completions then scatter rows out of the
+// (possibly shared) read buffers, fill the caches, and own every retry,
+// backoff and read-repair. The tuning.io_batching ablations are
+// configurations of this path: kPerRow plans one run per row without
+// dedup, and both ablations run the scheduler in bypass.
 //
 // Timing: CPU phases run in virtual time before (probe/hash/map) and after
 // (dequant/pool/insert) the IO phase; IOs from one request proceed
@@ -58,7 +62,7 @@ struct LookupTrace {
   /// is credited to the first request that demands it.
   uint32_t rows_prefetch_hit = 0;
 
-  // ---- Coalesced-IO effectiveness (tuning.coalesce_io) ----
+  // ---- Coalesced-IO effectiveness (tuning.io_batching) ----
   /// Duplicate-index slots served by a sibling slot's fetch instead of
   /// their own (counted on top of the category counters above).
   uint32_t rows_deduped = 0;
@@ -123,21 +127,14 @@ class LookupEngine {
   struct RequestState;
   struct RunContext;
 
+  /// Routes the request (health shed / replica failover), plans its
+  /// misses into runs and submits each.
   void StartIoPhase(std::shared_ptr<RequestState> st);
-  /// Submits one missing row as its own throttled device IO (the per-row
-  /// ablation path, and the fallback for rows straddling a block boundary).
-  void SubmitRowIo(const std::shared_ptr<RequestState>& st, uint32_t slot_index);
-  /// One whole-block read attempt for the multi-level per-row path, with
-  /// transient-error retries inside the held throttle slot.
-  void BlockRowReadAttempt(const std::shared_ptr<RequestState>& st, Bytes off,
-                           Bytes block_start, std::span<uint8_t> dest, uint32_t device,
-                           int64_t shift, int attempts_left,
-                           std::function<void(Status)> done);
-  /// Acquires a throttle slot per planned run and hands each run to the
-  /// device's BatchScheduler (which owns batching and cross-request
-  /// merging; the planning itself already happened in IoPlanner).
-  void SubmitPlannedRuns(const std::shared_ptr<RequestState>& st,
-                         std::vector<PlannedRun> runs);
+  /// Scheduler-aware throttle admission of one planned run: a run the
+  /// scheduler will share enqueues at once, any other waits for a throttle
+  /// slot first.
+  void SubmitRun(const std::shared_ptr<RequestState>& st,
+                 const std::shared_ptr<RunContext>& run);
   /// Enqueues one admitted run with the scheduler. Trace/counter accounting
   /// happens only on the first attempt (retries must not double-count).
   /// `acquired_slot` says whether the caller holds a throttle slot for this
@@ -145,32 +142,29 @@ class LookupEngine {
   /// run that ends up sharing releases its slot here (admission budgets
   /// device reads after merging, not logical runs).
   void EnqueueRun(const std::shared_ptr<RequestState>& st,
-                  const std::shared_ptr<RunContext>& run, bool block_cache_mode,
-                  int attempts_left, bool first_attempt, bool acquired_slot);
+                  const std::shared_ptr<RunContext>& run, int attempts_left,
+                  bool first_attempt, bool acquired_slot);
   /// Completion for one planned run: scatter rows out of the (possibly
-  /// shared) read buffer, fill caches, and — like DirectIoReader — retry
-  /// transient device errors `attempts_left` more times before surfacing
-  /// the failure.
+  /// shared) read buffer and fill caches; retry transient device errors
+  /// `attempts_left` more times, then re-drive the run once against the
+  /// extent's other copy before surfacing the failure.
   BatchScheduler::Completion MakeRunCompletion(const std::shared_ptr<RequestState>& st,
                                                const std::shared_ptr<RunContext>& run,
-                                               bool block_cache_mode, int attempts_left);
+                                               int attempts_left);
   /// Where a terminally-failed read on `failed_device` can be re-driven: the
   /// extent's replica when the primary failed, the (healthy) primary when a
-  /// replica read failed, nullopt when no second copy exists. Shared by the
-  /// run path and the per-row path.
+  /// replica read failed, nullopt when no second copy exists.
   std::optional<SharedDeviceService::ReplicaRoute> RepairRoute(TableId table_id,
                                                                size_t failed_device);
   void FinishRequest(const std::shared_ptr<RequestState>& st);
   /// Windowed metrics + (sampled) lookup span at request completion; called
   /// from both completion tails once trace.latency is final.
   void RecordObsCompletion(const RequestState& st);
-  /// Modeled CPU time of copying `bytes` (shared with DirectIoReader's
-  /// memcpy_bytes_per_sec so the two paths charge the same throughput).
-  [[nodiscard]] SimDuration CopyCost(Bytes bytes) const;
+  /// Modeled CPU time of copying `bytes`.
+  [[nodiscard]] static SimDuration CopyCost(Bytes bytes);
 
   SdmStore* store_;
   EventLoop* loop_;
-  double memcpy_bytes_per_sec_ = 12e9;
   PoolingCostModel cost_;
   Histogram latency_;
   StatsRegistry stats_;

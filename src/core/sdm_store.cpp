@@ -148,9 +148,9 @@ Status SdmStore::FinishLoading() {
   // Speculative prefetch rides the cross-request scheduler's low-priority
   // lane and pays off by filling the row cache ahead of demand — so it is
   // only built when all three exist. In particular it stays inert in the
-  // cross_request_batching=false ablation (bypass-mode parity: the PR 1
-  // baseline must not gain a speculation side channel).
-  if (tuning.enable_prefetch && tuning.cross_request_batching &&
+  // io_batching ablation modes (bypass-mode parity: the ablation baselines
+  // must not gain a speculation side channel).
+  if (tuning.enable_prefetch && tuning.io_batching == IoBatching::kCrossRequest &&
       device_service_->device_count() > 0 && row_cache_ != nullptr) {
     PrefetchConfig pfcfg;
     pfcfg.strategy = tuning.prefetch_strategy;
@@ -183,8 +183,7 @@ Status SdmStore::FinishLoading() {
       info.device = t.sm_device;
       info.cache_enabled = t.cache_enabled;
       info.block_mode = block_cache_ != nullptr && t.cache_enabled;
-      info.sub_block =
-          !info.block_mode && device_service_->reader(t.sm_device).sub_block();
+      info.sub_block = !info.block_mode && device_service_->sub_block_reads(t.sm_device);
       prefetcher_->RegisterTable(info);
     }
   }

@@ -10,7 +10,7 @@
 //         auto-sized to whatever direct tables and mapping tensors left.
 //
 // Device ownership (src/tenant): the SM device stack (devices, IO engines,
-// readers, batch schedulers, buffer arena, throttle) lives in a
+// batch schedulers, buffer arena, throttle) lives in a
 // SharedDeviceService. A standalone store constructs a PRIVATE service
 // from its own sm_specs — today's owned-device path, byte-identical to
 // when the stack was inlined here. A multi-tenant shard instead ATTACHES
@@ -40,7 +40,6 @@
 #include "embedding/pruning.h"
 #include "embedding/embedding_table.h"
 #include "io/buffer_arena.h"
-#include "io/direct_reader.h"
 #include "io/io_engine.h"
 #include "io/throttle.h"
 #include "obs/observability.h"
@@ -147,7 +146,6 @@ class SdmStore {
   [[nodiscard]] size_t sm_device_count() const { return device_service_->device_count(); }
   [[nodiscard]] NvmeDevice& sm_device(size_t i) { return device_service_->device(i); }
   [[nodiscard]] IoEngine& io_engine(size_t i) { return device_service_->io_engine(i); }
-  [[nodiscard]] DirectIoReader& reader(size_t i) { return device_service_->reader(i); }
   /// Per-device cross-request batch scheduler (src/sched). All concurrent
   /// lookups on the host — every attached tenant's, in shared mode —
   /// funnel their planned reads through these.
@@ -182,8 +180,8 @@ class SdmStore {
 
   /// Speculative readahead through the schedulers' low-priority lane.
   /// Null unless tuning.enable_prefetch — and inert by construction when
-  /// cross_request_batching is off (the PR 1 ablation baseline) or there is
-  /// no row cache to fill.
+  /// io_batching is an ablation mode (the scheduler runs in bypass) or
+  /// there is no row cache to fill.
   [[nodiscard]] Prefetcher* prefetcher() { return prefetcher_.get(); }
   [[nodiscard]] PrefetchStats prefetch_stats() const {
     return prefetcher_ == nullptr ? PrefetchStats{} : prefetcher_->stats();

@@ -15,7 +15,7 @@ Status TuningConfig::Validate() const {
   if (io_queue_depth < 1) {
     return InvalidArgumentError("io_queue_depth must be >= 1");
   }
-  if (coalesce_io && max_coalesce_bytes < kBlockSize) {
+  if (io_batching != IoBatching::kPerRow && max_coalesce_bytes < kBlockSize) {
     return InvalidArgumentError("max_coalesce_bytes must be >= one 4KB block");
   }
   if (max_batch_sqes < 1) {
@@ -90,16 +90,11 @@ Status TuningConfig::Validate() const {
 
 Status TuningConfig::ValidateForSharedDevice() const {
   if (Status s = Validate(); !s.ok()) return s;
-  if (!cross_request_batching) {
+  if (io_batching != IoBatching::kCrossRequest) {
     return InvalidArgumentError(
-        "shared device requires cross_request_batching: without the batch "
-        "scheduler, tenants cannot single-flight each other's reads and the "
-        "QoS lanes are inert");
-  }
-  if (!coalesce_io) {
-    return InvalidArgumentError(
-        "shared device requires coalesce_io: the per-row ablation path "
-        "bypasses the scheduler that shared-device tenants must go through");
+        "shared device requires io_batching = kCrossRequest: with the batch "
+        "scheduler in bypass, tenants cannot single-flight each other's "
+        "reads and the QoS lanes are inert");
   }
   return Status::Ok();
 }

@@ -38,6 +38,23 @@ enum class PlacementPolicy : uint8_t {
 
 [[nodiscard]] const char* ToString(PlacementPolicy p);
 
+/// How LookupEngine turns SM misses into device reads (§4.1). Every mode
+/// runs the one planned-run path (IoPlanner -> BatchScheduler); the two
+/// ablation modes only configure it.
+enum class IoBatching : uint8_t {
+  /// One device read per missing row: no intra-request dedup, no merging,
+  /// and the scheduler in bypass (ablation baseline).
+  kPerRow,
+  /// Duplicate indices dedup and misses group into block runs per request;
+  /// the scheduler runs in bypass, so requests never share or fuse reads
+  /// (ablation).
+  kPerRequest,
+  /// kPerRequest plus cross-request batching in the BatchScheduler:
+  /// single-flight on pending and in-flight reads, cross-request merges,
+  /// and doorbells shared by every concurrent lookup (default).
+  kCrossRequest,
+};
+
 struct TuningConfig {
   // ---- Fast IO (§4.1) ----
   ThrottleConfig throttle;
@@ -46,12 +63,18 @@ struct TuningConfig {
   /// Use SGL bit-bucket sub-block reads when the device supports them.
   bool sub_block_reads = true;
 
-  // ---- Coalesced batch IO (§4.1 extension) ----
+  // ---- Coalesced, cross-request batched IO (§4.1 extension, src/sched) ----
   /// Dedup duplicate indices within a request, group misses by 4KB block
-  /// (N rows in one block cost one device read), merge adjacent blocks, and
-  /// submit the request's device reads as one batched io_uring doorbell.
-  /// `false` restores the one-IO-per-row path (ablation baseline).
-  bool coalesce_io = true;
+  /// (N rows in one block cost one device read, a row straddling a block
+  /// boundary reads both), merge adjacent blocks, and combine the planned
+  /// reads of every concurrent lookup in the per-device BatchScheduler:
+  /// requests missing the same block share one device read (single-flight),
+  /// overlapping/adjacent spans from different requests fuse into one SQE,
+  /// and batches flush as one host-wide ring doorbell. kPerRequest keeps the
+  /// per-request planning with the scheduler in bypass (no read is shared
+  /// across requests); kPerRow issues one read per missing row. Both are
+  /// ablation baselines.
+  IoBatching io_batching = IoBatching::kCrossRequest;
   /// Upper bound on the byte span of one merged multi-block read.
   Bytes max_coalesce_bytes = 64 * kKiB;
   /// In sub-block (SGL) mode, the largest dead gap (bytes) a merged read
@@ -60,14 +83,6 @@ struct TuningConfig {
   /// semantics). Block-mode reads ignore this: whole blocks cross the bus
   /// either way, so same-block rows always share one read.
   Bytes coalesce_gap_bytes = 512;
-
-  // ---- Cross-request batch scheduling (src/sched) ----
-  /// Combine planned device reads across concurrent lookups in the
-  /// per-device BatchScheduler: N requests missing the same block share one
-  /// device read (single-flight), overlapping/adjacent spans from different
-  /// requests fuse into one SQE, and batches flush as one host-wide ring
-  /// doorbell. `false` restores PR 1's per-request batches (ablation).
-  bool cross_request_batching = true;
   /// Flush the accumulating batch once it holds this many SQEs.
   int max_batch_sqes = 64;
   /// Flush deadline, armed by the first run of a batch. Zero adds no
@@ -135,9 +150,9 @@ struct TuningConfig {
   /// stalled device or a dropped fabric transfer. Zero disables deadlines
   /// (byte-identical to pre-deadline behavior).
   SimDuration io_deadline{0};
-  /// Base of the exponential backoff between IO retry attempts (lookup runs,
-  /// per-row reads, DirectIoReader). Attempt k waits base * 2^k. Zero keeps
-  /// the legacy immediate re-read.
+  /// Base of the exponential backoff between transient-error retry attempts
+  /// (lookup runs, replication copy chunks). Attempt k waits base * 2^k.
+  /// Zero keeps the legacy immediate re-read.
   SimDuration retry_backoff_base{0};
   /// Hedged reads: when an in-flight demand read exceeds
   /// `hedge_latency_factor * p99` of the device's observed demand-read
@@ -240,9 +255,9 @@ struct TuningConfig {
 
   /// Validation for a store ATTACHED to a SharedDeviceService (src/tenant).
   /// Cross-store single-flight and the tenant QoS lanes live in the batch
-  /// scheduler and the planned-run path, so knob combinations that bypass
-  /// them (fine for single-tenant ablations) are inconsistent on a shared
-  /// device and are rejected here instead of asserting at runtime.
+  /// scheduler's cross-request mode, so the bypass ablation modes (fine for
+  /// single-tenant runs) are inconsistent on a shared device and are
+  /// rejected here instead of asserting at runtime.
   [[nodiscard]] Status ValidateForSharedDevice() const;
 
   /// Validation for cluster hosts attached to a fabric-attached device

@@ -116,12 +116,9 @@ void Prefetcher::IssueRuns(TableState& st, std::vector<IoPlanner::Miss> misses,
   pcfg.sub_block = st.info.sub_block;
   pcfg.max_coalesce_bytes = config_.max_coalesce_bytes;
   pcfg.coalesce_gap_bytes = config_.coalesce_gap_bytes;
-  IoPlan plan = IoPlanner::Plan(std::move(misses), pcfg);
-  // plan.fallback_slots (boundary-straddling rows) are dropped on purpose:
-  // speculation never takes the per-row path.
 
   BatchScheduler& scheduler = *schedulers_[st.info.device];
-  for (PlannedRun& run : plan.runs) {
+  for (const PlannedRun& run : IoPlanner::Plan(std::move(misses), pcfg)) {
     std::vector<RowIndex> run_rows;
     run_rows.reserve(run.slot_indices.size());
     for (const uint32_t slot : run.slot_indices) run_rows.push_back(rows[slot]);

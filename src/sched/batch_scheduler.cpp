@@ -238,8 +238,8 @@ BatchScheduler::Admission BatchScheduler::EnqueueLane(ReadRequest& req, size_t l
     // owned-store ablation config) they degrade to the demand lane rather
     // than losing the read.
     if (req.kind == Kind::kBackground) return EnqueueDemand(req);
-    // Bypass-mode parity: the PR 1 ablation baseline must stay
-    // byte-identical, so the prefetch lane is inert without cross-request
+    // Bypass-mode parity: the ablation baselines gain no speculation side
+    // channel, so the prefetch lane is inert without cross-request
     // batching (the Prefetcher is not even constructed then; a prefetch
     // enqueue here is a wiring bug, hence the debug assert).
     assert(false && "prefetch lanes require cross_request batching");
@@ -624,10 +624,9 @@ void BatchScheduler::MaybeFlushOrArm() {
 void BatchScheduler::ArmFlush() {
   if (flush_armed_) return;
   flush_armed_ = true;
-  // Bypass mode: the caller flushes at request boundaries; the delay-0
-  // timer only backstops runs enqueued outside one (throttle stragglers).
-  // Cross-request mode waits out the batching window so runs from other
-  // lookups can pile in.
+  // Bypass mode: the delay-0 timer rings one doorbell for every run
+  // enqueued at this virtual instant. Cross-request mode waits out the
+  // batching window so runs from other lookups can pile in.
   const SimDuration delay =
       config_.cross_request ? config_.max_batch_delay : SimDuration(0);
   const uint64_t generation = flush_generation_;

@@ -38,13 +38,11 @@
 //    sustained foreground pressure can starve a background SQE. Foreground
 //    overlap promotes a pending background SQE exactly like a prefetch one.
 //
-// With `cross_request = false` the scheduler never merges or single-flights
-// across enqueues, and both low-priority lanes are INERT (their enqueues
-// assert/drop) so the per-request ablation baseline stays byte-identical;
-// the caller delimits each batch with Flush() (LookupEngine flushes after
-// submitting a request's runs), so every request rings its own doorbell. A
-// delay-0 timer still backstops runs enqueued outside a caller flush (e.g.
-// throttle stragglers).
+// With `cross_request = false` (bypass, the io_batching ablation modes) the
+// scheduler never merges or single-flights across enqueues, and both
+// low-priority lanes are INERT (their enqueues assert/drop); a delay-0
+// flush timer rings one doorbell for the runs enqueued at each virtual
+// instant.
 //
 // Multi-tenant attribution: every ReadRequest names its tenant (0 for the
 // single tenant of an owned-device store). The scheduler keeps a per-tenant
@@ -135,8 +133,9 @@ struct TenantIoShare {
 };
 
 struct BatchSchedulerConfig {
-  /// Combine reads across concurrent requests. false = bypass (per-request
-  /// batches, no sharing, low-priority lanes inert) for ablation.
+  /// Combine reads across concurrent requests. false = bypass (no sharing,
+  /// one doorbell per virtual instant, low-priority lanes inert) for
+  /// ablation.
   bool cross_request = true;
   /// Flush when this many SQEs have accumulated.
   int max_batch_sqes = 64;

@@ -6,54 +6,46 @@
 
 namespace sdm {
 
-IoPlan IoPlanner::Plan(std::vector<Miss> misses, const PlannerConfig& config) {
+std::vector<PlannedRun> IoPlanner::Plan(std::vector<Miss> misses,
+                                        const PlannerConfig& config) {
   std::sort(misses.begin(), misses.end(),
             [](const Miss& a, const Miss& b) { return a.offset < b.offset; });
 
   const Bytes rb = config.row_bytes;
-  IoPlan plan;
+  std::vector<PlannedRun> runs;
   for (const Miss& m : misses) {
     const uint64_t block = m.offset / kBlockSize;
-    if (block != (m.offset + rb - 1) / kBlockSize) {
-      plan.fallback_slots.push_back(m.slot);
-      continue;
-    }
+    const uint64_t last = (m.offset + rb - 1) / kBlockSize;
     const Bytes end = m.offset + rb;
     const Bytes solo_bus = NvmeDevice::BusBytes(m.offset, rb, config.sub_block);
-    bool merged = false;
-    if (!plan.runs.empty()) {
-      PlannedRun& r = plan.runs.back();
+    if (config.merge && !runs.empty()) {
+      PlannedRun& r = runs.back();
       // Block path: whole blocks cross the bus anyway, so same-block rows
-      // always share one read and adjacent blocks merge up to the cap.
-      // Sub-block path: merge only across small dead gaps (request-merging
-      // semantics) so scattered rows don't inflate bus traffic.
+      // share one read and adjacent blocks merge up to the cap. Sub-block
+      // path: merge only across small dead gaps (request-merging semantics)
+      // so scattered rows don't inflate bus traffic.
       const bool gap_ok =
           !config.sub_block || m.offset - r.span_end <= config.coalesce_gap_bytes;
-      if (block == r.last_block) {
-        merged = gap_ok;
-      } else if (block == r.last_block + 1 &&
-                 (block - r.first_block + 1) * kBlockSize <= config.max_coalesce_bytes) {
-        merged = gap_ok;
-      }
-      if (merged) {
-        r.last_block = block;
+      const bool touches = block == r.last_block || block == r.last_block + 1;
+      if (touches && gap_ok &&
+          (last - r.first_block + 1) * kBlockSize <= config.max_coalesce_bytes) {
+        r.last_block = last;
         r.span_end = end;
         r.slot_indices.push_back(m.slot);
         r.per_row_bus += solo_bus;
+        continue;
       }
     }
-    if (!merged) {
-      PlannedRun r;
-      r.first_block = block;
-      r.last_block = block;
-      r.span_begin = m.offset;
-      r.span_end = end;
-      r.slot_indices = {m.slot};
-      r.per_row_bus = solo_bus;
-      plan.runs.push_back(std::move(r));
-    }
+    PlannedRun r;
+    r.first_block = block;
+    r.last_block = last;
+    r.span_begin = m.offset;
+    r.span_end = end;
+    r.slot_indices = {m.slot};
+    r.per_row_bus = solo_bus;
+    runs.push_back(std::move(r));
   }
-  return plan;
+  return runs;
 }
 
 }  // namespace sdm

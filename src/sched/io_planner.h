@@ -12,8 +12,11 @@
 //  - in sub-block (SGL) mode a merge may only bridge a dead gap of
 //    `coalesce_gap_bytes` between consecutive rows, so scattered rows don't
 //    inflate bus traffic (block-layer request-merging semantics);
-//  - rows straddling a block boundary are returned as fallbacks for the
-//    caller's per-row path.
+//  - a row straddling a block boundary is planned like any other, as a run
+//    covering both of its blocks. It joins a neighbour's run under the same
+//    rules; when it cannot, it gets a run of its own even if its two blocks
+//    exceed `max_coalesce_bytes` (a row is never split);
+//  - with `merge` off every miss becomes its own run (the per-row ablation).
 //
 // Planning is per-request; cross-request combining of the planned runs is
 // the BatchScheduler's job.
@@ -40,20 +43,13 @@ struct PlannedRun {
   Bytes per_row_bus = 0;
 };
 
-struct IoPlan {
-  std::vector<PlannedRun> runs;
-  /// Rows that straddle a 4KB block boundary; the caller must issue these
-  /// through its un-coalesced per-row path.
-  std::vector<uint32_t> fallback_slots;
-
-  [[nodiscard]] size_t TotalIos() const { return runs.size() + fallback_slots.size(); }
-};
-
 struct PlannerConfig {
   Bytes row_bytes = 0;
   /// SGL bit-bucket mode: spans are DWORD- instead of block-rounded on the
   /// bus, and merges are gap-bounded.
   bool sub_block = false;
+  /// Merge rows into shared runs; false plans one run per miss.
+  bool merge = true;
   Bytes max_coalesce_bytes = 64 * kKiB;
   Bytes coalesce_gap_bytes = 512;
 };
@@ -67,7 +63,9 @@ class IoPlanner {
   };
 
   /// Pure function of (misses, config); `misses` may arrive in any order.
-  [[nodiscard]] static IoPlan Plan(std::vector<Miss> misses, const PlannerConfig& config);
+  /// Runs come out in device-offset order.
+  [[nodiscard]] static std::vector<PlannedRun> Plan(std::vector<Miss> misses,
+                                                    const PlannerConfig& config);
 };
 
 }  // namespace sdm

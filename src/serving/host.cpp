@@ -168,11 +168,9 @@ HostRunReport HostSimulation::RunInternal(double target_qps, uint64_t num_querie
   const uint64_t replica0 = engine_->lookups().stats().CounterValue("replica_reads");
   const uint64_t repairs0 = engine_->lookups().stats().CounterValue("read_repairs");
   uint64_t dev_errors0 = 0;
-  uint64_t reader_retries0 = 0;
   uint64_t corrupt0 = 0;
   for (size_t d = 0; d < store_->sm_device_count(); ++d) {
     dev_errors0 += store_->io_engine(d).stats().CounterValue("errors");
-    reader_retries0 += store_->reader(d).retries();
     corrupt0 += store_->sm_device(d).stats().CounterValue("blocks_corrupt");
   }
   const ReplicationManager* repl = store_->device_service().replication();
@@ -269,11 +267,9 @@ HostRunReport HostSimulation::RunInternal(double target_qps, uint64_t num_querie
   r.read_repairs = engine_->lookups().stats().CounterValue("read_repairs") - repairs0;
   for (size_t d = 0; d < store_->sm_device_count(); ++d) {
     r.io_errors += store_->io_engine(d).stats().CounterValue("errors");
-    r.reader_retries += store_->reader(d).retries();
     r.blocks_corrupt += store_->sm_device(d).stats().CounterValue("blocks_corrupt");
   }
   r.io_errors -= dev_errors0;
-  r.reader_retries -= reader_retries0;
   r.blocks_corrupt -= corrupt0;
   if (repl != nullptr) r.extents_replicated = repl->extents_replicated() - replicated0;
   r.deadline_expired = xreq.deadline_expired;
@@ -357,8 +353,7 @@ std::string HostRunReport::Summary() const {
       .Kv("pfhit", "%.1f%%", prefetch_hit_rate * 100)
       .Kv("pfwaste", "%lluKiB", static_cast<unsigned long long>(prefetch_wasted_bytes / kKiB))
       .Kv("err", "%llu", static_cast<unsigned long long>(io_errors))
-      .Kv("retry", "%llu+%llu", static_cast<unsigned long long>(io_retries),
-          static_cast<unsigned long long>(reader_retries))
+      .Kv("retry", "%llu", static_cast<unsigned long long>(io_retries))
       .Kv("ddl", "%llu", static_cast<unsigned long long>(deadline_expired))
       .Kv("hedge", "%llu/%llu", static_cast<unsigned long long>(hedges_won),
           static_cast<unsigned long long>(hedges_issued))

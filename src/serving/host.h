@@ -89,8 +89,7 @@ struct HostRunReport {
   uint64_t prefetch_wasted_bytes = 0; ///< speculative bus bytes with no demand hit
   // ---- Robustness / fault tolerance (src/fault), this run only ----
   uint64_t io_errors = 0;         ///< device-level read errors (IoEngine)
-  uint64_t io_retries = 0;        ///< scheduler-path transient-error retries
-  uint64_t reader_retries = 0;    ///< per-row DirectIoReader retries
+  uint64_t io_retries = 0;        ///< transient-error re-reads of lookup runs
   uint64_t deadline_expired = 0;  ///< scheduler reads settled by io_deadline
   uint64_t hedges_issued = 0;     ///< tail-latency hedge reads submitted
   uint64_t hedges_won = 0;        ///< hedges that beat the original read

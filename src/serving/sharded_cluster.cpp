@@ -129,8 +129,8 @@ Status ShardedClusterRuntime::LoadModel(const ModelConfig& model) {
   for (size_t i = 0; i < hosts_.size(); ++i) {
     HostShard& h = hosts_[i];
 
-    // Host-side slice of the device service: per-host engines, readers,
-    // schedulers, throttle, and BufferArena; doorbells ride h.channel.
+    // Host-side slice of the device service: per-host engines, schedulers,
+    // throttle, and BufferArena; doorbells ride h.channel.
     SharedDeviceConfig slice_cfg;
     slice_cfg.tuning = base_config_.tuning;
     slice_cfg.seed = base_config_.seed ^ Mix64(i + 0x51ce);

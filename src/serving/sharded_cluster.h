@@ -12,7 +12,7 @@
 // byte-identity anchors) keep num_shards = 1.
 //
 // What moves where, versus the single-loop path:
-//   - BatchScheduler / DirectIoReader / IoEngine / BufferArena move
+//   - BatchScheduler / IoEngine / BufferArena move
 //     HOST-side (a remote SLICE of SharedDeviceService per host): batching
 //     and coalescing decisions are per-host state, so they can run
 //     unsynchronized within a window.

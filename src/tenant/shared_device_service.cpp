@@ -58,21 +58,16 @@ SharedDeviceService::SharedDeviceService(SharedDeviceConfig config, EventLoop* l
     ecfg.completion_mode = config_.tuning.completion_mode;
     if (remote()) {
       // Host-side slice: the engine's "device" is the remote stack's — the
-      // immutable spec source for readers — but submissions ride the
-      // channel to the device shard instead of touching it.
+      // immutable spec source — but submissions ride the channel to the
+      // device shard instead of touching it.
       engines_.push_back(std::make_unique<IoEngine>(&config_.remote.stack->device(i),
                                                     loop_, ecfg));
       engines_.back()->set_remote_channel(config_.remote.channel, i);
     } else {
       engines_.push_back(std::make_unique<IoEngine>(sm_.back().get(), loop_, ecfg));
     }
-    DirectReaderConfig rcfg;
-    rcfg.sub_block = config_.tuning.sub_block_reads;
-    rcfg.retry_backoff_base = config_.tuning.retry_backoff_base;
-    readers_.push_back(
-        std::make_unique<DirectIoReader>(engines_.back().get(), rcfg, &buffer_arena_));
     BatchSchedulerConfig bcfg;
-    bcfg.cross_request = config_.tuning.cross_request_batching;
+    bcfg.cross_request = config_.tuning.io_batching == IoBatching::kCrossRequest;
     bcfg.max_batch_sqes = config_.tuning.max_batch_sqes;
     bcfg.max_batch_delay = config_.tuning.max_batch_delay;
     bcfg.max_coalesce_bytes = config_.tuning.max_coalesce_bytes;

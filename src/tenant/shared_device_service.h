@@ -3,7 +3,7 @@
 // granularity).
 //
 // The service owns everything that is per-DEVICE rather than per-tenant:
-// the simulated NVMe devices, their IoEngines and DirectIoReaders, the
+// the simulated NVMe devices, their IoEngines, the
 // per-device BatchSchedulers, the shared BufferArena, the (tenant, table)
 // scoped TableThrottle, and the device-space allocator. N SdmStore shards
 // (one per tenant, or per NUMA node) attach to it, so concurrent tenants'
@@ -53,7 +53,6 @@
 #include "core/tuning.h"
 #include "device/nvme_device.h"
 #include "io/buffer_arena.h"
-#include "io/direct_reader.h"
 #include "io/io_engine.h"
 #include "fault/health_monitor.h"
 #include "io/throttle.h"
@@ -80,7 +79,7 @@ struct SharedDeviceConfig {
   // ---- Sharded runtime (src/common/sharded_runtime, src/serving) ----
   /// Engaged (stack != nullptr): build the HOST-SIDE SLICE of a sharded
   /// disaggregated runtime instead of a full device stack. The slice owns
-  /// everything per-HOST — schedulers, readers, throttle, health view, and
+  /// everything per-HOST — schedulers, throttle, health view, and
   /// its own BufferArena (the per-shard/per-socket arena of the NUMA-arena
   /// ROADMAP item) — but no NvmeDevices: its per-port IoEngines ship
   /// doorbells through `channel` to the DEVICE shard's `stack`, which owns
@@ -211,7 +210,7 @@ class SharedDeviceService {
   // ---- Device stack --------------------------------------------------------
 
   /// Device PORTS this service exposes. A remote slice has no local
-  /// devices but one engine/reader/scheduler port per remote device.
+  /// devices but one engine/scheduler port per remote device.
   [[nodiscard]] size_t device_count() const {
     return remote() ? remote_ports_ : sm_.size();
   }
@@ -223,7 +222,11 @@ class SharedDeviceService {
   }
   [[nodiscard]] bool remote() const { return config_.remote.stack != nullptr; }
   [[nodiscard]] IoEngine& io_engine(size_t i) { return *engines_[i]; }
-  [[nodiscard]] DirectIoReader& reader(size_t i) { return *readers_[i]; }
+  /// Whether reads on port `i` use SGL sub-block transfers: the tuning
+  /// knob and the device behind the port must both allow it.
+  [[nodiscard]] bool sub_block_reads(size_t i) const {
+    return config_.tuning.sub_block_reads && engines_[i]->device()->spec().supports_sub_block;
+  }
   [[nodiscard]] BatchScheduler& scheduler(size_t i) { return *schedulers_[i]; }
   [[nodiscard]] TableThrottle& throttle() { return throttle_; }
   [[nodiscard]] BufferArena& buffer_arena() { return buffer_arena_; }
@@ -291,12 +294,11 @@ class SharedDeviceService {
   SharedDeviceConfig config_;
   EventLoop* loop_;
   size_t remote_ports_ = 0;  ///< port count of a remote slice
-  // Declared before the engines/readers that hold a pointer to it so it
+  // Declared before the schedulers that hold a pointer to it so it
   // outlives them on destruction.
   BufferArena buffer_arena_;
   std::vector<std::unique_ptr<NvmeDevice>> sm_;
   std::vector<std::unique_ptr<IoEngine>> engines_;
-  std::vector<std::unique_ptr<DirectIoReader>> readers_;
   std::vector<std::unique_ptr<BatchScheduler>> schedulers_;
   TableThrottle throttle_;
   std::unique_ptr<HealthMonitor> health_;

@@ -23,7 +23,7 @@ TuningConfig BaseTuning() {
   t.row_cache.capacity = 0;  // auto-size from FM budget
   t.enable_row_cache = true;
   t.sub_block_reads = true;
-  t.coalesce_io = true;
+  t.io_batching = IoBatching::kCrossRequest;
   return t;
 }
 
@@ -166,14 +166,15 @@ TEST(Coalescing, AdjacentBlockRunsMergeWithinCap) {
   auto ls = MakeStore();
   LookupEngine engine(ls->store.get());
   // A contiguous run around the first block boundary: the spanning row
-  // falls back to its own IO; the rest merge across the two blocks.
+  // covers both blocks, and it and its neighbours merge into one read.
   const RowIndex spanning = FirstBoundarySpanningRow(*ls);
   std::vector<RowIndex> indices;
   for (RowIndex r = spanning - 5; r <= spanning + 5; ++r) indices.push_back(r);
   const auto [pooled, trace] = RunLookup(*ls, engine, indices);
   EXPECT_EQ(trace.rows_from_sm, indices.size());
-  // One merged two-block run + one un-coalesced read for the spanning row.
-  EXPECT_EQ(trace.device_reads, 2u);
+  // One merged two-block run carries every row, the spanning one included.
+  EXPECT_EQ(trace.device_reads, 1u);
+  EXPECT_EQ(DeviceReads(*ls), 1u);
   const auto ref = ReferencePooled(*ls, indices);
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
 }
@@ -187,24 +188,28 @@ TEST(Coalescing, MaxCoalesceBytesSplitsAdjacentBlocks) {
   std::vector<RowIndex> indices;
   for (RowIndex r = spanning - 5; r <= spanning + 5; ++r) indices.push_back(r);
   const auto [pooled, trace] = RunLookup(*ls, engine, indices);
-  // Block-0 run, block-1 run, and the spanning row's fallback read.
+  // Block-0 run, block-1 run, and the spanning row's own two-block run:
+  // it exceeds the cap alone, so nothing may join it.
   EXPECT_EQ(trace.device_reads, 3u);
+  const auto ref = ReferencePooled(*ls, indices);
+  for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
 }
 
-TEST(Coalescing, BoundarySpanningRowAloneStaysUncoalesced) {
+TEST(Coalescing, BoundarySpanningRowAloneIsOneTwoBlockRead) {
   auto ls = MakeStore();
   LookupEngine engine(ls->store.get());
   const RowIndex spanning = FirstBoundarySpanningRow(*ls);
   const auto [pooled, trace] = RunLookup(*ls, engine, {spanning});
   EXPECT_EQ(trace.rows_from_sm, 1u);
   EXPECT_EQ(trace.device_reads, 1u);
+  EXPECT_EQ(DeviceReads(*ls), 1u);
   const auto ref = ReferencePooled(*ls, {spanning});
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
 }
 
 TEST(Coalescing, PerRowAblationFlagIssuesOneIoPerRow) {
   TuningConfig t = BaseTuning();
-  t.coalesce_io = false;
+  t.io_batching = IoBatching::kPerRow;
   auto ls = MakeStore(t);
   LookupEngine engine(ls->store.get());
   const std::vector<RowIndex> indices = {10, 15, 20, 25, 30};
@@ -243,7 +248,7 @@ TEST(Coalescing, CountersReportSavedReadsAndBytes) {
 
 TEST(Coalescing, TransientErrorsRetryLikeThePerRowPath) {
   // p=0.5: roughly half of all device reads fail transiently; a coalesced
-  // run must retry (DirectIoReader semantics) instead of failing the bag
+  // run must re-read once (as NVMe drivers do) instead of failing the bag
   // on the first media error.
   auto ls = MakeStore(BaseTuning(), /*read_error_probability=*/0.5);
   LookupEngine engine(ls->store.get());

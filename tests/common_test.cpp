@@ -1,9 +1,8 @@
 // Tests for src/common: units, Result, RNG/Zipf, histogram, stats,
-// event loop, thread pool.
+// event loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <set>
 #include <string>
@@ -17,7 +16,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 
 namespace sdm {
@@ -589,86 +587,6 @@ TEST(EventLoop, LastEventTimeIgnoresArtificialDeadlines) {
   EXPECT_EQ(loop.Now().nanos(), 10'000);
   EXPECT_EQ(loop.last_event_time().nanos(), 100);
   EXPECT_EQ(loop.events_run(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 32; ++i) {
-    futs.push_back(pool.Submit([&] { done.fetch_add(1); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(done.load(), 32);
-  EXPECT_EQ(pool.tasks_completed(), 32u);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, ParallelForWithFewerItemsThanWorkers) {
-  // n < workers: every index still runs exactly once and the call returns
-  // (the idle workers' empty ranges must not deadlock the rendezvous).
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(3, [&](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForNonDivisibleSplit) {
-  // 10 items over 4 workers: contiguous ranges of uneven length must tile
-  // [0, n) exactly — no index skipped, none run twice.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(10);
-  pool.ParallelFor(10, [&](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitFutureResolvesAfterTheTaskRan) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  std::future<void> f = pool.Submit([&] { ran.store(true); });
-  f.get();  // resolves strictly after the task body finished
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, TasksCompletedIsMonotonic) {
-  ThreadPool pool(4);
-  uint64_t last = pool.tasks_completed();
-  EXPECT_EQ(last, 0u);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 8; ++i) futs.push_back(pool.Submit([] {}));
-    for (auto& f : futs) f.get();
-    const uint64_t now = pool.tasks_completed();
-    EXPECT_GE(now, last + 8);
-    last = now;
-  }
-  EXPECT_EQ(last, 24u);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 16; ++i) {
-      (void)pool.Submit([&] { done.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(done.load(), 16);
 }
 
 }  // namespace

@@ -386,7 +386,7 @@ TEST(LookupEngine, ThrottleBoundsInFlightIos) {
   t.throttle.max_outstanding_per_table = 2;
   // Per-row IO so 16 rows really are 16 device IOs contending for the two
   // throttle slots (coalescing would merge them into one read).
-  t.coalesce_io = false;
+  t.io_batching = IoBatching::kPerRow;
   auto ls = MakeLoadedStore(TinyModel(), t);
   LookupEngine engine(ls->store.get());
   // 16 distinct rows -> 16 IOs, but never more than 2 outstanding.

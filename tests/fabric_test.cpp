@@ -255,7 +255,7 @@ TEST(DisaggregatedTuning, ValidateForDisaggregated) {
   t.fabric_bandwidth_bytes_per_sec = 1e9;
   EXPECT_TRUE(t.ValidateForDisaggregated().ok());
   // Everything a shared device rejects stays rejected.
-  t.cross_request_batching = false;
+  t.io_batching = IoBatching::kPerRequest;
   EXPECT_EQ(t.ValidateForDisaggregated().code(), StatusCode::kInvalidArgument);
 }
 

@@ -187,7 +187,6 @@ void ExpectReportsIdentical(const HostRunReport& a, const HostRunReport& b) {
   EXPECT_EQ(a.mean.nanos(), b.mean.nanos());
   EXPECT_EQ(a.io_errors, b.io_errors);
   EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.reader_retries, b.reader_retries);
   EXPECT_EQ(a.queries_degraded, b.queries_degraded);
   EXPECT_EQ(a.rows_failed, b.rows_failed);
   EXPECT_EQ(a.lookups_shed, b.lookups_shed);

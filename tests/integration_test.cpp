@@ -8,6 +8,7 @@
 #include "core/model_updater.h"
 #include "dlrm/dlrm_model.h"
 #include "dlrm/model_zoo.h"
+#include "io/direct_reader.h"
 #include "io/mmap_reader.h"
 #include "serving/cluster.h"
 #include "serving/host.h"

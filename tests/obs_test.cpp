@@ -306,7 +306,6 @@ void ExpectHostReportsEqual(const HostRunReport& a, const HostRunReport& b) {
   EXPECT_EQ(a.prefetch_wasted_bytes, b.prefetch_wasted_bytes);
   EXPECT_EQ(a.io_errors, b.io_errors);
   EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.reader_retries, b.reader_retries);
   EXPECT_EQ(a.deadline_expired, b.deadline_expired);
   EXPECT_EQ(a.hedges_issued, b.hedges_issued);
   EXPECT_EQ(a.hedges_won, b.hedges_won);

@@ -347,8 +347,7 @@ struct LoadedStore {
 
 TuningConfig PrefetchTuning(bool enable, bool cross_request = true) {
   TuningConfig t;
-  t.coalesce_io = true;
-  t.cross_request_batching = cross_request;
+  t.io_batching = cross_request ? IoBatching::kCrossRequest : IoBatching::kPerRequest;
   t.max_batch_delay = Micros(10);
   t.enable_prefetch = enable;
   t.prefetch_strategy = PrefetchStrategy::kHotSet;
@@ -438,7 +437,7 @@ TEST(PrefetchEndToEnd, ByteIdenticalResultsWithPrefetchOnAndOff) {
 }
 
 TEST(PrefetchEndToEnd, BypassModeKeepsPr1BaselineByteAndReadIdentical) {
-  // enable_prefetch + cross_request_batching=false must behave EXACTLY like
+  // enable_prefetch + io_batching=kPerRequest must behave EXACTLY like
   // the PR 1 baseline: same bytes AND same device-read count (the lane is
   // inert — no speculation side channel for the ablation).
   auto baseline = MakeStore(PrefetchTuning(/*enable=*/false, /*cross_request=*/false));

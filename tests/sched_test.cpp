@@ -2,7 +2,7 @@
 // cross-request BatchScheduler (single-flight, merging, flush triggers,
 // starvation/deadline behavior), and the LookupEngine integration —
 // including the property that scattered rows are byte-identical across the
-// per-row, per-request-coalesced, and cross-request-batched paths.
+// three io_batching modes (per-row, per-request, cross-request).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -31,18 +31,16 @@ PlannerConfig BlockPlanner(Bytes row_bytes = 24) {
 }
 
 TEST(IoPlanner, EmptyInputPlansNothing) {
-  const IoPlan plan = IoPlanner::Plan({}, BlockPlanner());
-  EXPECT_TRUE(plan.runs.empty());
-  EXPECT_TRUE(plan.fallback_slots.empty());
-  EXPECT_EQ(plan.TotalIos(), 0u);
+  const std::vector<PlannedRun> runs = IoPlanner::Plan({}, BlockPlanner());
+  EXPECT_TRUE(runs.empty());
 }
 
 TEST(IoPlanner, SameBlockMissesFormOneRun) {
   // Three 24B rows inside block 0.
-  const IoPlan plan =
+  const std::vector<PlannedRun> runs =
       IoPlanner::Plan({{0, 24}, {1, 240}, {2, 2400}}, BlockPlanner());
-  ASSERT_EQ(plan.runs.size(), 1u);
-  const PlannedRun& r = plan.runs[0];
+  ASSERT_EQ(runs.size(), 1u);
+  const PlannedRun& r = runs[0];
   EXPECT_EQ(r.first_block, 0u);
   EXPECT_EQ(r.last_block, 0u);
   EXPECT_EQ(r.span_begin, 24u);
@@ -53,10 +51,10 @@ TEST(IoPlanner, SameBlockMissesFormOneRun) {
 }
 
 TEST(IoPlanner, UnsortedMissesAreSortedByOffset) {
-  const IoPlan plan =
+  const std::vector<PlannedRun> runs =
       IoPlanner::Plan({{7, 2400}, {3, 24}, {5, 240}}, BlockPlanner());
-  ASSERT_EQ(plan.runs.size(), 1u);
-  EXPECT_EQ(plan.runs[0].slot_indices, (std::vector<uint32_t>{3, 5, 7}));
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].slot_indices, (std::vector<uint32_t>{3, 5, 7}));
 }
 
 TEST(IoPlanner, AdjacentBlocksMergeUpToCap) {
@@ -64,18 +62,18 @@ TEST(IoPlanner, AdjacentBlocksMergeUpToCap) {
   cfg.max_coalesce_bytes = 2 * kBlockSize;
   // One aligned row per block in blocks 0,1,2: the cap allows two blocks per
   // run, so blocks 0+1 merge and block 2 starts a new run.
-  const IoPlan plan = IoPlanner::Plan(
+  const std::vector<PlannedRun> runs = IoPlanner::Plan(
       {{0, 0}, {1, kBlockSize}, {2, 2 * kBlockSize}}, cfg);
-  ASSERT_EQ(plan.runs.size(), 2u);
-  EXPECT_EQ(plan.runs[0].first_block, 0u);
-  EXPECT_EQ(plan.runs[0].last_block, 1u);
-  EXPECT_EQ(plan.runs[1].first_block, 2u);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].first_block, 0u);
+  EXPECT_EQ(runs[0].last_block, 1u);
+  EXPECT_EQ(runs[1].first_block, 2u);
 }
 
 TEST(IoPlanner, NonAdjacentBlocksDoNotMerge) {
-  const IoPlan plan =
+  const std::vector<PlannedRun> runs =
       IoPlanner::Plan({{0, 0}, {1, 2 * kBlockSize}}, BlockPlanner(/*row_bytes=*/64));
-  EXPECT_EQ(plan.runs.size(), 2u);
+  EXPECT_EQ(runs.size(), 2u);
 }
 
 TEST(IoPlanner, SubBlockGapBoundSplitsScatteredRows) {
@@ -85,21 +83,71 @@ TEST(IoPlanner, SubBlockGapBoundSplitsScatteredRows) {
   cfg.coalesce_gap_bytes = 64;
   // Same block, but 1000B of dead gap between the rows: a merge would drag
   // the gap across the bus, so the planner splits.
-  const IoPlan plan = IoPlanner::Plan({{0, 0}, {1, 1024}}, cfg);
-  EXPECT_EQ(plan.runs.size(), 2u);
+  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 0}, {1, 1024}}, cfg);
+  EXPECT_EQ(runs.size(), 2u);
 
   cfg.coalesce_gap_bytes = 2048;  // now the gap is acceptable
-  const IoPlan merged = IoPlanner::Plan({{0, 0}, {1, 1024}}, cfg);
-  ASSERT_EQ(merged.runs.size(), 1u);
-  EXPECT_EQ(merged.runs[0].span_end, 1048u);
+  const std::vector<PlannedRun> merged = IoPlanner::Plan({{0, 0}, {1, 1024}}, cfg);
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].span_end, 1048u);
 }
 
-TEST(IoPlanner, BoundarySpanningRowsFallBack) {
+TEST(IoPlanner, LoneStraddlingRowIsOneTwoBlockRun) {
   // A 24B row at 4088 straddles blocks 0 and 1.
-  const IoPlan plan = IoPlanner::Plan({{0, 100}, {1, 4088}}, BlockPlanner());
-  ASSERT_EQ(plan.runs.size(), 1u);
-  EXPECT_EQ(plan.fallback_slots, (std::vector<uint32_t>{1}));
-  EXPECT_EQ(plan.TotalIos(), 2u);
+  const std::vector<PlannedRun> runs = IoPlanner::Plan({{5, 4088}}, BlockPlanner());
+  ASSERT_EQ(runs.size(), 1u);
+  const PlannedRun& r = runs[0];
+  EXPECT_EQ(r.first_block, 0u);
+  EXPECT_EQ(r.last_block, 1u);
+  EXPECT_EQ(r.span_begin, 4088u);
+  EXPECT_EQ(r.span_end, 4112u);
+  EXPECT_EQ(r.slot_indices, (std::vector<uint32_t>{5}));
+  EXPECT_EQ(r.per_row_bus, 2 * kBlockSize);  // both blocks cross the bus
+}
+
+TEST(IoPlanner, StraddlingRowMergesWithSameAndNextBlockNeighbours) {
+  // Block 0 row, then a 0|1 straddler (same block as the run's last), a
+  // block 1 row, and a 1|2 straddler: one run over blocks 0..2.
+  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 100}, {1, 4088}, {2, 4200}, {3, 8184}},
+                                      BlockPlanner());
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].first_block, 0u);
+  EXPECT_EQ(runs[0].last_block, 2u);
+  EXPECT_EQ(runs[0].span_end, 8208u);
+  EXPECT_EQ(runs[0].slot_indices, (std::vector<uint32_t>{0, 1, 2, 3}));
+
+  // A straddler starting in the block after the run's last joins it too.
+  const std::vector<PlannedRun> next = IoPlanner::Plan({{0, 100}, {1, 8184}}, BlockPlanner());
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].first_block, 0u);
+  EXPECT_EQ(next[0].last_block, 2u);
+}
+
+TEST(IoPlanner, StraddlingRowOverTheCapIsKeptWholeAndSplitsNeighbours) {
+  PlannerConfig cfg = BlockPlanner();
+  cfg.max_coalesce_bytes = kBlockSize;
+  // The straddler alone spans two blocks, over the one-block cap: it is
+  // still emitted as its own run, and neither neighbour may join it.
+  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 100}, {1, 4088}, {2, 4200}}, cfg);
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[0].slot_indices, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(runs[1].first_block, 0u);
+  EXPECT_EQ(runs[1].last_block, 1u);
+  EXPECT_EQ(runs[1].slot_indices, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(runs[2].first_block, 1u);
+  EXPECT_EQ(runs[2].slot_indices, (std::vector<uint32_t>{2}));
+}
+
+TEST(IoPlanner, MergeOffPlansOneRunPerMiss) {
+  PlannerConfig cfg = BlockPlanner();
+  cfg.merge = false;
+  // Same-block rows and a duplicate offset: every miss keeps its own run.
+  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 24}, {1, 240}, {2, 240}}, cfg);
+  ASSERT_EQ(runs.size(), 3u);
+  for (const PlannedRun& r : runs) {
+    EXPECT_EQ(r.slot_indices.size(), 1u);
+    EXPECT_EQ(r.per_row_bus, kBlockSize);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -551,11 +599,10 @@ TEST(BatchScheduler, ReplicaHedgeWinsWithoutPollutingLatencyStats) {
 // LookupEngine integration.
 // ---------------------------------------------------------------------------
 
-TuningConfig SchedTuning(bool cross_request, SimDuration delay = SimDuration(0)) {
+TuningConfig SchedTuning(IoBatching mode, SimDuration delay = SimDuration(0)) {
   TuningConfig t;
   t.enable_row_cache = false;  // expose the IO path on every lookup
-  t.coalesce_io = true;
-  t.cross_request_batching = cross_request;
+  t.io_batching = mode;
   t.max_batch_delay = delay;
   return t;
 }
@@ -606,7 +653,7 @@ uint64_t DeviceReads(LoadedStore& ls) {
 }
 
 TEST(SchedLookup, ConcurrentIdenticalBagsSingleFlightToOneRead) {
-  auto ls = MakeStore(SchedTuning(/*cross_request=*/true, Micros(10)));
+  auto ls = MakeStore(SchedTuning(IoBatching::kCrossRequest, Micros(10)));
   LookupEngine engine(ls->store.get());
   // Four concurrent queries missing the same same-block rows: one device
   // read serves all four.
@@ -623,20 +670,21 @@ TEST(SchedLookup, ConcurrentIdenticalBagsSingleFlightToOneRead) {
 }
 
 TEST(SchedLookup, BypassModeIssuesPerRequestReads) {
-  auto ls = MakeStore(SchedTuning(/*cross_request=*/false));
+  auto ls = MakeStore(SchedTuning(IoBatching::kPerRequest));
   LookupEngine engine(ls->store.get());
   const std::vector<std::vector<RowIndex>> bags(4, {10, 15, 20});
   (void)RunConcurrent(*ls, engine, bags);
   EXPECT_EQ(DeviceReads(*ls), 4u);
   EXPECT_EQ(engine.stats().CounterValue("singleflight_hits"), 0u);
-  // PR 1 semantics: one ring doorbell per request, even at the same instant.
-  EXPECT_EQ(ls->store->scheduler(0).stats().CounterValue("flushes"), 4u);
+  // Nothing is shared, but the scheduler's delay-0 flush timer still rings
+  // one doorbell for every run submitted at the same virtual instant.
+  EXPECT_EQ(ls->store->scheduler(0).stats().CounterValue("flushes"), 1u);
 }
 
 TEST(SchedLookup, InterleavedCompletionJoinsInFlightRead) {
   // B arrives while A's read is on the wire (Optane ~10us): B must join the
   // in-flight read, and both must scatter correct bytes.
-  auto ls = MakeStore(SchedTuning(/*cross_request=*/true));
+  auto ls = MakeStore(SchedTuning(IoBatching::kCrossRequest));
   LookupEngine engine(ls->store.get());
   std::vector<float> pooled_a, pooled_b;
   LookupTrace trace_b;
@@ -668,14 +716,70 @@ TEST(SchedLookup, InterleavedCompletionJoinsInFlightRead) {
   EXPECT_EQ(trace_b.device_reads, 0u);
 
   // B's pooled vector must match a fresh isolated read of row 12.
-  auto ref = MakeStore(SchedTuning(/*cross_request=*/false));
+  auto ref = MakeStore(SchedTuning(IoBatching::kPerRequest));
   LookupEngine ref_engine(ref->store.get());
   const auto ref_out = RunConcurrent(*ref, ref_engine, {{12}});
   EXPECT_EQ(pooled_b, ref_out[0].first);
 }
 
+/// Rows of table 0 whose bytes straddle a 4KB block boundary.
+std::vector<RowIndex> BoundarySpanningRows(const LoadedStore& ls) {
+  const TableRuntime& rt = ls.store->table(MakeTableId(0));
+  const Bytes rb = rt.config.row_bytes();
+  std::vector<RowIndex> rows;
+  for (RowIndex r = 0; r < rt.config.num_rows; ++r) {
+    const Bytes off = rt.offset + r * rb;
+    if (off / kBlockSize != (off + rb - 1) / kBlockSize) rows.push_back(r);
+  }
+  return rows;
+}
+
+TEST(SchedLookup, StraddlingRowJoinsInFlightRead) {
+  // A reads a row straddling a block boundary; B asks for the same row
+  // while A's two-block read is on the wire and must ride it.
+  auto ls = MakeStore(SchedTuning(IoBatching::kCrossRequest));
+  LookupEngine engine(ls->store.get());
+  const std::vector<RowIndex> spanning = BoundarySpanningRows(*ls);
+  ASSERT_FALSE(spanning.empty());
+  const RowIndex row = spanning.front();
+  std::vector<float> pooled_b;
+  LookupTrace trace_a, trace_b;
+  int done = 0;
+  LookupRequest a;
+  a.table = MakeTableId(0);
+  a.indices = {row};
+  engine.Lookup(std::move(a), [&](Status s, std::vector<float>, const LookupTrace& t) {
+    EXPECT_TRUE(s.ok());
+    trace_a = t;
+    ++done;
+  });
+  ls->loop.ScheduleAfter(Micros(3), [&] {
+    LookupRequest b;
+    b.table = MakeTableId(0);
+    b.indices = {row};
+    engine.Lookup(std::move(b),
+                  [&](Status s, std::vector<float> out, const LookupTrace& t) {
+                    EXPECT_TRUE(s.ok());
+                    pooled_b = std::move(out);
+                    trace_b = t;
+                    ++done;
+                  });
+  });
+  ls->loop.RunUntilIdle();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(DeviceReads(*ls), 1u);
+  EXPECT_EQ(trace_a.device_reads, 1u);
+  EXPECT_EQ(trace_b.singleflight_hits, 1u);
+  EXPECT_EQ(trace_b.device_reads, 0u);
+  EXPECT_EQ(ls->store->scheduler(0).stats().CounterValue("singleflight_hits"), 1u);
+
+  auto ref = MakeStore(SchedTuning(IoBatching::kPerRow));
+  LookupEngine ref_engine(ref->store.get());
+  EXPECT_EQ(pooled_b, RunConcurrent(*ref, ref_engine, {{row}})[0].first);
+}
+
 TEST(SchedLookup, DeadlineBoundsLatencyOfALoneLookup) {
-  auto ls = MakeStore(SchedTuning(/*cross_request=*/true, Micros(100)));
+  auto ls = MakeStore(SchedTuning(IoBatching::kCrossRequest, Micros(100)));
   LookupEngine engine(ls->store.get());
   const auto results = RunConcurrent(*ls, engine, {{10, 15, 20}});
   // The lone run waited out the batch window, then completed — no deadlock,
@@ -686,18 +790,19 @@ TEST(SchedLookup, DeadlineBoundsLatencyOfALoneLookup) {
 }
 
 TEST(SchedLookup, PropertyAllIoPathsProduceIdenticalBytes) {
-  // Property: for random bags replayed on identical stores, the per-row
-  // path, the per-request coalesced path, and the cross-request batched
-  // path must produce bit-identical pooled vectors (scattered rows are
-  // byte-identical, and pooling order is slot order on every path).
-  TuningConfig per_row = SchedTuning(false);
-  per_row.coalesce_io = false;
-  auto ls_row = MakeStore(per_row);
-  auto ls_req = MakeStore(SchedTuning(/*cross_request=*/false));
-  auto ls_x = MakeStore(SchedTuning(/*cross_request=*/true, Micros(20)));
+  // Property: for random bags replayed on identical stores, the three
+  // io_batching modes must produce bit-identical pooled vectors (scattered
+  // rows are byte-identical, and pooling order is slot order in every
+  // mode). Bags mix a hot range (cross-request sharing), uniform cold rows
+  // and rows straddling a block boundary (two-block runs).
+  auto ls_row = MakeStore(SchedTuning(IoBatching::kPerRow));
+  auto ls_req = MakeStore(SchedTuning(IoBatching::kPerRequest));
+  auto ls_x = MakeStore(SchedTuning(IoBatching::kCrossRequest, Micros(20)));
   LookupEngine e_row(ls_row->store.get());
   LookupEngine e_req(ls_req->store.get());
   LookupEngine e_x(ls_x->store.get());
+  const std::vector<RowIndex> spanning = BoundarySpanningRows(*ls_x);
+  ASSERT_FALSE(spanning.empty());
 
   Rng rng(0x5eed);
   const uint64_t rows = ls_x->model.tables[0].num_rows;
@@ -706,9 +811,12 @@ TEST(SchedLookup, PropertyAllIoPathsProduceIdenticalBytes) {
     for (auto& bag : bags) {
       const size_t len = 1 + rng.NextBounded(12);
       for (size_t k = 0; k < len; ++k) {
-        // Mix a hot range (cross-request sharing) with uniform cold rows.
-        bag.push_back(rng.NextBounded(2) == 0 ? rng.NextBounded(64)
-                                              : rng.NextBounded(rows));
+        switch (rng.NextBounded(4)) {
+          case 0:
+          case 1: bag.push_back(rng.NextBounded(64)); break;
+          case 2: bag.push_back(rng.NextBounded(rows)); break;
+          default: bag.push_back(spanning[rng.NextBounded(spanning.size())]); break;
+        }
       }
     }
     const auto r_row = RunConcurrent(*ls_row, e_row, bags);
@@ -719,9 +827,12 @@ TEST(SchedLookup, PropertyAllIoPathsProduceIdenticalBytes) {
       ASSERT_EQ(r_x[i].first, r_row[i].first) << "wave " << wave << " bag " << i;
     }
   }
-  // The cross-request store must actually have exercised sharing.
+  // The cross-request store must actually have exercised sharing, and each
+  // mode must read no more than the one below it.
   EXPECT_GT(ls_x->store->scheduler(0).stats().CounterValue("singleflight_hits"), 0u);
+  EXPECT_EQ(ls_req->store->scheduler(0).stats().CounterValue("singleflight_hits"), 0u);
   EXPECT_LE(DeviceReads(*ls_x), DeviceReads(*ls_req));
+  EXPECT_LT(DeviceReads(*ls_req), DeviceReads(*ls_row));
 }
 
 }  // namespace

@@ -54,7 +54,6 @@ void ExpectReportsIdentical(const HostRunReport& a, const HostRunReport& b) {
   EXPECT_EQ(a.mean.nanos(), b.mean.nanos());
   EXPECT_EQ(a.io_errors, b.io_errors);
   EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.reader_retries, b.reader_retries);
   EXPECT_EQ(a.rows_failed, b.rows_failed);
   EXPECT_EQ(a.Summary(), b.Summary());
 }
@@ -135,35 +134,42 @@ TEST(SelfHealing, ChecksumsTurnBitRotIntoDegradedRows) {
 // Read-repair from a replica.
 // ---------------------------------------------------------------------------
 
-TEST(SelfHealing, ReadRepairRescuesEveryWouldBeZeroFilledRow) {
-  // Device 0 rots EVERY read for the whole run. A replica of each device-0
-  // extent is staged on device 1 up front (what the ReplicationManager
-  // would have produced): terminally-failing reads must repair from it
-  // instead of zero-filling.
-  HostSimConfig cfg = HealHostConfig();
-  cfg.tuning.enable_checksums = true;
-  cfg.tuning.sub_block_reads = false;
-  HostSimulation sim(cfg);
-  ASSERT_TRUE(sim.LoadModel(HealModel()).ok());
-
+/// Stages a replica of every device-0 SM extent on device 1 (what the
+/// ReplicationManager would have produced); returns how many it staged.
+size_t StageDevice0Replicas(HostSimulation& sim) {
   SharedDeviceService& svc = sim.store().device_service();
-  ASSERT_GE(svc.device_count(), 2u);
+  EXPECT_GE(svc.device_count(), 2u);
   size_t staged = 0;
   for (size_t i = 0; i < 3; ++i) {  // 2 user tables + 1 item table
     const TableRuntime& rt = sim.store().table(MakeTableId(i));
     if (rt.tier != MemoryTier::kSm || rt.sm_device != 0) continue;
     const auto span = svc.ExtentInfoFor(rt.extent_id);
-    ASSERT_TRUE(span.has_value());
+    EXPECT_TRUE(span.has_value());
+    if (!span.has_value()) continue;
     const auto loc = svc.AllocateReplica(rt.extent_id, /*target=*/1);
-    ASSERT_TRUE(loc.ok()) << loc.status().ToString();
-    ASSERT_TRUE(svc.device(1)
+    EXPECT_TRUE(loc.ok()) << loc.status().ToString();
+    if (!loc.ok()) continue;
+    EXPECT_TRUE(svc.device(1)
                     .Write(loc.value().offset,
                            svc.device(0).backing().subspan(span->offset, span->size))
                     .ok());
     svc.AddReplicaRoute(rt.extent_id, loc.value());
     ++staged;
   }
-  ASSERT_GT(staged, 0u);
+  return staged;
+}
+
+TEST(SelfHealing, ReadRepairRescuesEveryWouldBeZeroFilledRow) {
+  // Device 0 rots EVERY read for the whole run. A replica of each device-0
+  // extent is staged on device 1 up front: terminally-failing reads must
+  // repair from it instead of zero-filling.
+  HostSimConfig cfg = HealHostConfig();
+  cfg.tuning.enable_checksums = true;
+  cfg.tuning.sub_block_reads = false;
+  HostSimulation sim(cfg);
+  ASSERT_TRUE(sim.LoadModel(HealModel()).ok());
+  ASSERT_GT(StageDevice0Replicas(sim), 0u);
+  SharedDeviceService& svc = sim.store().device_service();
 
   FaultPlan plan;
   plan.BitRot(At(SimDuration(0)), At(Seconds(10'000)), /*probability=*/1.0,
@@ -220,6 +226,28 @@ TEST(SelfHealing, SickEndpointReplicatesRoutesAndRecovers) {
   // ...and probe successes washed the endpoint healthy again (the device
   // was never actually broken), so the run ends fully recovered.
   EXPECT_FALSE(svc.health().Sick(0));
+  EXPECT_EQ(r.queries_completed, r.queries_served);
+}
+
+TEST(SelfHealing, PerRowModeFailsOverToAReplica) {
+  // The per-row ablation runs the same IO path as the default mode, so a
+  // sick primary with a placed replica fails over instead of shedding.
+  HostSimConfig cfg = HealHostConfig();
+  cfg.tuning.io_batching = IoBatching::kPerRow;
+  cfg.tuning.enable_health_monitor = true;
+  cfg.tuning.health_window = 32;
+  cfg.tuning.health_probe_interval = 16;
+  HostSimulation sim(cfg);
+  ASSERT_TRUE(sim.LoadModel(HealModel()).ok());
+  ASSERT_GT(StageDevice0Replicas(sim), 0u);
+  SharedDeviceService& svc = sim.store().device_service();
+  for (int i = 0; i < 32; ++i) svc.health().Record(0, false);
+  ASSERT_TRUE(svc.health().Sick(0));
+
+  const HostRunReport r = sim.Run(200, 400);
+  EXPECT_GT(r.replica_reads, 0u);
+  EXPECT_EQ(r.lookups_shed, 0u);
+  EXPECT_EQ(r.rows_failed, 0u);
   EXPECT_EQ(r.queries_completed, r.queries_served);
 }
 

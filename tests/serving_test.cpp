@@ -110,7 +110,7 @@ TEST(HostSim, BlockReadsAmplify) {
   cfg.tuning.sub_block_reads = false;
   // Per-row block IO is the amplification worst case this test documents;
   // coalescing merges same-block rows and would hide it.
-  cfg.tuning.coalesce_io = false;
+  cfg.tuning.io_batching = IoBatching::kPerRow;
   HostSimulation sim(cfg);
   ASSERT_TRUE(sim.LoadModel(SmallModel()).ok());
   const HostRunReport r = sim.Run(300, 500);
@@ -544,7 +544,6 @@ TEST(ReportFormat, HostRunReportSummaryIsPinned) {
   r.prefetch_wasted_bytes = 8 * kKiB;
   r.io_errors = 1;
   r.io_retries = 2;
-  r.reader_retries = 4;
   r.deadline_expired = 1;
   r.hedges_issued = 6;
   r.hedges_won = 2;
@@ -558,7 +557,7 @@ TEST(ReportFormat, HostRunReportSummaryIsPinned) {
   EXPECT_EQ(r.Summary(),
             "qps=98/100 p50=1.50ms p95=3.25ms p99=7.00ms hit=91.5% "
             "pooled=25.0% iops=1235 amp=1.75 cpu/q=42us sf=5 xmerge=3 "
-            "occ=2.5 pf=10 pfhit=50.0% pfwaste=8KiB err=1 retry=2+4 ddl=1 "
+            "occ=2.5 pf=10 pfhit=50.0% pfwaste=8KiB err=1 retry=2 ddl=1 "
             "hedge=2/6 deg=1 rowsf=3 shed=2 rot=1 rrd=1 rep=2 xrep=1");
 }
 

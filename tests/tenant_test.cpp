@@ -511,14 +511,14 @@ TEST(TenantTuning, ValidateForSharedDeviceRejectsInconsistentKnobs) {
   TuningConfig t = TenantTuning();
   EXPECT_TRUE(t.ValidateForSharedDevice().ok());
 
-  TuningConfig no_xreq = TenantTuning();
-  no_xreq.cross_request_batching = false;
-  EXPECT_EQ(no_xreq.ValidateForSharedDevice().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(no_xreq.Validate().ok());  // fine for single-tenant ablations
-
-  TuningConfig no_coalesce = TenantTuning();
-  no_coalesce.coalesce_io = false;
-  EXPECT_EQ(no_coalesce.ValidateForSharedDevice().code(), StatusCode::kInvalidArgument);
+  // Both ablation modes run the scheduler in bypass: fine for single-tenant
+  // runs, inconsistent with sharing.
+  for (const IoBatching mode : {IoBatching::kPerRequest, IoBatching::kPerRow}) {
+    TuningConfig ablation = TenantTuning();
+    ablation.io_batching = mode;
+    EXPECT_EQ(ablation.ValidateForSharedDevice().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(ablation.Validate().ok());
+  }
 
   TuningConfig zero_budget = TenantTuning();
   zero_budget.background_max_inflight_bytes = 0;
@@ -536,7 +536,7 @@ TEST(TenantTuning, AttachedStoreRejectsInconsistentKnobsAtLoad) {
   SdmStoreConfig cfg;
   cfg.fm_capacity = 2 * kMiB;
   cfg.tuning = TenantTuning();
-  cfg.tuning.cross_request_batching = false;  // inconsistent with sharing
+  cfg.tuning.io_batching = IoBatching::kPerRequest;  // inconsistent with sharing
   cfg.shared_device = &service;
   cfg.tenant_id = service.RegisterTenant("bad", TenantClass::kForeground);
   SdmStore store(cfg, &loop);
@@ -549,7 +549,7 @@ TEST(TenantTuning, AttachedStoreRejectsInconsistentKnobsAtLoad) {
 TEST(TenantTuning, MultiTenantHostSurfacesValidationError) {
   HostSimConfig base;
   base.host = MakeHwFAO(2);
-  base.tuning.cross_request_batching = false;
+  base.tuning.io_batching = IoBatching::kPerRequest;
   MultiTenantHost host(base, 1, /*shared_device=*/true);
   const Status s = host.AddTenant(MakeTinyUniformModel(32, 1, 1, 1000), 4 * kMiB);
   ASSERT_FALSE(s.ok());

@@ -49,11 +49,8 @@ class NoWallClockCheck : public Check {
   }
 
   void RunFile(const FileContext& ctx, std::vector<Finding>* out) const override {
-    // bench_util.h owns the benches' wall-clock timers; thread_pool.cpp may
-    // block on real time (condition variables) without touching results.
-    if (ctx.filename == "bench_util.h" || ctx.filename == "thread_pool.cpp") {
-      return;
-    }
+    // bench_util.h owns the benches' wall-clock timers.
+    if (ctx.filename == "bench_util.h") return;
     const auto& toks = ctx.tokens;
     for (size_t i = 0; i < toks.size(); ++i) {
       if (toks[i].kind != Token::Kind::kIdent) continue;
