@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels and data
 // structures: quantization, pooling, caches, order-invariant hashing, Zipf
-// sampling, the event loop, and the end-to-end simulated lookup path.
+// sampling, the event loop, the scheduler's single-flight lookup, and the
+// end-to-end simulated lookup path.
 #include <benchmark/benchmark.h>
 
 #include "cache/cpu_optimized_cache.h"
@@ -10,10 +11,14 @@
 #include "common/rng.h"
 #include "core/lookup_engine.h"
 #include "core/model_loader.h"
+#include "device/nvme_device.h"
 #include "dlrm/mlp.h"
 #include "dlrm/model_zoo.h"
 #include "embedding/quantization.h"
+#include "io/buffer_arena.h"
+#include "io/io_engine.h"
 #include "obs/observability.h"
+#include "sched/batch_scheduler.h"
 #include "trace/trace_gen.h"
 
 #include "common/logging.h"
@@ -247,6 +252,64 @@ void BM_MlpForward(benchmark::State& state) {
                           static_cast<int64_t>(mlp.flops()));
 }
 BENCHMARK(BM_MlpForward);
+
+// ---------------------------------------------------------------------------
+// Scheduler single-flight lookup.
+// ---------------------------------------------------------------------------
+
+/// arg 0: reads in flight. Measures ns per demand enqueue that joins one of
+/// them. The CI scaling gate compares /2048 with /16: a lookup that scans
+/// every in-flight read grows with the arg; the block index stays flat.
+void BM_SchedulerJoinInFlight(benchmark::State& state) {
+  const auto reads = static_cast<uint64_t>(state.range(0));
+  EventLoop loop;
+  // Reads sit on every other block, so no two of them merge.
+  NvmeDevice device(MakeOptaneSsdSpec(), 2 * reads * kBlockSize, &loop, 1);
+  IoEngine engine(&device, &loop, IoEngineConfig{});
+  BufferArena arena;
+  BatchScheduler sched(&engine, &arena, &loop, BatchSchedulerConfig{});
+  auto run = [](uint64_t block, Bytes lo, Bytes hi) {
+    BatchScheduler::ReadRequest req;
+    req.span_begin = block * kBlockSize + lo;
+    req.span_end = block * kBlockSize + hi;
+    req.first_block = block;
+    req.last_block = block;
+    req.rows = 1;
+    req.per_row_bus = kBlockSize;
+    req.cb = [](Status, const uint8_t*, Bytes) {};
+    return req;
+  };
+  auto issue = [&] {
+    for (uint64_t r = 0; r < reads; ++r) (void)sched.Enqueue(run(2 * r, 100, 200));
+    sched.Flush();
+  };
+  issue();
+  if (sched.in_flight_reads() != reads) {
+    state.SkipWithError("reads merged or completed before the joins");
+    return;
+  }
+  // Joins cycle over the 16 latest-issued reads: the memory they touch is
+  // the same at every arg, so the arg changes only how many reads a lookup
+  // could have to pass over (a scan in issue order walks nearly all of
+  // them). Every round the reads land with their subscribers and are
+  // issued again, which keeps subscriber lists short.
+  constexpr uint64_t kTargets = 16;
+  constexpr uint64_t kJoinsPerRound = 1 << 14;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    if (i == kJoinsPerRound) {
+      state.PauseTiming();
+      loop.RunUntilIdle();
+      issue();
+      state.ResumeTiming();
+      i = 0;
+    }
+    const uint64_t r = reads - 1 - i % kTargets;
+    benchmark::DoNotOptimize(sched.Enqueue(run(2 * r, 300, 400)));
+    ++i;
+  }
+}
+BENCHMARK(BM_SchedulerJoinInFlight)->Arg(16)->Arg(256)->Arg(2048);
 
 // ---------------------------------------------------------------------------
 // End-to-end simulated lookup (wall-clock cost of the simulator itself).

@@ -281,14 +281,21 @@ void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
       // but pays a probe + copy, and fills the row cache.
       BlockCache* blocks = store_->block_cache();
       if (blocks != nullptr) {
+        // A row straddling a block boundary is served only when every block
+        // it touches is resident: each next block is probed (and paid for)
+        // only after the previous one hit, and each hit copies its slice.
         const Bytes off = table.offset + slot.physical_row * st->stored_row_bytes;
-        const BlockCache::BlockKey bkey{static_cast<uint32_t>(table.sm_device),
-                                        off / kBlockSize};
-        st->cpu_pre += blocks->LookupCpuCost();
-        // Only serve fully-contained rows from one block; spanning rows go
-        // to IO (rare for the dword-aligned layouts used here).
-        if (off / kBlockSize == (off + st->stored_row_bytes - 1) / kBlockSize &&
-            blocks->ReadRange(bkey, off % kBlockSize, dest)) {
+        const auto device = static_cast<uint32_t>(table.sm_device);
+        bool hit = true;
+        for (Bytes done = 0; hit && done < dest.size();) {
+          const Bytes at = off + done;
+          const Bytes len = std::min(dest.size() - done, kBlockSize - at % kBlockSize);
+          st->cpu_pre += blocks->LookupCpuCost();
+          hit = blocks->ReadRange(BlockCache::BlockKey{device, at / kBlockSize},
+                                  at % kBlockSize, dest.subspan(done, len));
+          done += len;
+        }
+        if (hit) {
           rows_block_hit_->Add(1);
           ++st->trace.rows_from_block_cache;
           slot.source = RequestState::Slot::Source::kBlockCache;

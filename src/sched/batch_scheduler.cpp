@@ -167,12 +167,7 @@ Bytes BatchScheduler::BusOf(const PendingRead& p) const {
 bool BatchScheduler::WouldShare(Bytes span_begin, Bytes span_end, uint64_t first_block,
                                 uint64_t last_block, bool sub_block) const {
   if (!config_.cross_request) return false;
-  for (const auto& read : in_flight_) {
-    if (read->sub_block != sub_block) continue;
-    if (span_begin >= read->base && span_end <= read->base + read->buf->size()) {
-      return true;
-    }
-  }
+  if (live_reads_.FindCovering(span_begin, span_end, sub_block) != nullptr) return true;
   // Only full coverage counts as sharing here. A span-GROWING merge still
   // adds media occupancy (service time scales with bus bytes), so it must
   // queue for an outstanding-IO slot like any other device work — letting
@@ -255,11 +250,8 @@ BatchScheduler::Admission BatchScheduler::EnqueueLane(ReadRequest& req, size_t l
   // Free rides first: an in-flight or pending read that already covers the
   // span serves the run for nothing (and keeps demand counters clean —
   // lane sharing is tracked separately).
-  for (const auto& read : in_flight_) {
-    if (read->sub_block != req.sub_block) continue;
-    if (req.span_begin < read->base || req.span_end > read->base + read->buf->size()) {
-      continue;
-    }
+  if (InFlightRead* read =
+          live_reads_.FindCovering(req.span_begin, req.span_end, req.sub_block)) {
     lane_singleflight->Add(1);
     // Background demand catching up with speculation: the prefetch read
     // proved useful before it even completed.
@@ -422,27 +414,22 @@ BatchScheduler::Admission BatchScheduler::AdmitToLane(ReadRequest& req, size_t l
 }
 
 bool BatchScheduler::TryJoinInFlight(ReadRequest& req) {
-  for (const auto& read : in_flight_) {
-    // The buffer covers [base, base + size): whole blocks in block mode,
-    // the DWORD-rounded span in sub-block mode. Any run inside that window
-    // can be served by this read's completion.
-    if (read->sub_block != req.sub_block) continue;
-    if (req.span_begin < read->base ||
-        req.span_end > read->base + read->buf->size()) {
-      continue;
-    }
-    singleflight_hits_->Add(1);
-    if (obs_singleflight_ != nullptr) obs_singleflight_->Add(loop_->Now());
-    singleflight_bytes_saved_->Add(
-        NvmeDevice::BusBytes(req.span_begin, req.span_end - req.span_begin, req.sub_block));
-    // Demand catching up with speculation: the prefetch read proved useful
-    // before it even completed.
-    if (read->kind == Kind::kPrefetch) prefetch_promoted_->Add(1);
-    RecordJoin(req, read->kind, read->tenant);
-    read->subscribers.push_back(std::move(req.cb));
-    return true;
-  }
-  return false;
+  // The buffer covers [base, base + size): whole blocks in block mode, the
+  // DWORD-rounded span in sub-block mode. Any run inside that window can be
+  // served by this read's completion.
+  InFlightRead* read =
+      live_reads_.FindCovering(req.span_begin, req.span_end, req.sub_block);
+  if (read == nullptr) return false;
+  singleflight_hits_->Add(1);
+  if (obs_singleflight_ != nullptr) obs_singleflight_->Add(loop_->Now());
+  singleflight_bytes_saved_->Add(
+      NvmeDevice::BusBytes(req.span_begin, req.span_end - req.span_begin, req.sub_block));
+  // Demand catching up with speculation: the prefetch read proved useful
+  // before it even completed.
+  if (read->kind == Kind::kPrefetch) prefetch_promoted_->Add(1);
+  RecordJoin(req, read->kind, read->tenant);
+  read->subscribers.push_back(std::move(req.cb));
+  return true;
 }
 
 bool BatchScheduler::Compatible(const PendingRead& p, Bytes begin, Bytes end,
@@ -746,9 +733,10 @@ void BatchScheduler::Flush() {
       budget_lane.inflight_bytes += p.budget_bytes;
     }
     read->buf = arena_->Acquire(bus);
+    read->window_end = read->base + read->buf->size();
     read->subscribers = std::move(p.subscribers);
     read->issued_at = loop_->Now();
-    in_flight_.push_back(read);
+    live_reads_.Insert(read, read->base, read->window_end, read->sub_block);
     ArmReadResponses(read);
     TenantIoShare& share = Share(p.tenant);
     switch (p.kind) {
@@ -784,7 +772,7 @@ void BatchScheduler::Flush() {
   engine_->SubmitBatch(ops);
   if (obs_sqes_ != nullptr) obs_sqes_->Add(loop_->Now(), batch.size());
   if (obs_inflight_ != nullptr) {
-    obs_inflight_->Set(loop_->Now(), static_cast<double>(in_flight_.size()));
+    obs_inflight_->Set(loop_->Now(), static_cast<double>(live_reads_.size()));
   }
 
   // Lane overflow (doorbell was full): drain on the background timers.
@@ -815,8 +803,9 @@ void BatchScheduler::SettleRead(const std::shared_ptr<InFlightRead>& read,
   // must not join a read that has already settled. Every subscriber — N
   // cross-request waiters joined by single-flight included — hears the
   // outcome exactly once; later completions of the same physical read find
-  // the read gone and only release buffers.
-  in_flight_.erase(std::find(in_flight_.begin(), in_flight_.end(), read));
+  // the read no longer live and only release buffers.
+  read->live = false;
+  live_reads_.Erase(read.get(), read->base, read->window_end);
   if (read->budget_bytes > 0) {
     lanes_[LaneIndex(read->budget_kind)].inflight_bytes -= read->budget_bytes;
   }
@@ -828,7 +817,7 @@ void BatchScheduler::SettleRead(const std::shared_ptr<InFlightRead>& read,
                      "{\"bytes\":" + std::to_string(read->buf->size()) + "}");
   }
   if (obs_inflight_ != nullptr) {
-    obs_inflight_->Set(loop_->Now(), static_cast<double>(in_flight_.size()));
+    obs_inflight_->Set(loop_->Now(), static_cast<double>(live_reads_.size()));
   }
   // Hedge accounting: exactly ONE sample per logical demand read enters the
   // p99 population — the winner's. A losing original finds the read settled
@@ -851,7 +840,7 @@ void BatchScheduler::SettleRead(const std::shared_ptr<InFlightRead>& read,
 
 void BatchScheduler::CompleteRead(const std::shared_ptr<InFlightRead>& read,
                                   Status status) {
-  if (std::find(in_flight_.begin(), in_flight_.end(), read) == in_flight_.end()) {
+  if (!read->live) {
     // The deadline expired or a hedge won while this read was at the
     // device: subscribers were already served, so only free the buffer
     // (held until now in case the device memcpy was still due).
@@ -863,13 +852,10 @@ void BatchScheduler::CompleteRead(const std::shared_ptr<InFlightRead>& read,
 }
 
 void BatchScheduler::ExpireRead(const std::shared_ptr<InFlightRead>& read) {
-  if (std::find(in_flight_.begin(), in_flight_.end(), read) == in_flight_.end()) {
-    return;  // completed (or hedge-settled) in time
-  }
+  if (!read->live) return;  // completed (or hedge-settled) in time
   deadline_expired_->Add(1);
   if (obs_expired_ != nullptr) obs_expired_->Add(loop_->Now());
   if (obs_spans_ != nullptr) obs_spans_->Instant(obs_track_, "deadline_expired", loop_->Now());
-  read->expired = true;
   // NOTE: read->buf is NOT released here. A spilled op may still be
   // dispatched later and the device memcpy targets that buffer; the late
   // completion (if it ever comes) frees it, else the submission closure's
@@ -880,10 +866,7 @@ void BatchScheduler::ExpireRead(const std::shared_ptr<InFlightRead>& read) {
 }
 
 void BatchScheduler::MaybeHedge(const std::shared_ptr<InFlightRead>& read) {
-  if (read->hedged ||
-      std::find(in_flight_.begin(), in_flight_.end(), read) == in_flight_.end()) {
-    return;  // already settled, or a hedge is already racing
-  }
+  if (read->hedged || !read->live) return;  // a hedge is racing, or settled
   read->hedged = true;
   hedges_issued_->Add(1);
   if (obs_hedges_ != nullptr) obs_hedges_->Add(loop_->Now());
@@ -915,7 +898,7 @@ void BatchScheduler::MaybeHedge(const std::shared_ptr<InFlightRead>& read) {
 
 void BatchScheduler::CompleteHedge(const std::shared_ptr<InFlightRead>& read,
                                    Status status) {
-  if (std::find(in_flight_.begin(), in_flight_.end(), read) == in_flight_.end()) {
+  if (!read->live) {
     read->hedge_buf.reset();  // the original won (or the deadline fired)
     return;
   }

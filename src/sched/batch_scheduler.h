@@ -6,7 +6,11 @@
 //
 //  - single-flights duplicate work: a run whose span is already covered by
 //    a pending or in-flight read subscribes to that read instead of issuing
-//    its own (N requests missing the same hot block share one device read);
+//    its own (N requests missing the same hot block share one device read).
+//    In-flight reads are found through a block index (InFlightIndex): a
+//    lookup probes the one block holding the run's first byte, and when
+//    several live reads cover the run, the earliest-issued one wins — so
+//    the cost does not grow with the number of reads at the device;
 //  - merges overlapping/adjacent spans across requests into one SQE, the
 //    same policy the planner applies within a request;
 //  - flushes the accumulated batch as ONE ring doorbell
@@ -78,6 +82,7 @@
 #include "io/buffer_arena.h"
 #include "io/io_engine.h"
 #include "obs/observability.h"
+#include "sched/in_flight_index.h"
 
 namespace sdm {
 
@@ -293,7 +298,7 @@ class BatchScheduler {
   [[nodiscard]] Bytes prefetch_budget_used() const {
     return lanes_[kPrefetchLane].pending_bytes + lanes_[kPrefetchLane].inflight_bytes;
   }
-  [[nodiscard]] size_t in_flight_reads() const { return in_flight_.size(); }
+  [[nodiscard]] size_t in_flight_reads() const { return live_reads_.size(); }
   [[nodiscard]] const BatchSchedulerConfig& config() const { return config_; }
   [[nodiscard]] const StatsRegistry& stats() const { return stats_; }
 
@@ -342,19 +347,24 @@ class BatchScheduler {
     std::vector<Completion> subscribers;
   };
 
-  /// A read submitted to the engine and not yet completed. Late arrivals
-  /// whose span it covers subscribe here (single-flight on in-flight IO).
+  /// A read submitted to the engine. Until it settles it is live: indexed
+  /// in `live_reads_`, where late arrivals whose span its window covers
+  /// find it and subscribe (single-flight on in-flight IO).
   struct InFlightRead {
     Bytes span_begin = 0;
     Bytes span_end = 0;
     Bytes base = 0;
+    Bytes window_end = 0;  ///< base + buffer size: the device bytes it lands
     bool sub_block = false;
     Kind kind = Kind::kDemand;
     uint32_t tenant = 0;
     Bytes budget_bytes = 0;  ///< released to the lane when the read completes
     Kind budget_kind = Kind::kDemand;
     SimTime issued_at;       ///< doorbell time (deadline/hedge anchors)
-    bool expired = false;    ///< deadline fired; subscribers already served
+    /// Cleared when the read settles (completion, deadline or hedge win):
+    /// its subscribers are served, so late device or hedge completions
+    /// only release buffers, and no new run may join it.
+    bool live = true;
     bool hedged = false;     ///< a duplicate submission is in flight
     bool hedge_on_replica = false;  ///< the duplicate went to a replica device
     /// Set when a replica-served hedge wins: its latency reflects the OTHER
@@ -436,9 +446,10 @@ class BatchScheduler {
   /// Arms the per-read deadline and (for demand reads, once the latency
   /// population suffices) the adaptive hedge timer. Called at flush.
   void ArmReadResponses(const std::shared_ptr<InFlightRead>& read);
-  /// Removes `read` from in_flight_, delivers (status, data, base) to every
-  /// subscriber exactly once, releases its budget, and re-admits parked
-  /// background work. Shared tail of genuine completion / expiry / hedge win.
+  /// Marks `read` settled and unindexes it, delivers (status, data, base)
+  /// to every subscriber exactly once, releases its budget, and re-admits
+  /// parked background work. Shared tail of genuine completion / expiry /
+  /// hedge win.
   void SettleRead(const std::shared_ptr<InFlightRead>& read, const Status& status,
                   const uint8_t* data);
   [[nodiscard]] Bytes BusOf(const PendingRead& p) const;
@@ -452,7 +463,8 @@ class BatchScheduler {
 
   std::vector<PendingRead> pending_;  ///< demand batch (full flush rights)
   Lane lanes_[kNumLanes];
-  std::vector<std::shared_ptr<InFlightRead>> in_flight_;
+  /// Live reads in issue order, indexed by the blocks their windows touch.
+  InFlightIndex<InFlightRead> live_reads_;
   /// Invalidates armed flush timers when the batch they were armed for has
   /// already been flushed by the size trigger.
   uint64_t flush_generation_ = 0;

@@ -370,5 +370,45 @@ TEST(Coalescing, MultiBlockRunFillsBlockCache) {
   EXPECT_EQ(t1.device_reads, 0u);
 }
 
+TEST(Coalescing, StraddlingRowServedFromBlockCacheWhenBothBlocksResident) {
+  TuningConfig t = BaseTuning();
+  t.enable_block_cache = true;
+  t.block_cache_fraction = 0.5;
+  auto ls = MakeStore(t);
+  LookupEngine engine(ls->store.get());
+  const RowIndex spanning = FirstBoundarySpanningRow(*ls);
+
+  // Its neighbours sit on either side of the boundary: one two-block read
+  // fills both blocks the straddling row touches.
+  const auto [p0, t0] = RunLookup(*ls, engine, {spanning - 1, spanning + 1});
+  EXPECT_EQ(t0.device_reads, 1u);
+  const uint64_t reads = DeviceReads(*ls);
+
+  const auto [pooled, trace] = RunLookup(*ls, engine, {spanning});
+  EXPECT_EQ(trace.rows_from_block_cache, 1u);
+  EXPECT_EQ(trace.device_reads, 0u);
+  EXPECT_EQ(DeviceReads(*ls), reads);
+  const auto ref = ReferencePooled(*ls, {spanning});
+  for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
+}
+
+TEST(Coalescing, StraddlingRowWithOneBlockResidentReadsTheDevice) {
+  TuningConfig t = BaseTuning();
+  t.enable_block_cache = true;
+  t.block_cache_fraction = 0.5;
+  auto ls = MakeStore(t);
+  LookupEngine engine(ls->store.get());
+  const RowIndex spanning = FirstBoundarySpanningRow(*ls);
+
+  // Only the first block is resident: its half-row hit must not serve the
+  // row; the device read supplies all of it.
+  (void)RunLookup(*ls, engine, {spanning - 1});
+  const auto [pooled, trace] = RunLookup(*ls, engine, {spanning});
+  EXPECT_EQ(trace.rows_from_block_cache, 0u);
+  EXPECT_EQ(trace.device_reads, 1u);
+  const auto ref = ReferencePooled(*ls, {spanning});
+  for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
+}
+
 }  // namespace
 }  // namespace sdm

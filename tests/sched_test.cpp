@@ -1,6 +1,7 @@
 // Tests for the src/sched subsystem: IoPlanner (pure planning), the
 // cross-request BatchScheduler (single-flight, merging, flush triggers,
-// starvation/deadline behavior), and the LookupEngine integration —
+// starvation/deadline behavior), its InFlightIndex (differentially, against
+// a first-match scan), and the LookupEngine integration —
 // including the property that scattered rows are byte-identical across the
 // three io_batching modes (per-row, per-request, cross-request).
 #include <gtest/gtest.h>
@@ -8,12 +9,14 @@
 #include <cstring>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/lookup_engine.h"
 #include "core/model_loader.h"
 #include "core/sdm_store.h"
 #include "dlrm/model_zoo.h"
 #include "fault/fault_injector.h"
 #include "sched/batch_scheduler.h"
+#include "sched/in_flight_index.h"
 #include "sched/io_planner.h"
 
 namespace sdm {
@@ -328,6 +331,46 @@ TEST(BatchScheduler, LateArrivalJoinsInFlightRead) {
   EXPECT_EQ(rig.sched->stats().CounterValue("singleflight_hits"), 1u);
 }
 
+TEST(BatchScheduler, RunCoveredByTwoLiveReadsJoinsTheEarlierIssued) {
+  // Read A (block 0) goes out first, read B (blocks 0-1) a microsecond
+  // later; a run inside block 0 is covered by both and must ride A — the
+  // read a first-match scan in issue order finds — so it settles with A,
+  // before the larger, later B lands.
+  BatchSchedulerConfig cfg;
+  cfg.cross_request = true;
+  cfg.max_batch_delay = SimDuration(0);
+  SchedulerRig rig(cfg);
+  int ok = 0;
+  auto timed = [&](Bytes begin, Bytes end, SimTime* done_at) {
+    auto req = rig.Request(begin, end, &ok);
+    auto inner = std::move(req.cb);
+    req.cb = [&rig, done_at, inner = std::move(inner)](Status s, const uint8_t* d,
+                                                        Bytes b) {
+      inner(s, d, b);
+      *done_at = rig.loop.Now();
+    };
+    return req;
+  };
+  SimTime a_done;
+  SimTime b_done;
+  SimTime c_done;
+  EXPECT_EQ(rig.sched->Enqueue(timed(100, 200, &a_done)),
+            BatchScheduler::Admission::kNewRead);
+  rig.loop.RunUntil(rig.loop.Now() + Micros(1));
+  EXPECT_EQ(rig.sched->Enqueue(timed(100, kBlockSize + 200, &b_done)),
+            BatchScheduler::Admission::kNewRead);
+  rig.loop.RunUntil(rig.loop.Now() + Micros(1));
+  ASSERT_EQ(rig.sched->in_flight_reads(), 2u);
+  EXPECT_EQ(rig.sched->Enqueue(timed(300, 400, &c_done)),
+            BatchScheduler::Admission::kJoinedInFlight);
+  rig.loop.RunUntilIdle();
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(rig.DeviceReads(), 2u);
+  EXPECT_LT(a_done, b_done);
+  EXPECT_EQ(c_done, a_done);
+  EXPECT_EQ(rig.sched->in_flight_reads(), 0u);
+}
+
 TEST(BatchScheduler, DeadlineFlushesALoneRun) {
   // Starvation guard: a lone run with no co-travellers must still flush at
   // the deadline, not wait forever for the batch to fill.
@@ -593,6 +636,152 @@ TEST(BatchScheduler, ReplicaHedgeWinsWithoutPollutingLatencyStats) {
   // A replica-served win records NO sample: its latency describes the
   // replica, and feeding it back would disarm THIS device's hedge timer.
   EXPECT_EQ(rig.sched->demand_latency_samples(), 6u);
+}
+
+TEST(BatchScheduler, ExpiredReadIsNeverJoined) {
+  // The deadline settles the read while it is still at the device; a run
+  // for the same span must then issue a read of its own rather than
+  // subscribe to one whose subscribers were already served.
+  BatchSchedulerConfig cfg;
+  cfg.cross_request = true;
+  cfg.max_batch_delay = SimDuration(0);
+  cfg.io_deadline = Micros(1);
+  SchedulerRig rig(cfg);
+  int expired = 0;
+  EXPECT_EQ(rig.sched->Enqueue(
+                FailingRequest(100, 200, &expired, StatusCode::kDeadlineExceeded)),
+            BatchScheduler::Admission::kNewRead);
+  rig.loop.RunUntil(rig.loop.Now() + Micros(3));
+  ASSERT_EQ(expired, 1);
+  EXPECT_EQ(rig.sched->in_flight_reads(), 0u);
+  EXPECT_EQ(rig.sched->Enqueue(
+                FailingRequest(100, 200, &expired, StatusCode::kDeadlineExceeded)),
+            BatchScheduler::Admission::kNewRead);
+  rig.loop.RunUntilIdle();
+  EXPECT_EQ(expired, 2);
+  EXPECT_EQ(rig.DeviceReads(), 2u);
+  EXPECT_EQ(rig.sched->stats().CounterValue("singleflight_hits"), 0u);
+  EXPECT_EQ(rig.sched->in_flight_reads(), 0u);
+}
+
+TEST(BatchScheduler, HedgeSettledReadIsNeverJoined) {
+  // A hedge wins while the 500x-slow original is still at the device. The
+  // original no longer counts as in flight, so a run for the same span
+  // issues one new device read instead of joining it.
+  BatchSchedulerConfig cfg;
+  cfg.cross_request = true;
+  cfg.max_batch_delay = SimDuration(0);
+  cfg.hedge_latency_factor = 2.0;
+  cfg.hedge_min_samples = 4;
+  SchedulerRig rig(cfg);
+  int ok = 0;
+  for (int i = 0; i < 6; ++i) {
+    const Bytes begin = static_cast<Bytes>(i) * kBlockSize + 100;
+    (void)rig.sched->Enqueue(rig.Request(begin, begin + 100, &ok));
+    rig.loop.RunUntilIdle();
+  }
+  ASSERT_EQ(ok, 6);
+
+  FaultPlan plan;
+  plan.FailSlow(rig.loop.Now(), rig.loop.Now() + Micros(1), /*multiplier=*/500.0);
+  FaultInjector injector(plan, &rig.loop, /*seed=*/99);
+  rig.device->set_fault_injector(&injector, 0);
+
+  const Bytes begin = 10 * kBlockSize + 100;
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(begin, begin + 100, &ok)),
+            BatchScheduler::Admission::kNewRead);
+  // The hedge settles well inside 1 ms; the original needs ~5 ms.
+  rig.loop.RunUntil(rig.loop.Now() + Millis(1));
+  ASSERT_EQ(ok, 7);
+  ASSERT_EQ(rig.sched->stats().CounterValue("hedges_won"), 1u);
+  EXPECT_EQ(rig.sched->in_flight_reads(), 0u);
+
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(begin, begin + 100, &ok)),
+            BatchScheduler::Admission::kNewRead);
+  rig.loop.RunUntilIdle();
+  EXPECT_EQ(ok, 8);
+  EXPECT_EQ(rig.DeviceReads(), 9u);  // 6 primes + original + hedge + new read
+  EXPECT_EQ(rig.sched->stats().CounterValue("singleflight_hits"), 0u);
+  EXPECT_EQ(rig.sched->in_flight_reads(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// InFlightIndex: differential check against a brute-force reference.
+// ---------------------------------------------------------------------------
+
+struct IndexedRead {
+  Bytes base = 0;
+  Bytes end = 0;
+  bool sub_block = false;
+};
+
+/// The linear scan the index replaces: first live read in issue order whose
+/// window covers [begin, end) in the same mode.
+const IndexedRead* FirstCoveringScan(
+    const std::vector<std::shared_ptr<IndexedRead>>& live, Bytes begin, Bytes end,
+    bool sub_block) {
+  for (const auto& r : live) {
+    if (r->sub_block == sub_block && begin >= r->base && end <= r->end) return r.get();
+  }
+  return nullptr;
+}
+
+TEST(InFlightIndex, MatchesAFirstMatchScanInIssueOrder) {
+  constexpr uint64_t kSpaceBlocks = 64;  // small, so windows overlap heavily
+  constexpr size_t kMaxLive = 128;
+  constexpr int kSteps = 100'000;
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    InFlightIndex<IndexedRead> index;
+    std::vector<std::shared_ptr<IndexedRead>> live;  // issue order
+    uint64_t shadowed = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      if (live.empty() || (live.size() < kMaxLive && rng.NextBounded(2) == 0)) {
+        // Block windows: block base, 1-16 whole blocks. Sub-block windows:
+        // DWORD base and size, up to 16 blocks.
+        auto r = std::make_shared<IndexedRead>();
+        r->sub_block = rng.NextBounded(2) == 1;
+        if (r->sub_block) {
+          const Bytes dwords = kSpaceBlocks * kBlockSize / kDwordBytes;
+          r->base = rng.NextBounded(dwords) * kDwordBytes;
+          const Bytes max_dwords =
+              rng.NextBounded(2) == 0 ? 64 : 16 * kBlockSize / kDwordBytes;
+          r->end = r->base + (1 + rng.NextBounded(max_dwords)) * kDwordBytes;
+        } else {
+          r->base = rng.NextBounded(kSpaceBlocks) * kBlockSize;
+          r->end = r->base + (1 + rng.NextBounded(16)) * kBlockSize;
+        }
+        index.Insert(r, r->base, r->end, r->sub_block);
+        live.push_back(std::move(r));
+      } else {
+        const size_t victim = rng.NextBounded(live.size());
+        index.Erase(live[victim].get(), live[victim]->base, live[victim]->end);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+      ASSERT_EQ(index.size(), live.size());
+
+      // One span anywhere (mostly misses) and one inside a live window
+      // (a guaranteed candidate, often covered by several reads).
+      const bool sub_block = rng.NextBounded(2) == 1;
+      const Bytes begin = rng.NextBounded((kSpaceBlocks + 16) * kBlockSize);
+      const Bytes end = begin + 1 + rng.NextBounded(2 * kBlockSize);
+      ASSERT_EQ(index.FindCovering(begin, end, sub_block),
+                FirstCoveringScan(live, begin, end, sub_block))
+          << "seed " << seed << " step " << step;
+      if (!live.empty()) {
+        const IndexedRead& w = *live[rng.NextBounded(live.size())];
+        const Bytes in_begin = w.base + rng.NextBounded(w.end - w.base);
+        const Bytes in_end = in_begin + 1 + rng.NextBounded(w.end - in_begin);
+        const IndexedRead* want = FirstCoveringScan(live, in_begin, in_end, w.sub_block);
+        ASSERT_EQ(index.FindCovering(in_begin, in_end, w.sub_block), want)
+            << "seed " << seed << " step " << step;
+        shadowed += want != &w ? 1 : 0;
+      }
+    }
+    // Issue order must actually decide: often an earlier-issued read also
+    // covers the span drawn from a later one.
+    EXPECT_GT(shadowed, static_cast<uint64_t>(kSteps) / 20) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
