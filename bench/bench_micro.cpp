@@ -19,6 +19,7 @@
 #include "io/io_engine.h"
 #include "obs/observability.h"
 #include "sched/batch_scheduler.h"
+#include "serving/cluster.h"
 #include "trace/trace_gen.h"
 
 #include "common/logging.h"
@@ -355,6 +356,43 @@ void BM_SimulatedLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedLookup)->Arg(0)->Arg(1)->Arg(2);
+
+// ---------------------------------------------------------------------------
+// Cluster model load.
+// ---------------------------------------------------------------------------
+
+/// arg 0: hosts of a single-loop disaggregated cluster. Times
+/// ClusterSimulation::LoadModel alone (construction and teardown paused).
+/// The CI scaling gate compares /16 with /1: loading the model once per
+/// host grows with the arg; building each table once and attaching every
+/// other host to its extent stays near flat.
+void BM_ClusterLoad(benchmark::State& state) {
+  const auto hosts = static_cast<size_t>(state.range(0));
+  HostSimConfig cfg;
+  cfg.host = MakeHwFAO(2);
+  cfg.fm_capacity = 2 * kMiB;
+  cfg.sm_backing_per_device = 16 * kMiB;
+  cfg.workload.num_users = 1000;
+  cfg.tuning.enable_row_cache = false;
+  cfg.tuning.fabric_latency = Micros(5);
+  DisaggregatedConfig dc;
+  dc.enabled = true;
+  const ModelConfig model = MakeTinyUniformModel(32, 3, 1, 40'000);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto cluster =
+        std::make_unique<ClusterSimulation>(hosts, cfg, RoutingPolicy::kUserSticky, dc);
+    state.ResumeTiming();
+    if (!cluster->LoadModel(model).ok()) {
+      state.SkipWithError("load failed");
+      return;
+    }
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_ClusterLoad)->Arg(1)->Arg(16)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sdm

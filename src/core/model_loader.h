@@ -9,10 +9,18 @@
 //                    to fp32 at load (spends cheap SM, larger cached rows);
 //   5. placement   : ComputePlacement decides FM vs SM and cache enablement;
 //   6. load        : bytes written to devices, store sealed by the caller.
+//
+// Replicas: a cluster whose hosts serve one model loads every host's store
+// in one pass (LoadReplicas). Each table is generated, transformed and
+// content-hashed once, installed into every store, and freed before the
+// next table — so even a single-store load holds one table image at a time.
+// Load is the one-store case of the same loop.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "common/result.h"
 #include "core/placement.h"
@@ -52,6 +60,22 @@ class ModelLoader {
   /// config governs the §4.5 transforms.
   [[nodiscard]] static Result<LoadReport> Load(const ModelConfig& model,
                                                const LoaderOptions& options, SdmStore* store);
+
+  /// Load into every store of `stores` (one report each, in order): table by
+  /// table, the image is built and hashed once and installed into each
+  /// store, whose mapping tensor (if pruned) is its own copy. Every store is
+  /// sealed at the end. Fails before touching any store when one is already
+  /// sealed, or when the stores' tunings would place or transform a table
+  /// differently (replicas must hold identical bytes).
+  [[nodiscard]] static Result<std::vector<LoadReport>> LoadReplicas(
+      const ModelConfig& model, const LoaderOptions& options,
+      std::span<SdmStore* const> stores);
+
+  /// Generator seed of table `table_index` — with its TableConfig, what
+  /// EmbeddingTableImage::ReferenceRowValues needs to reproduce a loaded row.
+  [[nodiscard]] static uint64_t TableSeed(const LoaderOptions& options, size_t table_index) {
+    return options.seed ^ (0xabcdef12345678ULL * (table_index + 1));
+  }
 };
 
 }  // namespace sdm

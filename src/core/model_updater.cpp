@@ -29,7 +29,7 @@ Result<UpdateReport> ModelUpdater::Update(const UpdateOptions& options) {
     for (size_t t = 0; t < store_->table_count(); ++t) {
       const TableId id = MakeTableId(static_cast<uint32_t>(t));
       const TableRuntime& table = store_->table(id);
-      if (table.tier != MemoryTier::kSm || table.shared_extent) continue;
+      if (table.tier != MemoryTier::kSm || store_->extent_shared(id)) continue;
       if (table.degraded_rows < store_->tuning().degraded_rows_min) continue;
       if (store_->MigrateTableToFm(id).ok()) ++report.tables_migrated;
     }
@@ -38,11 +38,12 @@ Result<UpdateReport> ModelUpdater::Update(const UpdateOptions& options) {
   for (size_t t = 0; t < store_->table_count(); ++t) {
     const TableId id = MakeTableId(static_cast<uint32_t>(t));
     const TableRuntime& table = store_->table(id);
-    if (table.shared_extent) {
+    if (store_->extent_shared(id)) {
       // Shared-device content dedup (src/tenant): these bytes are another
-      // tenant's extent too — an in-place update would corrupt every
-      // co-tenant reading it. Copy-on-write refresh is a ROADMAP item;
-      // until then updating a deduped table is an error, not corruption.
+      // tenant's extent too, whichever of them placed it first, so an
+      // in-place update would corrupt every co-tenant reading it.
+      // Copy-on-write refresh is a ROADMAP item; until then updating a
+      // deduped table is an error, not corruption.
       return FailedPreconditionError("table " + table.config.name +
                                      " is served from a shared extent; in-place "
                                      "updates of deduped tables are not supported");

@@ -41,7 +41,7 @@ SdmStore::SdmStore(SdmStoreConfig config, EventLoop* loop)
 Result<TableId> SdmStore::LoadTable(const EmbeddingTableImage& image,
                                     const TablePlacement& placement,
                                     std::optional<MappingTensor> mapping,
-                                    uint64_t index_domain) {
+                                    uint64_t index_domain, uint64_t content_hash) {
   if (finished_) return FailedPreconditionError("LoadTable after FinishLoading");
   if (attached()) {
     // The seam every tenant/lane knob must hold for: reject inconsistent
@@ -68,11 +68,10 @@ Result<TableId> SdmStore::LoadTable(const EmbeddingTableImage& image,
     fm_direct_bytes_ += size;
   } else {
     auto placed = device_service_->PlaceTable(config_.tenant_id, rt.config.name,
-                                              image.bytes());
+                                              image.bytes(), content_hash);
     if (!placed.ok()) return placed.status();
     rt.sm_device = placed.value().device;
     rt.offset = placed.value().offset;
-    rt.shared_extent = placed.value().shared;
     rt.extent_id = placed.value().id;
     load_write_time_ += placed.value().write_time;
     sm_used_total_ += size;
@@ -214,7 +213,7 @@ Status SdmStore::MigrateTableToFm(TableId table) {
   if (rt.tier != MemoryTier::kSm) {
     return FailedPreconditionError("table is already FM-resident");
   }
-  if (rt.shared_extent) {
+  if (extent_shared(table)) {
     return FailedPreconditionError(
         "cannot migrate a shared extent: co-tenants still serve from it");
   }

@@ -91,9 +91,6 @@ struct TableRuntime {
   bool cache_enabled = true;
   size_t sm_device = 0;  ///< valid when tier == kSm
   Bytes offset = 0;      ///< byte offset on its tier's store
-  /// The SM extent holds bytes another tenant placed first (shared-device
-  /// content dedup); read-only by construction.
-  bool shared_extent = false;
   /// Present for pruned tables served with an FM-resident mapping tensor.
   std::optional<MappingTensor> mapping;
   /// Size of the index domain requests use (unpruned row count).
@@ -120,8 +117,12 @@ class SdmStore {
   /// Writes `image` to the placed tier and registers the table. `mapping`
   /// accompanies pruned tables (nullopt when dense or de-pruned);
   /// `index_domain` is the unpruned row count requests address.
+  /// `content_hash` is image.ContentHash(), the device service's dedup key
+  /// for SM placements (ignored for FM) — computed once by a caller loading
+  /// the same image into several stores.
   Result<TableId> LoadTable(const EmbeddingTableImage& image, const TablePlacement& placement,
-                            std::optional<MappingTensor> mapping, uint64_t index_domain);
+                            std::optional<MappingTensor> mapping, uint64_t index_domain,
+                            uint64_t content_hash);
 
   /// Seals loading: sizes and builds the caches from the remaining FM
   /// budget; fails if FM is over-committed. No lookups before this.
@@ -134,6 +135,13 @@ class SdmStore {
   [[nodiscard]] size_t table_count() const { return tables_.size(); }
   [[nodiscard]] const TableRuntime& table(TableId id) const { return tables_[Raw(id)]; }
   [[nodiscard]] TableRuntime& mutable_table(TableId id) { return tables_[Raw(id)]; }
+  /// True when `id`'s SM extent is served by more than one tenant
+  /// (shared-device content dedup): its bytes are read-only for every
+  /// owner, whichever placed them first.
+  [[nodiscard]] bool extent_shared(TableId id) const {
+    const TableRuntime& t = tables_[Raw(id)];
+    return t.tier == MemoryTier::kSm && device_service_->ExtentShared(t.extent_id);
+  }
 
   // ---- Components ----------------------------------------------------------
 
@@ -232,7 +240,7 @@ class SdmStore {
 
   /// Moves a chronically degraded SM table's bytes into FM (refresh-time,
   /// offline — the ModelUpdater's degraded-placement feedback). Fails when
-  /// the table is FM-resident already, rides a shared extent (other tenants
+  /// the table is FM-resident already, its extent is shared (other tenants
   /// still serve from it), or FM lacks headroom beyond what the caches and
   /// direct tables committed. The vacated SM extent is not reclaimed (bump
   /// allocator), matching how table space behaves everywhere else.

@@ -62,4 +62,13 @@ Status EmbeddingTableImage::SetRow(RowIndex row, std::span<const float> values) 
   return Status::Ok();
 }
 
+uint64_t EmbeddingTableImage::ContentHash() const {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const uint8_t b : data_) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace sdm

@@ -44,6 +44,12 @@ class EmbeddingTableImage {
   /// Raw bytes of the whole image (what gets written to a device).
   [[nodiscard]] std::span<const uint8_t> bytes() const { return data_; }
 
+  /// FNV-1a over bytes() — the shared-device extent registry's content
+  /// fingerprint. Collisions are guarded by the registry's (name, size) key
+  /// components; images here are deterministic generator output, not
+  /// adversarial input.
+  [[nodiscard]] uint64_t ContentHash() const;
+
   /// The float values GenerateRandom would assign to `row` — reference data
   /// for tests without materializing a second image.
   [[nodiscard]] static std::vector<float> ReferenceRowValues(const TableConfig& config,

@@ -128,9 +128,10 @@ Status ClusterSimulation::LoadModel(const ModelConfig& model) {
   if (!dhosts_.empty() && dhosts_[0].store != nullptr) {
     return FailedPreconditionError("model already loaded");
   }
+  std::vector<SdmStore*> stores;
+  stores.reserve(dhosts_.size());
   for (size_t i = 0; i < dhosts_.size(); ++i) {
     DisaggregatedHost& h = dhosts_[i];
-
     SdmStoreConfig scfg;
     scfg.fm_capacity = base_config_.fm_capacity;
     scfg.tuning = base_config_.tuning;
@@ -143,10 +144,16 @@ Status ClusterSimulation::LoadModel(const ModelConfig& model) {
       scfg.obs_prefix = "host" + std::to_string(i) + "/";
     }
     h.store = std::make_unique<SdmStore>(scfg, &dloop_);
+    stores.push_back(h.store.get());
+  }
 
-    auto report = ModelLoader::Load(model, base_config_.loader, h.store.get());
-    if (!report.ok()) return report.status();
+  // One pass for the whole cluster: each table is built once, host 0 places
+  // it and every other host attaches to that extent.
+  auto reports = ModelLoader::LoadReplicas(model, base_config_.loader, stores);
+  if (!reports.ok()) return reports.status();
 
+  for (size_t i = 0; i < dhosts_.size(); ++i) {
+    DisaggregatedHost& h = dhosts_[i];
     InferenceConfig icfg = base_config_.inference;
     icfg.accelerator = base_config_.host.accelerator;
     icfg.dense.flops_per_sec = base_config_.host.dense_flops;
@@ -212,7 +219,7 @@ DisaggregatedRunReport ClusterSimulation::RunDisaggregated(double total_qps,
   assert(total_qps > 0);
   if (sharded_ != nullptr) return sharded_->Run(total_qps, num_queries);
   DisaggregatedRunReport report;
-  if (dhosts_.empty() || dhosts_[0].store == nullptr) return report;
+  if (dhosts_.empty() || dhosts_[0].engine == nullptr) return report;
   const size_t n = dhosts_.size();
   const double qps_each = total_qps / static_cast<double>(n);
   const uint64_t queries_each = num_queries / n;

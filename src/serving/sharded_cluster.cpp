@@ -126,6 +126,8 @@ Status ShardedClusterRuntime::LoadModel(const ModelConfig& model) {
   }
   if (loaded_) return FailedPreconditionError("model already loaded");
 
+  std::vector<SdmStore*> stores;
+  stores.reserve(hosts_.size());
   for (size_t i = 0; i < hosts_.size(); ++i) {
     HostShard& h = hosts_[i];
 
@@ -147,8 +149,8 @@ Status ShardedClusterRuntime::LoadModel(const ModelConfig& model) {
         h.slice->RegisterTenant(stack_->tenant_name(h.stack_id),
                                 TenantClass::kForeground);
 
-    // Store / loader / engine / workload: the single-loop path's exact
-    // construction and seed derivations (cluster.cpp), per host LP.
+    // Store / engine / workload: the single-loop path's exact construction
+    // and seed derivations (cluster.cpp), per host LP.
     SdmStoreConfig scfg;
     scfg.fm_capacity = base_config_.fm_capacity;
     scfg.tuning = base_config_.tuning;
@@ -161,10 +163,17 @@ Status ShardedClusterRuntime::LoadModel(const ModelConfig& model) {
       scfg.obs_prefix = "host" + std::to_string(i) + "/";
     }
     h.store = std::make_unique<SdmStore>(scfg, &runtime_.loop(1 + i));
+    stores.push_back(h.store.get());
+  }
 
-    auto report = ModelLoader::Load(model, base_config_.loader, h.store.get());
-    if (!report.ok()) return report.status();
+  // One pass for the whole cluster, as on the single loop: each table is
+  // built once, host 0's slice places it on the stack and every other
+  // host's slice attaches to that extent.
+  auto reports = ModelLoader::LoadReplicas(model, base_config_.loader, stores);
+  if (!reports.ok()) return reports.status();
 
+  for (size_t i = 0; i < hosts_.size(); ++i) {
+    HostShard& h = hosts_[i];
     InferenceConfig icfg = base_config_.inference;
     icfg.accelerator = base_config_.host.accelerator;
     icfg.dense.flops_per_sec = base_config_.host.dense_flops;

@@ -69,7 +69,8 @@ class ShardedClusterRuntime {
   ShardedClusterRuntime(const ShardedClusterRuntime&) = delete;
   ShardedClusterRuntime& operator=(const ShardedClusterRuntime&) = delete;
 
-  /// Loads the model on every host shard (sequential, pre-threads).
+  /// Loads the model on every host shard in one ModelLoader::LoadReplicas
+  /// pass (sequential, pre-threads).
   /// Placement delegates to the device stack's extent registry, so
   /// cross-host dedup is byte-identical to the single-loop path. Rejects
   /// configs the sharded runtime cannot run bit-deterministically

@@ -10,22 +10,6 @@
 
 namespace sdm {
 
-namespace {
-
-/// FNV-1a over the table image — the dedup registry's content fingerprint.
-/// Collisions are guarded by the (name, size) key components; tables here
-/// are deterministic generator output, not adversarial input.
-uint64_t ContentHash(std::span<const uint8_t> bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 SharedDeviceService::SharedDeviceService(SharedDeviceConfig config, EventLoop* loop)
     : config_(std::move(config)),
       loop_(loop),
@@ -230,39 +214,42 @@ TenantId SharedDeviceService::RegisterTenant(std::string name, TenantClass cls) 
 }
 
 Result<SharedDeviceService::Extent> SharedDeviceService::PlaceTable(
-    TenantId tenant, const std::string& table_name, std::span<const uint8_t> bytes) {
+    TenantId tenant, const std::string& table_name, std::span<const uint8_t> bytes,
+    uint64_t content_hash) {
   if (remote()) {
     // Host-side slice: the device shard's stack owns space and the dedup
     // registry; place there under this HOST's identity so replicas dedup
     // across hosts exactly like the single-loop path. Load-time only.
     (void)tenant;  // the local single-tenant id; the stack keys on the host
-    auto placed =
-        config_.remote.stack->PlaceTable(config_.remote.tenant, table_name, bytes);
+    auto placed = config_.remote.stack->PlaceTable(config_.remote.tenant, table_name, bytes,
+                                                   content_hash);
     if (placed.ok() && placed.value().id != 0) {
       // Mirror the extent into this slice's private routing view (load-time
       // only); replica routes arrive later as cross-shard AddReplicaRoute
       // posts, and demand heat accrues here, never on the stack.
       const Extent& e = placed.value();
       extent_infos_.try_emplace(e.id,
-                                ExtentInfo{e.device, e.offset, bytes.size(), 0, {}});
+                                ExtentInfo{e.device, e.offset, bytes.size(), 0, {}, {}});
     }
     return placed;
   }
   if (sm_.empty()) return FailedPreconditionError("no SM devices configured");
 
-  const ExtentKey key{table_name, bytes.size(), ContentHash(bytes)};
+  const ExtentKey key{table_name, bytes.size(), content_hash};
   if (auto it = extents_.find(key); it != extents_.end()) {
     // Cross-tenant dedup only: a tenant re-loading identical content (two
     // copies in one model) gets its own extent, matching what an
     // owned-device store would do.
-    if (!it->second.owners.contains(tenant)) {
-      it->second.owners.insert(tenant);
+    ExtentInfo& info = extent_infos_.at(it->second);
+    if (!info.owners.contains(tenant)) {
+      info.owners.insert(tenant);
       dedup_saved_ += bytes.size();
-      Extent ext = it->second.extent;
-      ext.shared = true;
-      ext.write_time = SimDuration{};
       SDM_LOG_INFO << "shared extent: tenant " << tenant << " attached to "
                    << table_name << " (" << AsMiB(bytes.size()) << " MiB deduped)";
+      Extent ext;
+      ext.device = info.device;
+      ext.offset = info.offset;
+      ext.id = it->second;
       return ext;
     }
   }
@@ -284,13 +271,19 @@ Result<SharedDeviceService::Extent> SharedDeviceService::PlaceTable(
   ext.write_time = wrote.value();
   ext.id = next_extent_id_++;
   extent_infos_.emplace(ext.id,
-                        ExtentInfo{ext.device, ext.offset, bytes.size(), 0, {}});
+                        ExtentInfo{ext.device, ext.offset, bytes.size(), 0, {}, {tenant}});
   sm_used_[best] += bytes.size();
   // A same-tenant duplicate (owner re-placing an identical table) keeps its
   // fresh extent PRIVATE: the registry entry — and any co-tenants attached
   // to it — must not be clobbered.
-  extents_.try_emplace(key, ExtentEntry{ext, {tenant}});
+  extents_.try_emplace(key, ext.id);
   return ext;
+}
+
+bool SharedDeviceService::ExtentShared(uint64_t id) const {
+  if (remote()) return config_.remote.stack->ExtentShared(id);
+  const auto it = extent_infos_.find(id);
+  return it != extent_infos_.end() && it->second.owners.size() > 1;
 }
 
 Bytes SharedDeviceService::sm_used_bytes() const {

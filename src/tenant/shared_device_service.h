@@ -111,9 +111,8 @@ class SharedDeviceService {
   struct Extent {
     size_t device = 0;
     Bytes offset = 0;
-    /// True when this placement attached to bytes another tenant already
-    /// wrote (no new device space, no write time).
-    bool shared = false;
+    /// Zero when this placement attached to bytes another tenant already
+    /// wrote (no new device space, no write).
     SimDuration write_time;
     /// Registry id for replica routing and demand heat (0 = untracked).
     uint64_t id = 0;
@@ -144,8 +143,17 @@ class SharedDeviceService {
   /// Places `bytes` for `tenant`: attaches to an existing extent when a
   /// DIFFERENT tenant already placed identical content under the same table
   /// name, otherwise allocates on the least-filled device and writes.
+  /// `content_hash` is the caller's EmbeddingTableImage::ContentHash() of
+  /// `bytes`: a loader placing one image into N stores hashes it once.
   [[nodiscard]] Result<Extent> PlaceTable(TenantId tenant, const std::string& table_name,
-                                          std::span<const uint8_t> bytes);
+                                          std::span<const uint8_t> bytes,
+                                          uint64_t content_hash);
+
+  /// True when more than one tenant serves from extent `id` — its bytes are
+  /// then read-only for every one of them, the first placer included. A
+  /// sharded slice asks the device stack (load time or between runs only,
+  /// never on the serving path).
+  [[nodiscard]] bool ExtentShared(uint64_t id) const;
 
   // ---- Self-healing: extent heat, replicas, routing (src/fault) ------------
 
@@ -271,10 +279,6 @@ class SharedDeviceService {
     uint64_t content_hash = 0;
     auto operator<=>(const ExtentKey&) const = default;
   };
-  struct ExtentEntry {
-    Extent extent;
-    std::set<TenantId> owners;  ///< tenants attached to these bytes
-  };
   /// Replica-routing view of one placed extent. Local stacks hold the
   /// authoritative registry; sharded slices mirror entries for the extents
   /// their host placed (routes arrive via AddReplicaRoute posts).
@@ -284,6 +288,9 @@ class SharedDeviceService {
     Bytes size = 0;
     uint64_t heat = 0;  ///< lookups that reached the IO phase on this extent
     std::vector<ReplicaLocation> replicas;
+    /// Tenants serving from these bytes (local stacks; empty in a slice's
+    /// mirror, whose ExtentShared asks the stack).
+    std::set<TenantId> owners;
   };
 
   /// Replica-aware hedge target for a span on `device` (installed on the
@@ -304,7 +311,7 @@ class SharedDeviceService {
   std::unique_ptr<HealthMonitor> health_;
   std::vector<Tenant> tenants_;
   std::vector<Bytes> sm_used_;  // per-device bump allocator
-  std::map<ExtentKey, ExtentEntry> extents_;
+  std::map<ExtentKey, uint64_t> extents_;  ///< content -> extent id
   Bytes dedup_saved_ = 0;
   uint64_t next_extent_id_ = 1;
   std::map<uint64_t, ExtentInfo> extent_infos_;

@@ -3,7 +3,9 @@
 // ModelUpdater.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/lookup_engine.h"
@@ -222,7 +224,7 @@ TEST(SdmStore, RejectsLoadAfterSeal) {
   const auto image = EmbeddingTableImage::GenerateRandom(ls->model.tables[0], 1);
   TablePlacement p;
   p.tier = MemoryTier::kSm;
-  const auto r = ls->store->LoadTable(image, p, std::nullopt, 100);
+  const auto r = ls->store->LoadTable(image, p, std::nullopt, 100, image.ContentHash());
   EXPECT_FALSE(r.ok());
 }
 
@@ -628,6 +630,133 @@ TEST(Loader, ReportCountsTransforms) {
   EXPECT_EQ(ls->report.tables_pruned, 3u);    // user tables only
   EXPECT_EQ(ls->report.tables_depruned, 3u);  // all SM-placed pruned tables
   EXPECT_GT(ls->report.sm_write_time.nanos(), 0);
+}
+
+/// `n` owned-device stores of one shape (distinct seeds, as cluster hosts).
+std::vector<std::unique_ptr<SdmStore>> MakeStores(EventLoop& loop, size_t n,
+                                                  const TuningConfig& tuning) {
+  std::vector<std::unique_ptr<SdmStore>> stores;
+  for (size_t i = 0; i < n; ++i) {
+    SdmStoreConfig cfg = BaseStoreConfig(tuning);
+    cfg.seed = 42 + i;
+    stores.push_back(std::make_unique<SdmStore>(cfg, &loop));
+  }
+  return stores;
+}
+
+std::vector<SdmStore*> StorePtrs(const std::vector<std::unique_ptr<SdmStore>>& stores) {
+  std::vector<SdmStore*> out;
+  for (const auto& s : stores) out.push_back(s.get());
+  return out;
+}
+
+TEST(Loader, ReplicasMatchIndependentLoads) {
+  struct Case {
+    const char* name;
+    double keep = 1.0;
+    bool deprune = false;
+    bool dequantize = false;
+  };
+  const Case cases[] = {{"plain"},
+                        {"pruned_fm_mapping", 0.8},
+                        {"deprune_at_load", 0.8, true},
+                        {"dequantize_at_load", 1.0, false, true}};
+  const ModelConfig model = TinyModel(3, 1);
+  constexpr size_t kStores = 3;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TuningConfig tuning = BaseTuning();
+    tuning.deprune_at_load = c.deprune;
+    tuning.dequantize_at_load = c.dequantize;
+    LoaderOptions loader;
+    loader.prune_keep_fraction = c.keep;
+
+    EventLoop replica_loop;
+    EventLoop solo_loop;
+    auto replicas = MakeStores(replica_loop, kStores, tuning);
+    auto solos = MakeStores(solo_loop, kStores, tuning);
+    auto reports = ModelLoader::LoadReplicas(model, loader, StorePtrs(replicas));
+    ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+    ASSERT_EQ(reports.value().size(), kStores);
+
+    for (size_t i = 0; i < kStores; ++i) {
+      auto solo = ModelLoader::Load(model, loader, solos[i].get());
+      ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+      const LoadReport& a = reports.value()[i];
+      const LoadReport& b = solo.value();
+      EXPECT_EQ(a.tables_loaded, b.tables_loaded);
+      EXPECT_EQ(a.tables_pruned, b.tables_pruned);
+      EXPECT_EQ(a.tables_depruned, b.tables_depruned);
+      EXPECT_EQ(a.tables_dequantized, b.tables_dequantized);
+      EXPECT_EQ(a.fm_direct_bytes, b.fm_direct_bytes);
+      EXPECT_EQ(a.fm_mapping_bytes, b.fm_mapping_bytes);
+      EXPECT_EQ(a.sm_bytes, b.sm_bytes);
+      EXPECT_EQ(a.sm_write_time.nanos(), b.sm_write_time.nanos());
+      ASSERT_EQ(a.plan.tables.size(), b.plan.tables.size());
+      for (size_t t = 0; t < a.plan.tables.size(); ++t) {
+        EXPECT_EQ(a.plan.tables[t].tier, b.plan.tables[t].tier);
+        EXPECT_EQ(a.plan.tables[t].cache_enabled, b.plan.tables[t].cache_enabled);
+      }
+
+      SdmStore& r = *replicas[i];
+      SdmStore& o = *solos[i];
+      EXPECT_TRUE(r.loading_finished());
+      ASSERT_EQ(r.sm_device_count(), o.sm_device_count());
+      for (size_t d = 0; d < r.sm_device_count(); ++d) {
+        const auto rb = r.sm_device(d).backing();
+        const auto ob = o.sm_device(d).backing();
+        ASSERT_EQ(rb.size(), ob.size());
+        EXPECT_TRUE(std::equal(rb.begin(), rb.end(), ob.begin())) << "device " << d;
+      }
+      const auto rf = r.fm().View(0, r.fm_direct_bytes());
+      const auto of = o.fm().View(0, o.fm_direct_bytes());
+      ASSERT_TRUE(rf.ok() && of.ok());
+      EXPECT_TRUE(std::equal(rf.value().begin(), rf.value().end(), of.value().begin(),
+                             of.value().end()));
+      ASSERT_EQ(r.table_count(), o.table_count());
+      for (size_t t = 0; t < r.table_count(); ++t) {
+        const TableRuntime& rt = r.table(MakeTableId(static_cast<uint32_t>(t)));
+        const TableRuntime& ot = o.table(MakeTableId(static_cast<uint32_t>(t)));
+        EXPECT_EQ(rt.offset, ot.offset);
+        EXPECT_EQ(rt.config.num_rows, ot.config.num_rows);
+        ASSERT_EQ(rt.mapping.has_value(), ot.mapping.has_value());
+        if (rt.mapping.has_value()) EXPECT_EQ(rt.mapping->map, ot.mapping->map);
+      }
+    }
+    if (c.keep < 1.0 && !c.deprune) {
+      // Every replica owns a mapping tensor of its own.
+      EXPECT_GT(reports.value()[0].fm_mapping_bytes, 0u);
+      const TableId user = MakeTableId(0);
+      EXPECT_NE(replicas[0]->table(user).mapping->map.data(),
+                replicas[1]->table(user).mapping->map.data());
+    }
+  }
+}
+
+TEST(Loader, ReplicasRejectASealedStoreBeforeLoadingAny) {
+  EventLoop loop;
+  auto stores = MakeStores(loop, 3, BaseTuning());
+  ASSERT_TRUE(stores[1]->FinishLoading().ok());
+  auto reports = ModelLoader::LoadReplicas(TinyModel(), {}, StorePtrs(stores));
+  ASSERT_FALSE(reports.ok());
+  EXPECT_EQ(reports.status().code(), StatusCode::kFailedPrecondition);
+  for (const size_t i : {0, 2}) {
+    EXPECT_EQ(stores[i]->table_count(), 0u);
+    EXPECT_FALSE(stores[i]->loading_finished());
+  }
+}
+
+TEST(Loader, ReplicasRejectStoresThatWouldHoldDifferentBytes) {
+  EventLoop loop;
+  auto stores = MakeStores(loop, 2, BaseTuning());
+  TuningConfig dequant = BaseTuning();
+  dequant.dequantize_at_load = true;
+  SdmStoreConfig cfg = BaseStoreConfig(dequant);
+  stores.push_back(std::make_unique<SdmStore>(cfg, &loop));
+  auto reports = ModelLoader::LoadReplicas(TinyModel(), {}, StorePtrs(stores));
+  ASSERT_FALSE(reports.ok());
+  EXPECT_EQ(reports.status().code(), StatusCode::kInvalidArgument);
+  for (const auto& s : stores) EXPECT_EQ(s->table_count(), 0u);
 }
 
 }  // namespace

@@ -19,7 +19,11 @@
 #include <vector>
 
 #include "common/sharded_runtime.h"
+#include "core/lookup_engine.h"
+#include "core/model_loader.h"
+#include "core/model_updater.h"
 #include "dlrm/model_zoo.h"
+#include "embedding/quantization.h"
 #include "fault/fault_injector.h"
 #include "serving/cluster.h"
 #include "serving/sharded_cluster.h"
@@ -472,6 +476,156 @@ TEST(ShardedCluster, NumShardsOneKeepsTheSingleLoopPath) {
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kLocal, dc);
   EXPECT_EQ(cluster.sharded_runtime(), nullptr);
   EXPECT_NE(cluster.fabric_service(), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Replica loading: one ModelLoader::LoadReplicas pass per cluster.
+// ---------------------------------------------------------------------------
+
+/// Stored bytes of unpruned row `row` of `table` as `store` sees them
+/// (through its own mapping tensor), dequantized; empty when pruned away.
+std::vector<float> StoredRow(SdmStore& store, TableId table, RowIndex row) {
+  const TableRuntime& t = store.table(table);
+  RowIndex physical = row;
+  if (t.mapping.has_value()) {
+    const auto mapped = t.mapping->Lookup(row);
+    if (!mapped.has_value()) return {};
+    physical = *mapped;
+  }
+  const Bytes row_bytes = t.config.row_bytes();
+  const auto bytes =
+      t.tier == MemoryTier::kSm
+          ? store.sm_device(t.sm_device).backing().subspan(t.offset + physical * row_bytes,
+                                                           row_bytes)
+          : store.fm().View(t.offset + physical * row_bytes, row_bytes).value();
+  std::vector<float> out(t.config.dim);
+  DequantizeRow(t.config.dtype, bytes, out);
+  return out;
+}
+
+TEST(ReplicaLoad, PrunedModelGivesEveryHostItsOwnMappingOnBothRuntimes) {
+  HostSimConfig cfg = ShardedHostConfig();
+  cfg.loader.prune_keep_fraction = 0.75;
+  cfg.tuning.deprune_at_load = false;
+  const ModelConfig model = ShardedModel();
+  constexpr size_t kHosts = 3;
+
+  // A standalone load of the host shape: the per-host reference.
+  EventLoop solo_loop;
+  SdmStoreConfig solo_cfg;
+  solo_cfg.fm_capacity = cfg.fm_capacity;
+  solo_cfg.tuning = cfg.tuning;
+  solo_cfg.sm_specs = cfg.host.ssds;
+  solo_cfg.sm_backing_bytes.assign(cfg.host.ssds.size(), cfg.sm_backing_per_device);
+  SdmStore solo(solo_cfg, &solo_loop);
+  const auto solo_report = ModelLoader::Load(model, cfg.loader, &solo);
+  ASSERT_TRUE(solo_report.ok()) << solo_report.status().ToString();
+  ASSERT_GT(solo_report.value().fm_mapping_bytes, 0u);
+  ASSERT_GT(solo_report.value().tables_pruned, 0u);
+
+  const std::vector<RowIndex> rows = {0, 1, 17, 999, 12'345, 39'999};
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "num_shards " << shards);
+    DisaggregatedConfig dc;
+    dc.enabled = true;
+    dc.num_shards = shards;
+    ClusterSimulation cluster(kHosts, cfg, RoutingPolicy::kUserSticky, dc);
+    ASSERT_TRUE(cluster.LoadModel(model).ok());
+
+    for (size_t h = 0; h < kHosts; ++h) {
+      SCOPED_TRACE(testing::Message() << "host " << h);
+      SdmStore& store = cluster.host_store(h);
+      EXPECT_EQ(store.fm_mapping_bytes(), solo_report.value().fm_mapping_bytes);
+      EXPECT_EQ(store.sm_used_bytes(), solo_report.value().sm_bytes);
+      for (size_t t = 0; t < model.tables.size(); ++t) {
+        const TableId id = MakeTableId(static_cast<uint32_t>(t));
+        const TableRuntime& rt = store.table(id);
+        ASSERT_EQ(rt.mapping.has_value(), solo.table(id).mapping.has_value());
+        if (rt.mapping.has_value() && h > 0) {
+          // Its own copy, not an alias of host 0's tensor.
+          EXPECT_NE(rt.mapping->map.data(), cluster.host_store(0).table(id).mapping->map.data());
+          EXPECT_EQ(rt.mapping->map, solo.table(id).mapping->map);
+        }
+        const uint64_t seed = ModelLoader::TableSeed(cfg.loader, t);
+        for (const RowIndex r : rows) {
+          if (r >= model.tables[t].num_rows) continue;
+          const std::vector<float> got = StoredRow(store, id, r);
+          if (got.empty()) continue;  // pruned away
+          const std::vector<float> ref =
+              EmbeddingTableImage::ReferenceRowValues(model.tables[t], seed, r);
+          ASSERT_EQ(got.size(), ref.size());
+          for (size_t d = 0; d < ref.size(); ++d) {
+            EXPECT_NEAR(got[d], ref[d], 2.0f / 255.0f + 1e-5f) << "table " << t << " row " << r;
+          }
+        }
+      }
+    }
+
+    if (shards == 1) {
+      // The single loop can drive a host's lookup engine directly: pooled
+      // lookups through each host's mapping match the reference rows.
+      const TableId user = MakeTableId(0);
+      const uint64_t seed = ModelLoader::TableSeed(cfg.loader, 0);
+      for (size_t h = 0; h < kHosts; ++h) {
+        SdmStore& store = cluster.host_store(h);
+        std::vector<float> expect(model.tables[0].dim, 0.0f);
+        size_t kept = 0;
+        for (const RowIndex r : rows) {
+          if (!store.table(user).mapping->Lookup(r).has_value()) continue;
+          ++kept;
+          const auto ref = EmbeddingTableImage::ReferenceRowValues(model.tables[0], seed, r);
+          for (size_t d = 0; d < ref.size(); ++d) expect[d] += ref[d];
+        }
+        ASSERT_GT(kept, 0u);
+        LookupEngine engine(&store);
+        std::vector<float> pooled;
+        bool done = false;
+        LookupRequest req;
+        req.table = user;
+        req.indices = rows;
+        engine.Lookup(std::move(req), [&](Status s, std::vector<float> out, const LookupTrace&) {
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          pooled = std::move(out);
+          done = true;
+        });
+        store.loop()->RunUntilIdle();
+        ASSERT_TRUE(done);
+        ASSERT_EQ(pooled.size(), expect.size());
+        for (size_t d = 0; d < expect.size(); ++d) {
+          EXPECT_NEAR(pooled[d], expect[d], static_cast<float>(kept) * (2.0f / 255.0f + 1e-5f))
+              << "host " << h;
+        }
+      }
+    }
+
+    // The stack holds one model's worth of bytes for all the hosts.
+    const DisaggregatedRunReport r = cluster.RunDisaggregated(kSerialQps, 12);
+    EXPECT_EQ(r.sm_unique_bytes, solo_report.value().sm_bytes);
+    EXPECT_EQ(r.sm_logical_bytes, kHosts * solo_report.value().sm_bytes);
+  }
+}
+
+TEST(ReplicaLoad, NoHostMayUpdateAnExtentOtherHostsServe) {
+  // Host 0 places every SM extent and host 1 attaches; an in-place refresh
+  // from EITHER host would rewrite bytes the other one serves.
+  const HostSimConfig cfg = ShardedHostConfig();
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "num_shards " << shards);
+    DisaggregatedConfig dc;
+    dc.enabled = true;
+    dc.num_shards = shards;
+    ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
+    ASSERT_TRUE(cluster.LoadModel(ShardedModel()).ok());
+    UpdateOptions opts;
+    opts.row_fraction = 0.1;
+    for (const size_t h : {size_t{0}, size_t{1}}) {
+      ModelUpdater updater(&cluster.host_store(h));
+      const auto report = updater.Update(opts);
+      ASSERT_FALSE(report.ok()) << "host " << h;
+      EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+      EXPECT_TRUE(cluster.host_store(h).extent_shared(MakeTableId(0)));
+    }
+  }
 }
 
 }  // namespace

@@ -365,8 +365,9 @@ TEST(SharedDevice, DedupsIdenticalContentAcrossTenantsOnly) {
   // The second tenant's tables point at the first tenant's extents.
   const TableId t0 = rig.SmTable(0);
   const TableId t1 = rig.SmTable(1);
-  EXPECT_FALSE(rig.stores[0]->table(t0).shared_extent);
-  EXPECT_TRUE(rig.stores[1]->table(t1).shared_extent);
+  EXPECT_EQ(rig.stores[0]->table(t0).extent_id, rig.stores[1]->table(t1).extent_id);
+  EXPECT_TRUE(rig.stores[0]->extent_shared(t0));
+  EXPECT_TRUE(rig.stores[1]->extent_shared(t1));
   EXPECT_EQ(rig.stores[0]->table(t0).offset, rig.stores[1]->table(t1).offset);
 }
 
@@ -491,16 +492,29 @@ TEST(SharedDevice, SingleTenantSharedRunByteIdenticalToOwnedDevice) {
 TEST(SharedDevice, ModelUpdaterRefusesInPlaceUpdateOfSharedExtent) {
   SharedRig rig(2);
   // Tenant 1's SM tables are deduped onto tenant 0's extents: an in-place
-  // update would corrupt tenant 0's reads, so it must be refused.
-  ModelUpdater updater(rig.stores[1].get());
+  // update by EITHER tenant would corrupt the other's reads, so both are
+  // refused — placing the bytes first grants no write access.
+  const TableId table = rig.SmTable(0);
+  const TableRuntime& rt = rig.stores[0]->table(table);
+  const auto served = rig.service->device(rt.sm_device)
+                          .backing()
+                          .subspan(rt.offset, rt.config.num_rows * rt.config.row_bytes());
+  const std::vector<uint8_t> before(served.begin(), served.end());
   UpdateOptions opts;
   opts.row_fraction = 0.1;
-  const auto report = updater.Update(opts);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
-  // The extent OWNER (no shared_extent flag) may still update in place.
-  ModelUpdater owner_updater(rig.stores[0].get());
-  EXPECT_TRUE(owner_updater.Update(opts).ok());
+  for (size_t tenant : {1, 0}) {
+    ModelUpdater updater(rig.stores[tenant].get());
+    const auto report = updater.Update(opts);
+    ASSERT_FALSE(report.ok()) << "tenant " << tenant;
+    EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  }
+  EXPECT_TRUE(std::equal(served.begin(), served.end(), before.begin()));
+
+  // A tenant alone on its extents may still update in place.
+  SharedRig solo(1);
+  ModelUpdater solo_updater(solo.stores[0].get());
+  EXPECT_FALSE(solo.stores[0]->extent_shared(solo.SmTable(0)));
+  EXPECT_TRUE(solo_updater.Update(opts).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -614,6 +628,23 @@ TEST(MultiTenantShared, IsolatedModeStillWorks) {
   EXPECT_FALSE(r.shared_device);
   for (const auto& t : r.tenants) EXPECT_EQ(t.run.queries_completed, 200u);
   EXPECT_EQ(r.sm_unique_bytes, r.sm_logical_bytes);
+}
+
+TEST(MultiTenantShared, TwinTenantsCannotUpdateTheirSharedExtents) {
+  MultiTenantHost host(TenantHostConfig(), 77, /*shared_device=*/true);
+  const ModelConfig model = MakeTinyUniformModel(64, 2, 1, 40'000);
+  ASSERT_TRUE(host.AddTenant(model, 4 * kMiB).ok());
+  ASSERT_TRUE(host.AddTenant(model, 4 * kMiB).ok());
+  UpdateOptions opts;
+  opts.row_fraction = 0.1;
+  // Tenant 0 placed the extents tenant 1 serves from: neither may rewrite
+  // them in place.
+  for (size_t tenant : {0, 1}) {
+    ModelUpdater updater(&host.tenant_store(tenant));
+    const auto report = updater.Update(opts);
+    ASSERT_FALSE(report.ok()) << "tenant " << tenant;
+    EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(MultiTenant, TenantReportSummaryIsPinned) {
