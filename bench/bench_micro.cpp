@@ -118,6 +118,39 @@ void BM_MemoryOptimizedCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryOptimizedCacheLookup);
 
+// m2_refresh's cache traffic on a byte-budget-bound cache: an online refresh
+// erases a row and re-inserts its new bytes, a demand miss fills a row (an
+// overwrite when it is already resident), and every insert into a full
+// bucket evicts.
+void BM_MemoryOptimizedCacheChurn(benchmark::State& state) {
+  MemoryOptimizedCacheConfig cfg;
+  cfg.capacity = 4 * kMiB;
+  cfg.expected_value_bytes = 64;
+  MemoryOptimizedCache cache(cfg);
+  // Twice as many rows as fit, so about half the keys are resident.
+  const uint64_t rows = 2 * cfg.capacity / (64 + cfg.per_entry_overhead);
+  std::vector<uint8_t> value(64, 1);
+  for (uint64_t i = 0; i < rows; ++i) cache.Insert(RowKey{MakeTableId(0), i}, value);
+  Rng rng(5);
+  for (auto _ : state) {
+    const RowKey key{MakeTableId(0), rng.NextBounded(rows)};
+    value[0] = static_cast<uint8_t>(key.row);
+    switch (rng.NextBounded(3)) {
+      case 0:  // refresh: invalidate, then write through
+        benchmark::DoNotOptimize(cache.Erase(key));
+        cache.Insert(key, value);
+        break;
+      case 1:  // fill or overwrite
+        cache.Insert(key, value);
+        break;
+      default:  // invalidate only
+        benchmark::DoNotOptimize(cache.Erase(key));
+        break;
+    }
+  }
+}
+BENCHMARK(BM_MemoryOptimizedCacheChurn);
+
 void BM_CacheInsertEvict(benchmark::State& state) {
   CpuOptimizedCacheConfig cfg;
   cfg.capacity = 4 * kMiB;  // small: every insert evicts at steady state

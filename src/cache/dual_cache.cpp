@@ -21,13 +21,15 @@ DualRowCache::DualRowCache(DualCacheConfig config) : config_(config) {
 }
 
 void DualRowCache::RegisterTable(TableId table, Bytes row_bytes) {
-  route_to_mem_[table] = row_bytes <= config_.routing_threshold;
+  if (Raw(table) >= routes_.size()) routes_.resize(Raw(table) + 1, RouteKind::kUnregistered);
+  routes_[Raw(table)] = row_bytes <= config_.routing_threshold ? RouteKind::kMemoryOptimized
+                                                               : RouteKind::kCpuOptimized;
 }
 
 bool DualRowCache::IsMemoryOptimizedRoute(TableId table) const {
-  const auto it = route_to_mem_.find(table);
-  assert(it != route_to_mem_.end() && "table not registered with the cache");
-  return it->second;
+  assert(Raw(table) < routes_.size() && routes_[Raw(table)] != RouteKind::kUnregistered &&
+         "table not registered with the cache");
+  return routes_[Raw(table)] == RouteKind::kMemoryOptimized;
 }
 
 RowCache* DualRowCache::Route(TableId table) {

@@ -8,8 +8,9 @@
 // optimized cache").
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cache/cpu_optimized_cache.h"
 #include "cache/memory_optimized_cache.h"
@@ -66,7 +67,9 @@ class DualRowCache final : public RowCache {
   DualCacheConfig config_;
   std::unique_ptr<MemoryOptimizedCache> mem_;
   std::unique_ptr<CpuOptimizedCache> cpu_;
-  std::map<TableId, bool> route_to_mem_;
+  enum class RouteKind : uint8_t { kUnregistered, kMemoryOptimized, kCpuOptimized };
+  /// Indexed by Raw(TableId); grows on RegisterTable.
+  std::vector<RouteKind> routes_;
   mutable RowCacheStats combined_;
 };
 

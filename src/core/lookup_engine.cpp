@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 
 namespace sdm {
 
@@ -156,6 +155,36 @@ SimDuration LookupEngine::CopyCost(Bytes bytes) {
   return Seconds(static_cast<double>(bytes) / kMemcpyBytesPerSec);
 }
 
+void LookupEngine::BagDedup::Reset(size_t rows) {
+  size_t size = 64;
+  int shift = 58;
+  while (size < 2 * rows) {
+    size *= 2;
+    --shift;
+  }
+  if (size > table_.size()) {
+    table_.assign(size, Entry{});
+    shift_ = shift;
+    stamp_ = 0;
+  }
+  if (++stamp_ == 0) {  // wrapped: stale stamps would alias new ones
+    std::fill(table_.begin(), table_.end(), Entry{});
+    stamp_ = 1;
+  }
+}
+
+uint32_t LookupEngine::BagDedup::FirstSlot(RowIndex row, uint32_t slot) {
+  const size_t mask = table_.size() - 1;
+  for (size_t i = (row * 0x9e3779b97f4a7c15ULL) >> shift_;; i = (i + 1) & mask) {
+    Entry& e = table_[i];
+    if (e.stamp != stamp_) {
+      e = Entry{row, slot, stamp_};
+      return slot;
+    }
+    if (e.row == row) return e.slot;
+  }
+}
+
 void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
   lookups_->Add(1);
   auto st = std::make_shared<RequestState>();
@@ -223,8 +252,7 @@ void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
 
   // ---- Row resolution: dedup / FM direct / row cache / SM IO ----
   const bool dedup = store_->tuning().io_batching != IoBatching::kPerRow;
-  std::unordered_map<RowIndex, uint32_t> first_slot_for_row;
-  if (dedup) first_slot_for_row.reserve(st->slots.size());
+  if (dedup) dedup_.Reset(st->slots.size());
   DualRowCache* cache = store_->row_cache();
   int misses = 0;
   for (size_t i = 0; i < st->slots.size(); ++i) {
@@ -235,10 +263,9 @@ void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
       // Duplicate indices within the bag resolve once; the other slots fan
       // out from that fetch (whatever source it comes from).
       st->cpu_pre += kDedupCostPerIndex;
-      const auto [it, inserted] =
-          first_slot_for_row.try_emplace(slot.physical_row, static_cast<uint32_t>(i));
-      if (!inserted) {
-        slot.dup_of = static_cast<int32_t>(it->second);
+      const uint32_t first = dedup_.FirstSlot(slot.physical_row, static_cast<uint32_t>(i));
+      if (first != i) {
+        slot.dup_of = static_cast<int32_t>(first);
         ++st->trace.rows_deduped;
         rows_deduped_->Add(1);
         continue;

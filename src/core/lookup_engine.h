@@ -163,9 +163,32 @@ class LookupEngine {
   /// Modeled CPU time of copying `bytes`.
   [[nodiscard]] static SimDuration CopyCost(Bytes bytes);
 
+  /// Intra-bag dedup map, physical row -> first slot holding it: open
+  /// addressing over a power-of-two table kept across calls. Each bag
+  /// stamps its entries, so starting a bag clears nothing.
+  class BagDedup {
+   public:
+    /// Starts a bag of up to `rows` rows (grows the table to >= 2x that).
+    void Reset(size_t rows);
+    /// The first slot recorded for `row` in this bag; records `slot` when
+    /// `row` is new to it.
+    [[nodiscard]] uint32_t FirstSlot(RowIndex row, uint32_t slot);
+
+   private:
+    struct Entry {
+      RowIndex row = 0;
+      uint32_t slot = 0;
+      uint32_t stamp = 0;  // 0 never matches: stamp_ starts at 1
+    };
+    std::vector<Entry> table_;
+    int shift_ = 0;  // 64 - log2(table_.size()), set by Reset
+    uint32_t stamp_ = 0;
+  };
+
   SdmStore* store_;
   EventLoop* loop_;
   PoolingCostModel cost_;
+  BagDedup dedup_;
   Histogram latency_;
   StatsRegistry stats_;
   Counter* lookups_ = nullptr;

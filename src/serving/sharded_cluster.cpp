@@ -448,7 +448,7 @@ DisaggregatedRunReport ShardedClusterRuntime::Run(double total_qps,
   // single loop's FIFO tie-break for its scheduling pass.
   std::stable_sort(plan.begin(), plan.end(),
                    [](const Planned& a, const Planned& b) { return a.at < b.at; });
-  for (HostShard& h : hosts_) h.stats = ArrivalStats{};
+  for (HostShard& h : hosts_) h.stats = ArrivalStats();
   for (const Planned& p : plan) {
     const Query query = hosts_[p.source].workload->Next();
     const size_t target = RouteTarget(p.source, query.user);

@@ -1,5 +1,5 @@
-// Synthetic access-trace generation (substitute for the paper's 6-day
-// production samples; see DESIGN.md substitution table).
+// Synthetic access-trace generation. It stands in for the paper's 6-day
+// production trace samples, which are not public.
 //
 // Per-table index streams follow a Zipf popularity law whose exponent is
 // the table's zipf_alpha (item > user, reproducing Fig. 4's split), with a

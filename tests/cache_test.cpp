@@ -2,6 +2,7 @@
 // pooled-embedding cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/cpu_optimized_cache.h"
@@ -9,6 +10,7 @@
 #include "cache/memory_optimized_cache.h"
 #include "cache/pooled_cache.h"
 #include "common/rng.h"
+#include "reference_memory_optimized_cache.h"
 
 namespace sdm {
 namespace {
@@ -211,6 +213,114 @@ TEST(MemoryOptimized, BucketCountScalesWithCapacity) {
   big.capacity = 1 * kMiB;
   EXPECT_GT(MemoryOptimizedCache(big).bucket_count(),
             MemoryOptimizedCache(small).bucket_count());
+}
+
+// ---------------------------------------------------------------------------
+// Flat MemoryOptimizedCache vs the node-based reference it replaced.
+// ---------------------------------------------------------------------------
+
+struct FlatCacheGeometry {
+  Bytes capacity;
+  Bytes expected_value_bytes;
+  int bucket_entries;
+};
+
+// Drives both caches with one seeded mix of insert / overwrite / lookup /
+// erase / contains / clear and requires identical observable behaviour after
+// every operation: return values, copied bytes, stats and accounting.
+void ExpectMatchesReference(const FlatCacheGeometry& g, uint64_t seed, int ops) {
+  MemoryOptimizedCacheConfig cfg;
+  cfg.capacity = g.capacity;
+  cfg.expected_value_bytes = g.expected_value_bytes;
+  cfg.bucket_entries = g.bucket_entries;
+  MemoryOptimizedCache flat(cfg);
+  ReferenceMemoryOptimizedCache ref(cfg);
+  ASSERT_EQ(flat.bucket_count(), ref.bucket_count());
+
+  // Four tables of about as many rows as fit: 4x more keys than room.
+  const uint64_t rows =
+      std::max<uint64_t>(16, g.capacity / (g.expected_value_bytes + cfg.per_entry_overhead));
+  Rng rng(seed);
+  RowKey last_inserted = Key(0, 0);
+  std::vector<uint8_t> value;
+  std::vector<uint8_t> flat_out(512);
+  std::vector<uint8_t> ref_out(512);
+  for (int op = 0; op < ops; ++op) {
+    const uint64_t action = rng.NextBounded(100);
+    const RowKey key = action < 10 ? last_inserted
+                                   : Key(static_cast<uint32_t>(rng.NextBounded(4)),
+                                         rng.NextBounded(rows));
+    if (action < 45) {  // insert; the first 10% overwrite the last key
+      // Mostly row-sized values, a quarter up to 300 B (above small budgets).
+      const size_t len = 8 + rng.NextBounded(rng.NextBounded(4) == 0 ? 293 : 57);
+      value.resize(len);
+      for (size_t j = 0; j < len; ++j) value[j] = static_cast<uint8_t>(op * 31 + j);
+      flat.Insert(key, value);
+      ref.Insert(key, value);
+      last_inserted = key;
+    } else if (action < 80) {
+      std::fill(flat_out.begin(), flat_out.end(), 0xEE);
+      std::fill(ref_out.begin(), ref_out.end(), 0xEE);
+      size_t flat_len = 0;
+      size_t ref_len = 0;
+      const bool flat_hit = flat.Lookup(key, flat_out, &flat_len);
+      ASSERT_EQ(flat_hit, ref.Lookup(key, ref_out, &ref_len)) << "op " << op;
+      ASSERT_EQ(flat_len, ref_len) << "op " << op;
+      ASSERT_EQ(flat_out, ref_out) << "op " << op;
+    } else if (action < 90) {
+      ASSERT_EQ(flat.Erase(key), ref.Erase(key)) << "op " << op;
+    } else if (action < 99 || rng.NextBounded(200) != 0) {
+      ASSERT_EQ(flat.Contains(key), ref.Contains(key)) << "op " << op;
+    } else {
+      flat.Clear();
+      ref.Clear();
+    }
+    ASSERT_EQ(flat.stats().hits, ref.stats().hits) << "op " << op;
+    ASSERT_EQ(flat.stats().misses, ref.stats().misses) << "op " << op;
+    ASSERT_EQ(flat.stats().inserts, ref.stats().inserts) << "op " << op;
+    ASSERT_EQ(flat.stats().evictions, ref.stats().evictions) << "op " << op;
+    ASSERT_EQ(flat.entry_count(), ref.entry_count()) << "op " << op;
+    ASSERT_EQ(flat.memory_used(), ref.memory_used()) << "op " << op;
+  }
+  // The run must have exercised eviction, not just filled an idle cache.
+  EXPECT_GT(ref.stats().evictions, 0u);
+  EXPECT_GT(ref.stats().hits, 0u);
+}
+
+class FlatCacheDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FlatCacheDifferential, MatchesNodeBasedReferenceOpByOp) {
+  const FlatCacheGeometry geometries[] = {
+      {16 * kKiB, 64, 8},   // the default associativity
+      {4 * kKiB, 32, 1},    // direct-mapped; most values exceed the budget
+      {64 * kKiB, 128, 4},  // fewer, larger slots
+      {2 * kKiB, 256, 16},  // one bucket holding everything
+  };
+  for (const FlatCacheGeometry& g : geometries) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << g.capacity << " expected "
+                                      << g.expected_value_bytes << " ways "
+                                      << g.bucket_entries);
+    ExpectMatchesReference(g, GetParam(), 100'000);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatCacheDifferential, ::testing::Values(1, 2, 3));
+
+TEST(MemoryOptimized, LoneValueAboveBudgetIsCachedWhole) {
+  MemoryOptimizedCacheConfig cfg;
+  cfg.capacity = 4 * kKiB;
+  cfg.expected_value_bytes = 32;
+  cfg.bucket_entries = 1;  // 48 B budget per bucket
+  MemoryOptimizedCache cache(cfg);
+  std::vector<uint8_t> big(300);
+  for (size_t j = 0; j < big.size(); ++j) big[j] = static_cast<uint8_t>(j);
+  cache.Insert(Key(0, 1), big);
+  std::vector<uint8_t> out(300);
+  size_t len = 0;
+  ASSERT_TRUE(cache.Lookup(Key(0, 1), out, &len));
+  EXPECT_EQ(len, 300u);
+  EXPECT_EQ(out, big);
+  EXPECT_EQ(cache.memory_used(), 300 + cfg.per_entry_overhead);
 }
 
 // ---------------------------------------------------------------------------

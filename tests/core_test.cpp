@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/lookup_engine.h"
 #include "core/model_loader.h"
 #include "core/model_updater.h"
@@ -422,6 +423,35 @@ TEST(LookupEngine, StatsAccumulate) {
   EXPECT_EQ(engine.latency().count(), 2u);
 }
 
+TEST(LookupEngine, LargeDuplicatedBagResolvesEachRowOnce) {
+  // 1,536 indices over at most 200 distinct rows: far more than the dedup
+  // table's initial size, so it grows. A duplicate fanned out from any slot
+  // but its row's first (still empty while slots fill in order) or from a
+  // colliding row would break the pooled sum.
+  auto ls = MakeLoadedStore(TinyModel());
+  LookupEngine engine(ls->store.get());
+  Rng rng(11);
+  std::vector<RowIndex> indices;
+  for (int i = 0; i < 1536; ++i) indices.push_back(rng.NextBounded(200) * 9);
+  std::vector<RowIndex> distinct = indices;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  const auto ref = ReferencePooled(*ls, 0, indices);
+  for (int pass = 0; pass < 2; ++pass) {  // cold (SM reads), then warm (row cache)
+    const auto [pooled, trace] = RunLookup(*ls, engine, MakeTableId(0), indices);
+    EXPECT_EQ(trace.rows_deduped, indices.size() - distinct.size());
+    // Duplicates count under their first occurrence's source.
+    EXPECT_EQ(pass == 0 ? trace.rows_from_sm : trace.rows_from_cache, indices.size());
+    ASSERT_EQ(pooled.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
+  }
+  // The next, smaller bag starts with no row seen: only its own repeats dedup.
+  const auto [pooled, trace] = RunLookup(*ls, engine, MakeTableId(0), {9, 18, 9, 27, 18});
+  EXPECT_EQ(trace.rows_deduped, 2u);
+  const auto ref_small = ReferencePooled(*ls, 0, {9, 18, 9, 27, 18});
+  for (size_t i = 0; i < ref_small.size(); ++i) EXPECT_NEAR(pooled[i], ref_small[i], 1e-4f);
+}
+
 // ---------------------------------------------------------------------------
 // Pruned tables through the engine.
 // ---------------------------------------------------------------------------
@@ -452,6 +482,46 @@ TEST(LookupEnginePruning, MappingServedLookupMatchesDeprunedSemantics) {
     }
   }
   EXPECT_EQ(trace.rows_pruned_skipped, indices.size() - kept);
+  for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
+}
+
+TEST(LookupEnginePruning, DuplicatesAmongPrunedAndOutOfDomainIndices) {
+  LoaderOptions loader;
+  loader.prune_keep_fraction = 0.5;
+  auto ls = MakeLoadedStore(TinyModel(), BaseTuning(), loader);
+  LookupEngine engine(ls->store.get());
+  const TableConfig& cfg = ls->model.tables[0];
+  const uint64_t seed = loader.seed ^ (0xabcdef12345678ULL * 1);
+  const auto image = EmbeddingTableImage::GenerateRandom(cfg, seed);
+  const PrunedTable pruned = PruneTable(image, 0.5, seed + 1);
+
+  // Rows 0..11 (some kept, some pruned) and three out-of-domain indices,
+  // each repeated three times, interleaved.
+  std::vector<RowIndex> indices;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (RowIndex i = 0; i < 12; ++i) {
+      indices.push_back(i);
+      indices.push_back(999'999'000 + i % 3);
+    }
+  }
+  std::vector<float> ref(cfg.dim, 0.0f);
+  uint32_t kept_slots = 0;
+  uint32_t kept_rows = 0;
+  for (RowIndex i = 0; i < 12; ++i) {
+    if (pruned.mapping.Lookup(i).has_value()) ++kept_rows;
+  }
+  for (const RowIndex idx : indices) {
+    if (!pruned.mapping.Lookup(idx).has_value()) continue;
+    const auto row = image.DequantizedRow(idx);
+    for (size_t i = 0; i < ref.size(); ++i) ref[i] += row[i];
+    ++kept_slots;
+  }
+  ASSERT_GT(kept_rows, 0u);
+  ASSERT_LT(kept_rows, 12u);
+
+  const auto [pooled, trace] = RunLookup(*ls, engine, MakeTableId(0), indices);
+  EXPECT_EQ(trace.rows_pruned_skipped, indices.size() - kept_slots);
+  EXPECT_EQ(trace.rows_deduped, kept_slots - kept_rows);
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
 }
 
@@ -720,7 +790,9 @@ TEST(Loader, ReplicasMatchIndependentLoads) {
         EXPECT_EQ(rt.offset, ot.offset);
         EXPECT_EQ(rt.config.num_rows, ot.config.num_rows);
         ASSERT_EQ(rt.mapping.has_value(), ot.mapping.has_value());
-        if (rt.mapping.has_value()) EXPECT_EQ(rt.mapping->map, ot.mapping->map);
+        if (rt.mapping.has_value()) {
+          EXPECT_EQ(rt.mapping->map, ot.mapping->map);
+        }
       }
     }
     if (c.keep < 1.0 && !c.deprune) {

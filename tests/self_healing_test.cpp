@@ -281,7 +281,7 @@ ReplicationEpisode RunSickEndpointEpisode(const TuningConfig& knobs) {
   for (int i = 0; i < 32; ++i) svc.health().Record(0, false);
   EXPECT_TRUE(svc.health().Sick(0));
 
-  sim.Run(200, 2000);
+  (void)sim.Run(200, 2000);
   ReplicationManager* repl = svc.replication();
   EXPECT_NE(repl, nullptr);
   ep.extents_replicated = repl->extents_replicated();
