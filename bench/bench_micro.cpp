@@ -255,26 +255,6 @@ void BM_EventLoopHeavyCallbacks(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopHeavyCallbacks);
 
-void BM_EventLoopWindowedRun(benchmark::State& state) {
-  // The sharded runtime's inner step: drain [G, G+L) windows one lookahead
-  // at a time instead of one RunUntilIdle sweep.
-  const SimDuration lookahead = Micros(5);
-  for (auto _ : state) {
-    EventLoop loop;
-    int sink = 0;
-    for (int i = 0; i < 1000; ++i) {
-      loop.ScheduleAt(SimTime(i * 1000), [&sink] { ++sink; });
-    }
-    while (!loop.idle()) {
-      const SimTime g = loop.next_event_time();
-      loop.RunWindow(g + lookahead);
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventLoopWindowedRun);
-
 void BM_MlpForward(benchmark::State& state) {
   const std::vector<uint32_t> widths = {64, 256, 256, 64};
   Mlp mlp(widths, LinearLayer::Activation::kRelu, 10);

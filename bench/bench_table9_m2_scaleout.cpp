@@ -25,15 +25,11 @@
 //   c4_cross_host_hits          : single-flight hits served by ANOTHER
 //                                 host's read at 4 hosts
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <string_view>
-#include <thread>
 
 #include "bench_util.h"
 #include "dlrm/model_zoo.h"
 #include "serving/cluster.h"
-#include "serving/sharded_cluster.h"
 
 using namespace sdm;
 
@@ -189,75 +185,10 @@ DisaggPoint RunDisagg(int hosts, SimDuration rtt, double qps_per_host,
   return pt;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded parallel runtime (src/serving/sharded_cluster.h): wall-clock cost
-// of simulating the same 16-host sweep on 1 vs 8 shards.
-// ---------------------------------------------------------------------------
-
-struct ShardedPoint {
-  DisaggPoint dis;
-  double wall_sec = 0;    ///< real time spent inside RunDisaggregated
-  uint64_t events = 0;    ///< simulator events executed by that run
-  uint64_t windows = 0;   ///< conservative windows (barrier rounds) paid
-};
-
-ShardedPoint RunDisaggSharded(int hosts, SimDuration rtt, double qps_per_host,
-                              uint64_t queries_per_host, size_t num_shards) {
-  HostSimConfig base = DisaggBase();
-  base.tuning.fabric_latency = rtt / 2;
-  base.tuning.fabric_bandwidth_bytes_per_sec = 25e9;
-  base.tuning.fabric_queueing = true;
-  DisaggregatedConfig dc;
-  dc.enabled = true;
-  dc.num_shards = num_shards;
-  ClusterSimulation cluster(hosts, base, RoutingPolicy::kUserSticky, dc);
-  if (Status s = cluster.LoadModel(DisaggModel()); !s.ok()) {
-    std::fprintf(stderr, "sharded load failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  const uint64_t events_before =
-      num_shards >= 2 ? cluster.sharded_runtime()->runtime().events_run()
-                      : cluster.host_store(0).loop()->events_run();
-  const auto t0 = std::chrono::steady_clock::now();
-  ShardedPoint pt;
-  pt.dis.report =
-      cluster.RunDisaggregated(qps_per_host * hosts, queries_per_host * hosts);
-  pt.wall_sec = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                    .count();
-  const uint64_t events_after =
-      num_shards >= 2 ? cluster.sharded_runtime()->runtime().events_run()
-                      : cluster.host_store(0).loop()->events_run();
-  pt.events = events_after - events_before;
-  if (num_shards >= 2) pt.windows = cluster.sharded_runtime()->runtime().windows();
-  for (const auto& h : pt.dis.report.hosts) pt.dis.p95_ms += h.run.p95.millis();
-  pt.dis.p95_ms /= static_cast<double>(hosts);
-  return pt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::QuietLogs quiet;
-  // --sharded-smoke: run ONLY a small shards>1 sweep and exit. CI's TSan
-  // job uses this (with SDM_SHARD_WORKERS forcing real worker threads) to
-  // put the lock-free mailbox + barrier machinery under the race detector
-  // without paying for the full bench at sanitizer speed.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--sharded-smoke") {
-      const ShardedPoint pt = RunDisaggSharded(4, Micros(20), 2000, 500, 8);
-      uint64_t served = 0;
-      for (const auto& h : pt.dis.report.hosts) served += h.run.queries_served;
-      std::printf("sharded smoke: %llu queries served, %llu events, %llu windows\n",
-                  static_cast<unsigned long long>(served),
-                  static_cast<unsigned long long>(pt.events),
-                  static_cast<unsigned long long>(pt.windows));
-      if (served != 4 * 500 || pt.windows == 0) {
-        std::fprintf(stderr, "sharded smoke FAILED\n");
-        return 1;
-      }
-      return 0;
-    }
-  }
   bench::JsonReporter json(argc, argv, "table9_m2_scaleout");
   const ModelConfig model = M2Mini();
   const SimDuration sla = Millis(8);
@@ -381,49 +312,5 @@ int main(int argc, char** argv) {
       "fetch rtt+helper = %.0fus flat; the fabric charges only real device "
       "reads, and dedup+single-flight remove a growing share of those.",
       so.UserPathLatency().micros()));
-
-  // ---- Sharded parallel runtime: 16 hosts, 1 vs 8 shards ------------------
-  // Same cluster, same virtual-time run; what changes is the SIMULATOR's
-  // execution: one event loop vs 17 LPs (16 host shards + the device shard)
-  // on 8 worker threads under conservative fabric-lookahead windows.
-  // Wall-clock metrics are hardware-dependent: speedup needs cores (the
-  // runtime clamps its workers to the machine), so the CI floor only gates
-  // catastrophic regression while dev machines should see the real scaling.
-  bench::Section("sharded runtime — 16-host sweep, wall clock (rtt 20us)");
-  constexpr int kShardHosts = 16;
-  // Half the per-host load of the 2/4/6-host sweep: 16 hosts on one 2-SSD
-  // stack saturate at 8000 QPS each, and a saturated system's stats drown
-  // the wall-clock comparison in backlog simulation.
-  constexpr double kShardQps = 4000;
-  constexpr uint64_t kShardQueries = 2500;
-  const SimDuration kShardRtt = Micros(20);
-  bench::Table s({"shards", "wall s", "events", "events/s", "p95 ms",
-                  "x-host hits", "windows"});
-  const ShardedPoint single =
-      RunDisaggSharded(kShardHosts, kShardRtt, kShardQps, kShardQueries, 1);
-  const ShardedPoint sharded =
-      RunDisaggSharded(kShardHosts, kShardRtt, kShardQps, kShardQueries, 8);
-  s.Row(1, single.wall_sec, single.events,
-        static_cast<double>(single.events) / std::max(1e-9, single.wall_sec),
-        single.dis.p95_ms, single.dis.report.cross_host_hits, single.windows);
-  s.Row(8, sharded.wall_sec, sharded.events,
-        static_cast<double>(sharded.events) / std::max(1e-9, sharded.wall_sec),
-        sharded.dis.p95_ms, sharded.dis.report.cross_host_hits, sharded.windows);
-  s.Print();
-  const double speedup = sharded.wall_sec <= 0 ? 0 : single.wall_sec / sharded.wall_sec;
-  bench::Note(bench::Fmt(
-      "shard_speedup_x = %.2f on this machine (hw threads: %u; the runtime "
-      "caps its workers there — single-core machines run the degenerate "
-      "inline schedule and measure pure windowing overhead)",
-      speedup, std::thread::hardware_concurrency()));
-  bench::Note("note: 1-shard and 8-shard runs simulate DIFFERENT fabric "
-              "models under concurrent load (shared vs per-host links), so "
-              "their virtual-time stats are close but not identical; the "
-              "bit-exact oracles live in sharded_runtime_test.");
-  json.Metric("shard_speedup_x", speedup);
-  json.Metric("sharded_events_per_sec",
-              static_cast<double>(sharded.events) / std::max(1e-9, sharded.wall_sec));
-  json.Metric("c16_sharded_cross_host_hits",
-              sharded.dis.report.cross_host_hits);
   return 0;
 }

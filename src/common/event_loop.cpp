@@ -46,22 +46,11 @@ uint64_t EventLoop::RunUntil(SimTime deadline) {
   return n;
 }
 
-uint64_t EventLoop::RunWindow(SimTime end) {
-  uint64_t n = 0;
-  while (!heap_.empty() && heap_.front().at < end) {
-    RunOne();
-    ++n;
-  }
-  if (now_ < end) now_ = end;
-  return n;
-}
-
 bool EventLoop::RunOne() {
   if (heap_.empty()) return false;
   Event ev = PopEarliest();
   assert(ev.at >= now_);
   now_ = ev.at;
-  last_event_at_ = ev.at;
   ++events_run_;
   ev.fn();
   return true;

@@ -7,10 +7,8 @@
 // that assert latency distributions.
 //
 // Single-threaded by design: determinism beats parallelism for simulation
-// correctness. Real parallelism composes ABOVE the loop: ShardedRuntime
-// (sharded_runtime.h) runs many loops — one per logical process — on worker
-// threads, synchronizing them with conservative time windows; each
-// individual loop stays single-threaded.
+// correctness. A whole cluster — every host and the shared device stack —
+// runs on one loop.
 //
 // The event queue is a binary heap over a plain vector (the exact
 // make/push/pop_heap algorithm std::priority_queue specifies, so ordering is
@@ -56,29 +54,10 @@ class EventLoop {
   /// Now() advances to each processed event and finally to `deadline`.
   uint64_t RunUntil(SimTime deadline);
 
-  /// Runs events with time STRICTLY BEFORE `end`, then advances Now() to
-  /// `end`. This is the conservative-window primitive of ShardedRuntime: a
-  /// window [start, end) owns every local event before `end`; events AT
-  /// `end` (e.g. cross-shard messages delivered exactly one lookahead away)
-  /// belong to the next window. Returns the number of events run.
-  uint64_t RunWindow(SimTime end);
-
   /// Runs exactly one event if any is pending. Returns whether one ran.
   bool RunOne();
 
-  /// Timestamp of the earliest pending event (SimTime::Max() when idle) —
-  /// what a conservative parallel runner advances the global window to.
-  [[nodiscard]] SimTime next_event_time() const {
-    return heap_.empty() ? SimTime::Max() : heap_.front().at;
-  }
-
-  /// Timestamp of the last event executed (SimTime(0) before any ran).
-  /// Unlike Now(), never advanced artificially by RunUntil/RunWindow
-  /// deadlines, so it reports when the simulation actually went quiet.
-  [[nodiscard]] SimTime last_event_time() const { return last_event_at_; }
-
   [[nodiscard]] size_t pending_events() const { return heap_.size(); }
-  [[nodiscard]] bool idle() const { return heap_.empty(); }
 
   /// Total events executed since construction.
   [[nodiscard]] uint64_t events_run() const { return events_run_; }
@@ -100,7 +79,6 @@ class EventLoop {
   [[nodiscard]] Event PopEarliest();
 
   SimTime now_{0};
-  SimTime last_event_at_{0};
   uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
   std::vector<Event> heap_;  // binary heap ordered by Later

@@ -76,10 +76,10 @@ struct SdmStoreConfig {
   // ---- Observability (src/obs) ----
   /// The per-event-loop observability instance this store's components
   /// record into (null = off). Owned by the simulation layer and shared by
-  /// everything on the same loop; never crosses a shard boundary.
+  /// everything on the same loop.
   Observability* obs = nullptr;
-  /// Source prefix for metric names and trace tracks ("host0/", ...). Kept
-  /// runtime-shape-independent so sharded and single-loop exports match.
+  /// Source prefix for metric names and trace tracks ("host0/", ...), so
+  /// stores sharing one instance record under disjoint names.
   std::string obs_prefix;
 };
 

@@ -89,10 +89,6 @@ void FabricLink::Traverse(Direction& dir, Bytes payload, EventLoop::Callback del
     obs_spans_->Span(obs_track_, span_name, now, arrival,
                      "{\"bytes\":" + std::to_string(payload) + "}");
   }
-  if (delivery_) {
-    delivery_(arrival, std::move(deliver));
-    return;
-  }
   loop_->ScheduleAt(arrival, std::move(deliver));
 }
 

@@ -85,17 +85,6 @@ class FabricLink {
     device_index_ = device_index;
   }
 
-  /// Cross-shard delivery (src/common/sharded_runtime.h): when set, a
-  /// transfer's arrival is handed to `deliver_to(arrival_time, cb)` —
-  /// which posts it to the RECEIVING shard's loop — instead of being
-  /// scheduled on this link's own loop. Timing (serialization, queueing,
-  /// partition deferral) is still computed here against the SENDING
-  /// shard's clock, which owns this direction's busy state. The one-way
-  /// latency is then the sharded runtime's lookahead, so arrival_time is
-  /// always at least one lookahead ahead of the sender.
-  using Delivery = std::function<void(SimTime at, EventLoop::Callback cb)>;
-  void set_remote_delivery(Delivery deliver_to) { delivery_ = std::move(deliver_to); }
-
   /// Observability (src/obs): windowed metrics under `<name>fabric/` and one
   /// trace track for transfer spans. Null obs keeps every handle null.
   void set_obs(Observability* obs, const std::string& name);
@@ -111,7 +100,6 @@ class FabricLink {
 
   FabricLinkConfig config_;
   EventLoop* loop_;
-  Delivery delivery_;  ///< cross-shard handoff; empty = deliver locally
   FaultInjector* injector_ = nullptr;
   int device_index_ = -1;
   Direction request_dir_;

@@ -21,7 +21,6 @@ constexpr int kChunkRetries = 4;
 ReplicationManager::ReplicationManager(SharedDeviceService* service, EventLoop* loop)
     : service_(service), loop_(loop) {
   assert(service != nullptr);
-  assert(!service->remote() && "replication runs on the device-owning stack");
   assert(loop != nullptr);
   extents_replicated_ = stats_.GetCounter("extents_replicated");
   extents_abandoned_ = stats_.GetCounter("extents_abandoned");
@@ -174,7 +173,6 @@ void ReplicationManager::FinishExtent(bool copied) {
                           "{\"extent\":" + std::to_string(id) + "}");
     }
     service_->AddReplicaRoute(id, loc);
-    if (publish_hook_) publish_hook_(id, loc);
     SDM_LOG_INFO << "replication: extent " << id << " replicated to device "
                  << loc.device << " @ " << loc.offset;
     running_ = false;

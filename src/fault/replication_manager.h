@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/event_loop.h"
@@ -41,7 +40,7 @@ namespace sdm {
 
 class ReplicationManager {
  public:
-  /// `service` must be a local (device-owning) stack and outlive this.
+  /// `service` owns the devices and must outlive this.
   ReplicationManager(SharedDeviceService* service, EventLoop* loop);
 
   ReplicationManager(const ReplicationManager&) = delete;
@@ -50,14 +49,6 @@ class ReplicationManager {
   /// Healthy->sick edge on `endpoint`: queue its hottest extents for
   /// re-replication. Safe to call mid-copy (jobs run one at a time).
   void OnEndpointSick(size_t endpoint);
-
-  /// Invoked (after the local route is installed) for every published
-  /// replica — the sharded runtime uses it to post AddReplicaRoute to the
-  /// host slices' private views.
-  void SetPublishHook(
-      std::function<void(uint64_t, SharedDeviceService::ReplicaLocation)> hook) {
-    publish_hook_ = std::move(hook);
-  }
 
   [[nodiscard]] uint64_t extents_replicated() const {
     return extents_replicated_->value();
@@ -96,7 +87,6 @@ class ReplicationManager {
   SharedDeviceService::ReplicaLocation replica_;    ///< current job's target
   bool tenant_registered_ = false;
   TenantId tenant_ = 0;
-  std::function<void(uint64_t, SharedDeviceService::ReplicaLocation)> publish_hook_;
 
   StatsRegistry stats_;
   Counter* extents_replicated_ = nullptr;

@@ -1,13 +1,11 @@
 #include "io/io_engine.h"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "fabric/fabric_link.h"
-#include "io/remote_channel.h"
 
 namespace sdm {
 
@@ -50,16 +48,6 @@ void IoEngine::set_obs(Observability* obs, const std::string& name) {
 
 void IoEngine::SubmitRead(Bytes offset, Bytes length, bool sub_block,
                           std::span<uint8_t> dest, Callback cb) {
-  if (remote_ != nullptr) {
-    ReadOp op;
-    op.offset = offset;
-    op.length = length;
-    op.sub_block = sub_block;
-    op.dest = dest;
-    op.cb = std::move(cb);
-    SubmitRemote(std::span<ReadOp>(&op, 1), /*batched=*/false);
-    return;
-  }
   if (fabric_ != nullptr) {
     // The SQE crosses to the device; the read payload crosses back.
     cb = WrapFabricCompletion(NvmeDevice::BusBytes(offset, length, sub_block),
@@ -90,10 +78,6 @@ void IoEngine::SubmitReadLocal(Bytes offset, Bytes length, bool sub_block,
 
 void IoEngine::SubmitBatch(std::span<ReadOp> ops) {
   if (ops.empty()) return;
-  if (remote_ != nullptr) {
-    SubmitRemote(ops, /*batched=*/true);
-    return;
-  }
   if (fabric_ != nullptr) {
     // One doorbell message carries every SQE of the batch across the
     // request direction; each completion's payload crosses back on its own.
@@ -160,72 +144,6 @@ void IoEngine::SubmitBatchLocal(std::span<ReadOp> ops) {
     }
     Dispatch(std::move(p));
   }
-}
-
-void IoEngine::SubmitRemote(std::span<ReadOp> ops, bool batched) {
-  // Host-side half of the single-loop SubmitBatchLocal accounting: the
-  // doorbell is built and rung HERE (this shard's IO thread pays the submit
-  // CPU), while queue-depth spill happens at the device shard's endpoint,
-  // which sees every host's traffic like the shared engine used to. A
-  // non-batched doorbell from SubmitRead keeps SubmitReadLocal's accounting
-  // (no batch counters), like the fabric path does.
-  if (batched) {
-    batches_->Add(1);
-    batch_sqes_->Add(ops.size());
-  }
-  submitted_->Add(ops.size());
-  if (obs_submitted_ != nullptr) obs_submitted_->Add(loop_->Now(), ops.size());
-  cpu_ns_->Add(static_cast<uint64_t>(
-      config_.cpu_submit_cost.nanos() +
-      config_.cpu_submit_cost_batch_sqe.nanos() * static_cast<int64_t>(ops.size() - 1)));
-  const SimTime accepted_at = loop_->Now();
-  std::vector<RemoteReadOp> remote_ops;
-  remote_ops.reserve(ops.size());
-  for (ReadOp& op : ops) {
-    if (op.merged_reads > 1) coalesced_reads_->Add(op.merged_reads - 1);
-    bytes_saved_->Add(op.bytes_saved);
-    ++outstanding_;
-    RemoteReadOp r;
-    r.offset = op.offset;
-    r.length = op.length;
-    r.sub_block = op.sub_block;
-    r.payload_bytes = NvmeDevice::BusBytes(op.offset, op.length, op.sub_block);
-    r.on_complete = [this, accepted_at, dest = op.dest, cb = std::move(op.cb)](
-                        Status status, std::span<const uint8_t> payload) mutable {
-      OnRemoteComplete(accepted_at, dest, std::move(status), payload, std::move(cb));
-    };
-    remote_ops.push_back(std::move(r));
-  }
-  remote_->SubmitDoorbell(remote_port_, std::move(remote_ops));
-}
-
-void IoEngine::OnRemoteComplete(SimTime accepted_at, std::span<uint8_t> dest,
-                                Status status, std::span<const uint8_t> payload,
-                                Callback cb) {
-  --outstanding_;
-  assert(outstanding_ >= 0);
-  const bool interrupt = config_.completion_mode == CompletionMode::kInterrupt;
-  cpu_ns_->Add(static_cast<uint64_t>(
-      (interrupt ? config_.cpu_complete_cost_interrupt : config_.cpu_complete_cost_polling)
-          .nanos()));
-  if (!status.ok()) {
-    errors_->Add(1);
-    if (obs_errors_ != nullptr) obs_errors_->Add(loop_->Now());
-  }
-  completed_->Add(1);
-  if (status.ok() && !payload.empty()) {
-    // The payload crossed shards in message-owned storage; land it in the
-    // caller's buffer (per-shard arena) now that we are on the owning loop.
-    assert(payload.size() == dest.size());
-    std::copy(payload.begin(), payload.end(), dest.begin());
-  }
-  const SimDuration e2e = loop_->Now() - accepted_at;
-  latency_.Record(e2e);
-  if (obs_lat_ != nullptr) obs_lat_->Record(loop_->Now(), e2e);
-  if (obs_spans_ != nullptr) {
-    obs_spans_->Span(obs_track_, "io.read", accepted_at, loop_->Now());
-  }
-  if (cb) cb(std::move(status), e2e);
 }
 
 void IoEngine::Dispatch(Pending p) {

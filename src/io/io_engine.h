@@ -32,7 +32,6 @@
 namespace sdm {
 
 class FabricLink;
-class RemoteDeviceChannel;
 
 enum class CompletionMode : uint8_t {
   kInterrupt,  ///< IRQ per completion: extra latency + CPU per IO.
@@ -116,21 +115,6 @@ class IoEngine {
   void set_fabric_link(FabricLink* link) { fabric_ = link; }
   [[nodiscard]] FabricLink* fabric_link() const { return fabric_; }
 
-  /// Sharded-runtime mode (src/common/sharded_runtime.h): submissions ship
-  /// through `channel` to remote device `port` on another shard instead of
-  /// touching `device()` — which then serves only as the SPEC source (the
-  /// immutable DeviceSpec readers consult; never submitted to from this
-  /// thread). The engine keeps its submit/complete CPU and counter
-  /// accounting; queue-depth spill moves to the device shard's endpoint,
-  /// where — like the single-loop shared engine — it bounds outstanding IOs
-  /// across every host. Mutually exclusive with a fabric link: the channel
-  /// implementation owns the fabric timing of both directions.
-  void set_remote_channel(RemoteDeviceChannel* channel, size_t port) {
-    remote_ = channel;
-    remote_port_ = port;
-  }
-  [[nodiscard]] RemoteDeviceChannel* remote_channel() const { return remote_; }
-
   [[nodiscard]] int outstanding() const { return outstanding_; }
   [[nodiscard]] size_t queued() const { return pending_.size(); }
   [[nodiscard]] const IoEngineConfig& config() const { return config_; }
@@ -164,13 +148,6 @@ class IoEngine {
 
   void Dispatch(Pending p);
   void OnDeviceComplete(SimTime submitted_at, Status status, Callback cb);
-  /// Remote-mode submission: one doorbell for `ops` through the channel
-  /// (`batched` selects SubmitBatchLocal vs SubmitReadLocal accounting).
-  void SubmitRemote(std::span<ReadOp> ops, bool batched);
-  /// Remote-mode completion, on this engine's loop: copies the payload into
-  /// the original dest and runs completion accounting + the callback.
-  void OnRemoteComplete(SimTime accepted_at, std::span<uint8_t> dest, Status status,
-                        std::span<const uint8_t> payload, Callback cb);
   void SubmitReadLocal(Bytes offset, Bytes length, bool sub_block,
                        std::span<uint8_t> dest, Callback cb);
   void SubmitBatchLocal(std::span<ReadOp> ops);
@@ -184,8 +161,6 @@ class IoEngine {
   EventLoop* loop_;
   IoEngineConfig config_;
   FabricLink* fabric_ = nullptr;
-  RemoteDeviceChannel* remote_ = nullptr;
-  size_t remote_port_ = 0;
   int outstanding_ = 0;
   std::deque<Pending> pending_;
 

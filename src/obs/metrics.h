@@ -8,10 +8,9 @@
 //
 // Windows close lazily at update time, not on a scheduled sampler tick: a
 // self-rescheduling loop event would keep RunUntilIdle from terminating and
-// would behave differently on the sharded runtime's transiently-idle per-LP
-// loops. Closing on the next update (or at Finalize) makes every window a
-// pure function of the timestamped update stream, so exports are bit-identical
-// across worker counts and between the sharded and single-loop runtimes.
+// would add events to the loop being measured. Closing on the next update
+// (or at Finalize) makes every window a pure function of the timestamped
+// update stream, so exports are bit-identical across runs.
 #pragma once
 
 #include <cstdint>
@@ -141,9 +140,9 @@ class MetricsRegistry {
     const std::vector<WindowSample>* series;
   };
 
-  /// Appends every non-empty series to `out`. The merged exporter sorts the
-  /// combined list by name, so per-LP registries with disjoint prefixes and
-  /// the single-loop registry holding all names produce identical JSON.
+  /// Appends every non-empty series to `out`, counters first, then gauges,
+  /// then histograms (each kind in name order). The exporter sorts the list
+  /// by name.
   void CollectSeries(std::vector<SeriesRef>* out) const;
 
   /// Writes one series as a JSON object {"name":..,"kind":..,"points":[..]}.
@@ -170,7 +169,7 @@ class MetricsRegistry {
 
 namespace obs_internal {
 /// Deterministic JSON number: integral values print as integers, the rest
-/// round-trip via %.17g — byte-stable across runs and worker counts.
+/// round-trip via %.17g — byte-stable across runs.
 void AppendJsonNumber(std::string* out, double v);
 }  // namespace obs_internal
 

@@ -4,7 +4,7 @@
 // defaults no Observability object is created and no subsystem records
 // anything. When enabled, observation is *timing-inert* — metrics and spans
 // are pure functions of the virtual-time event stream and never schedule
-// loop work, draw randomness, or touch another shard's state, so serving
+// loop work, draw randomness, or touch serving state, so serving
 // results stay byte-identical with observability on or off.
 #pragma once
 

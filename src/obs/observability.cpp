@@ -26,38 +26,18 @@ void Observability::Finalize() {
 }
 
 std::string Observability::MetricsJson() const {
-  Observability* self = const_cast<Observability*>(this);
-  return MergedMetricsJson(std::span<Observability* const>(&self, 1));
-}
-
-std::string Observability::TraceJson() const {
-  Observability* self = const_cast<Observability*>(this);
-  return MergedTraceJson(std::span<Observability* const>(&self, 1));
-}
-
-std::string Observability::SloJson() const {
-  Observability* self = const_cast<Observability*>(this);
-  return MergedSloJson(std::span<Observability* const>(&self, 1));
-}
-
-std::string Observability::MergedMetricsJson(
-    std::span<Observability* const> instances) {
-  int64_t interval_ns = 0;
   std::vector<MetricsRegistry::SeriesRef> series;
-  for (Observability* obs : instances) {
-    if (obs == nullptr || obs->metrics() == nullptr) continue;
-    interval_ns = obs->metrics()->interval_ns();
-    obs->metrics()->CollectSeries(&series);
-  }
-  // Per-LP registries carry disjoint source-prefixed names; the global sort
-  // makes the merged document identical to the single-registry one.
+  if (metrics_ != nullptr) metrics_->CollectSeries(&series);
+  // The registry keeps counters, gauges and histograms in separate maps;
+  // one sort by name interleaves them into a single name-ordered list.
   std::sort(series.begin(), series.end(),
             [](const MetricsRegistry::SeriesRef& a, const MetricsRegistry::SeriesRef& b) {
               return *a.name < *b.name;
             });
   std::string out;
   out.append("{\"interval_ns\":");
-  obs_internal::AppendJsonNumber(&out, static_cast<double>(interval_ns));
+  obs_internal::AppendJsonNumber(
+      &out, static_cast<double>(metrics_ != nullptr ? metrics_->interval_ns() : 0));
   out.append(",\"series\":[");
   for (size_t i = 0; i < series.size(); ++i) {
     if (i > 0) out.push_back(',');
@@ -67,22 +47,19 @@ std::string Observability::MergedMetricsJson(
   return out;
 }
 
-std::string Observability::MergedTraceJson(std::span<Observability* const> instances) {
-  std::vector<const SpanRecorder*> recorders;
-  for (Observability* obs : instances) {
-    if (obs != nullptr && obs->spans() != nullptr) recorders.push_back(obs->spans());
-  }
-  return SpanRecorder::ExportChromeTrace(recorders);
+std::string Observability::TraceJson() const {
+  // Tracing off: the document an empty recorder exports.
+  return spans_ != nullptr ? spans_->ExportChromeTrace()
+                           : SpanRecorder(1, 0).ExportChromeTrace();
 }
 
-std::string Observability::MergedSloJson(std::span<Observability* const> instances) {
+std::string Observability::SloJson() const {
   std::vector<const SloEvent*> events;
-  for (Observability* obs : instances) {
-    if (obs == nullptr || obs->slo() == nullptr) continue;
-    for (const SloEvent& e : obs->slo()->events()) events.push_back(&e);
+  if (slo_ != nullptr) {
+    for (const SloEvent& e : slo_->events()) events.push_back(&e);
   }
-  // Event order within one watchdog follows metric-flush order; the export
-  // re-sorts so documents match across runtime shapes.
+  // Events are recorded in metric-flush order; the export orders them by
+  // (window, rule, edge) so the document reads as a timeline.
   std::sort(events.begin(), events.end(), [](const SloEvent* a, const SloEvent* b) {
     if (a->t_ns != b->t_ns) return a->t_ns < b->t_ns;
     if (a->rule != b->rule) return a->rule < b->rule;

@@ -1,19 +1,15 @@
 // Observability owner (src/obs): one instance per event loop.
 //
 // Owns the metrics registry, span recorder, and SLO watchdog for everything
-// running on one EventLoop. Single-loop simulations hold exactly one; the
-// sharded runtime holds one per LP (device shard + each host) so recording
-// never crosses a thread boundary, and the static Merged*Json exporters fold
-// per-LP buffers into documents that are bit-identical to the single-loop
-// export (metric names carry their source prefix, series merge by name,
-// spans merge by (ts, track, seq)).
+// running on one EventLoop. A host or a whole disaggregated cluster holds
+// exactly one; its components record under source-prefixed names ("svc/",
+// "host<i>/") so they share the registry without colliding.
 //
 // Components hold `Observability*` that is nullptr when the subsystem is
 // off; every accessor below is also null-safe to keep call sites one-liners.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 
 #include "obs/metrics.h"
@@ -40,15 +36,6 @@ class Observability {
   [[nodiscard]] std::string MetricsJson() const;
   [[nodiscard]] std::string TraceJson() const;
   [[nodiscard]] std::string SloJson() const;
-
-  /// Merged exports over per-LP instances (null entries skipped). With a
-  /// single instance these equal the instance's own exports.
-  [[nodiscard]] static std::string MergedMetricsJson(
-      std::span<Observability* const> instances);
-  [[nodiscard]] static std::string MergedTraceJson(
-      std::span<Observability* const> instances);
-  [[nodiscard]] static std::string MergedSloJson(
-      std::span<Observability* const> instances);
 
  private:
   std::unique_ptr<MetricsRegistry> metrics_;

@@ -2,11 +2,10 @@
 //
 // Rules ("p99 above X for K consecutive windows", "availability below Y")
 // are evaluated synchronously as metric windows close, so verdicts are a
-// pure function of the metric stream — deterministic across runs and across
-// the sharded runtime's worker counts. A rule fires once when its breach
-// streak reaches for_windows and clears once on the first non-breaching
-// window; both edges emit a structured SloEvent and a WARN log record
-// (routed through the pluggable log sink).
+// pure function of the metric stream — deterministic across runs. A rule
+// fires once when its breach streak reaches for_windows and clears once on
+// the first non-breaching window; both edges emit a structured SloEvent and
+// a WARN log record (routed through the pluggable log sink).
 #pragma once
 
 #include <cstdint>

@@ -51,7 +51,6 @@ struct Rec {
   int tid;
   uint64_t track_seq;
   int phase;  ///< 0 = "b", 1 = "i", 2 = "e" — begins sort before same-ts ends.
-  const SpanRecorder* owner;
   const void* span_key;  ///< Event identity for id pairing (null for instants).
   const char* name;
   const std::string* args;
@@ -79,15 +78,10 @@ void AppendCommon(std::string* out, const Rec& r) {
 
 }  // namespace
 
-std::string SpanRecorder::ExportChromeTrace(
-    std::span<const SpanRecorder* const> recorders) {
-  // pid/tid assignment from sorted names, independent of registration order
-  // and of how tracks are spread across recorders.
+std::string SpanRecorder::ExportChromeTrace() const {
+  // pid/tid assignment from sorted names, independent of registration order.
   std::map<std::string, std::map<std::string, int>> names;  // process -> threads
-  for (const SpanRecorder* rec : recorders) {
-    if (rec == nullptr) continue;
-    for (const TrackInfo& t : rec->tracks_) names[t.process][t.thread] = 0;
-  }
+  for (const TrackInfo& t : tracks_) names[t.process][t.thread] = 0;
   std::map<std::string, int> pids;
   int next_pid = 0;
   for (auto& [process, threads] : names) {
@@ -97,21 +91,15 @@ std::string SpanRecorder::ExportChromeTrace(
   }
 
   std::vector<Rec> recs;
-  for (const SpanRecorder* rec : recorders) {
-    if (rec == nullptr) continue;
-    for (const Event& ev : rec->events_) {
-      const TrackInfo& t = rec->tracks_[ev.track];
-      const int pid = pids[t.process];
-      const int tid = names[t.process][t.thread];
-      if (ev.end_ns < 0) {
-        recs.push_back(Rec{ev.start_ns, pid, tid, ev.track_seq, 1, rec, nullptr,
-                           ev.name, &ev.args});
-      } else {
-        recs.push_back(
-            Rec{ev.start_ns, pid, tid, ev.track_seq, 0, rec, &ev, ev.name, &ev.args});
-        recs.push_back(
-            Rec{ev.end_ns, pid, tid, ev.track_seq, 2, rec, &ev, ev.name, nullptr});
-      }
+  for (const Event& ev : events_) {
+    const TrackInfo& t = tracks_[ev.track];
+    const int pid = pids[t.process];
+    const int tid = names[t.process][t.thread];
+    if (ev.end_ns < 0) {
+      recs.push_back(Rec{ev.start_ns, pid, tid, ev.track_seq, 1, nullptr, ev.name, &ev.args});
+    } else {
+      recs.push_back(Rec{ev.start_ns, pid, tid, ev.track_seq, 0, &ev, ev.name, &ev.args});
+      recs.push_back(Rec{ev.end_ns, pid, tid, ev.track_seq, 2, &ev, ev.name, nullptr});
     }
   }
   std::sort(recs.begin(), recs.end(), [](const Rec& a, const Rec& b) {
@@ -147,8 +135,8 @@ std::string SpanRecorder::ExportChromeTrace(
     }
   }
 
-  // Async-span ids in merged order (first "b" encounter), so numbering is a
-  // function of the merged stream, not of per-recorder insertion order.
+  // Async-span ids in sorted order (first "b" encounter), so numbering is a
+  // function of the sorted stream, not of insertion order.
   std::map<const void*, uint64_t> span_ids;
   uint64_t next_id = 1;
   for (const Rec& r : recs) {

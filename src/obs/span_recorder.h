@@ -4,20 +4,18 @@
 // (plan, lane residency, device service, fabric hop, retry/hedge/repair) and
 // instants (join, merge, promote, sick transition) onto named tracks. Events
 // land in a bounded ring per recorder — when full, NEW events are dropped and
-// counted, never evicting history — and export merges any number of recorders
-// (one per LP under the sharded runtime) into one Chrome trace-event JSON
-// document viewable in chrome://tracing or Perfetto.
+// counted, never evicting history — and export writes one Chrome trace-event
+// JSON document viewable in chrome://tracing or Perfetto.
 //
 // Recording is timing-inert: virtual timestamps are read, never advanced,
 // and nothing is scheduled. Export determinism: pids/tids are assigned from
 // the *sorted* process/thread names at export time and events are globally
 // sorted by (ts, pid, tid, per-track seq, phase), so the emitted bytes do not
-// depend on registration order, recorder count, or worker interleaving.
+// depend on the order in which components registered their tracks.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,9 +48,8 @@ class SpanRecorder {
   [[nodiscard]] size_t event_count() const { return events_.size(); }
   [[nodiscard]] uint64_t dropped() const { return dropped_; }
 
-  /// Merges the recorders' rings into one Chrome trace-event JSON document.
-  [[nodiscard]] static std::string ExportChromeTrace(
-      std::span<const SpanRecorder* const> recorders);
+  /// The ring as one Chrome trace-event JSON document.
+  [[nodiscard]] std::string ExportChromeTrace() const;
 
  private:
   struct TrackInfo {

@@ -6,7 +6,6 @@
 #include "common/kv_format.h"
 #include "fault/replication_manager.h"
 #include "serving/arrival_loop.h"
-#include "serving/sharded_cluster.h"
 
 namespace sdm {
 
@@ -51,12 +50,6 @@ ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host
                                      const DisaggregatedConfig& disaggregated)
     : base_config_(host_config), router_(num_hosts, policy, host_config.seed ^ 0xc1u) {
   assert(num_hosts >= 1);
-  if (disaggregated.enabled && disaggregated.num_shards >= 2) {
-    // Parallel runtime: host shards + device shard on worker threads.
-    sharded_ = std::make_unique<ShardedClusterRuntime>(num_hosts, host_config, policy,
-                                                       disaggregated.num_shards);
-    return;
-  }
   if (!disaggregated.enabled) {
     hosts_.reserve(num_hosts);
     for (size_t i = 0; i < num_hosts; ++i) {
@@ -94,16 +87,8 @@ ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host
   }
 }
 
-ClusterSimulation::~ClusterSimulation() = default;
-
 size_t ClusterSimulation::size() const {
-  if (sharded_ != nullptr) return sharded_->host_count();
   return disaggregated() ? dhosts_.size() : hosts_.size();
-}
-
-SdmStore& ClusterSimulation::host_store(size_t i) {
-  if (sharded_ != nullptr) return sharded_->host_store(i);
-  return *dhosts_[i].store;
 }
 
 size_t ClusterSimulation::RouteTarget(size_t source, UserId user) const {
@@ -112,7 +97,6 @@ size_t ClusterSimulation::RouteTarget(size_t source, UserId user) const {
 }
 
 Status ClusterSimulation::LoadModel(const ModelConfig& model) {
-  if (sharded_ != nullptr) return sharded_->LoadModel(model);
   if (!disaggregated()) {
     for (auto& h : hosts_) {
       if (Status s = h->LoadModel(model); !s.ok()) return s;
@@ -217,7 +201,6 @@ DisaggregatedRunReport ClusterSimulation::RunDisaggregated(double total_qps,
                                                            uint64_t num_queries) {
   assert(disaggregated());
   assert(total_qps > 0);
-  if (sharded_ != nullptr) return sharded_->Run(total_qps, num_queries);
   DisaggregatedRunReport report;
   if (dhosts_.empty() || dhosts_[0].engine == nullptr) return report;
   const size_t n = dhosts_.size();
@@ -342,21 +325,18 @@ DisaggregatedRunReport ClusterSimulation::RunDisaggregated(double total_qps,
 }
 
 std::string ClusterSimulation::ObsMetricsJson() {
-  if (sharded_ != nullptr) return sharded_->ObsMetricsJson();
   if (obs_ == nullptr) return "{}";
   obs_->Finalize();
   return obs_->MetricsJson();
 }
 
 std::string ClusterSimulation::ObsTraceJson() {
-  if (sharded_ != nullptr) return sharded_->ObsTraceJson();
   if (obs_ == nullptr) return "{}";
   obs_->Finalize();
   return obs_->TraceJson();
 }
 
 std::string ClusterSimulation::ObsSloJson() {
-  if (sharded_ != nullptr) return sharded_->ObsSloJson();
   if (obs_ == nullptr) return "{}";
   obs_->Finalize();
   return obs_->SloJson();

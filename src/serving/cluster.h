@@ -73,14 +73,6 @@ struct ClusterRunReport {
 /// TuningConfig fabric knobs.
 struct DisaggregatedConfig {
   bool enabled = false;
-  /// Worker threads for the sharded parallel runtime
-  /// (src/serving/sharded_cluster.h): each host shard and the device shard
-  /// become logical processes with private EventLoops, synchronized by
-  /// conservative windows of one fabric latency. 0/1 keeps today's
-  /// single-loop path (byte-identical, required for instant fabrics);
-  /// >= 2 requires fabric_latency > 0 and produces results that are
-  /// bit-identical across every num_shards >= 2.
-  size_t num_shards = 1;
 };
 
 /// One host's slice of a disaggregated run.
@@ -134,15 +126,12 @@ struct DisaggregatedRunReport {
 ///    each arrival enters. Seeds derive exactly like MultiTenantHost's
 ///    shared mode, so an instant fabric with kLocal routing is
 ///    byte-identical to RunShared with the same stores.
-class ShardedClusterRuntime;
-
 class ClusterSimulation {
  public:
   ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
                     RoutingPolicy policy);
   ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
                     RoutingPolicy policy, const DisaggregatedConfig& disaggregated);
-  ~ClusterSimulation();
 
   Status LoadModel(const ModelConfig& model);
 
@@ -156,31 +145,24 @@ class ClusterSimulation {
   [[nodiscard]] DisaggregatedRunReport RunDisaggregated(double total_qps,
                                                         uint64_t num_queries);
 
-  [[nodiscard]] bool disaggregated() const {
-    return fabric_ != nullptr || sharded_ != nullptr;
-  }
+  [[nodiscard]] bool disaggregated() const { return fabric_ != nullptr; }
   [[nodiscard]] size_t size() const;
   /// Isolated-mode host (undefined in disaggregated mode).
   [[nodiscard]] HostSimulation& host(size_t i) { return *hosts_[i]; }
   /// Disaggregated-mode accessors (null/undefined in isolated mode).
-  /// fabric_service() is the SINGLE-LOOP stack — null when the sharded
-  /// runtime is active (use sharded_runtime() there).
   [[nodiscard]] FabricAttachedService* fabric_service() { return fabric_.get(); }
-  [[nodiscard]] SdmStore& host_store(size_t i);
-  /// The parallel runtime behind num_shards >= 2 (null otherwise).
-  [[nodiscard]] ShardedClusterRuntime* sharded_runtime() { return sharded_.get(); }
+  [[nodiscard]] SdmStore& host_store(size_t i) { return *dhosts_[i].store; }
 
   /// Observability exports (src/obs): non-empty iff tuning.obs.enabled().
-  /// Disaggregated modes export the whole cluster — the sharded runtime
-  /// merges its per-LP buffers into documents bit-identical across worker
-  /// counts. Isolated mode returns "{}": each host there owns a private
+  /// Disaggregated mode exports the whole cluster from its one instance.
+  /// Isolated mode returns "{}": each host there owns a private
   /// Observability (use host(i).ObsMetricsJson()).
   [[nodiscard]] std::string ObsMetricsJson();
   [[nodiscard]] std::string ObsTraceJson();
   [[nodiscard]] std::string ObsSloJson();
 
  private:
-  struct DisaggregatedHost {  // a host shard on the common loop
+  struct DisaggregatedHost {  // one host on the common loop
     TenantId id = 0;  ///< host identity on the fabric service's ledger
     std::unique_ptr<SdmStore> store;
     std::unique_ptr<InferenceEngine> engine;
@@ -195,12 +177,10 @@ class ClusterSimulation {
   std::vector<std::unique_ptr<HostSimulation>> hosts_;  ///< isolated mode
   StickyRouter router_;
   // ---- Disaggregated mode (src/fabric) ----
-  EventLoop dloop_;  ///< the one loop every host shard runs on
-  std::unique_ptr<Observability> obs_;  ///< single-loop mode; outlives the stacks
+  EventLoop dloop_;  ///< the one loop every host and the device stack run on
+  std::unique_ptr<Observability> obs_;  ///< outlives the stacks
   std::unique_ptr<FabricAttachedService> fabric_;
   std::vector<DisaggregatedHost> dhosts_;
-  // ---- Sharded parallel mode (src/serving/sharded_cluster.h) ----
-  std::unique_ptr<ShardedClusterRuntime> sharded_;
 };
 
 // ---------------------------------------------------------------------------

@@ -16,40 +16,25 @@ SharedDeviceService::SharedDeviceService(SharedDeviceConfig config, EventLoop* l
       throttle_(config_.tuning.throttle, loop) {
   assert(loop != nullptr);
   assert(config_.sm_specs.size() == config_.sm_backing_bytes.size());
-  assert(!remote() || config_.sm_specs.empty());
-  assert(!remote() || config_.remote.channel != nullptr);
 
   Rng rng(config_.seed);
-  const size_t ports =
-      remote() ? config_.remote.stack->device_count() : config_.sm_specs.size();
-  remote_ports_ = remote() ? ports : 0;
+  const size_t ports = config_.sm_specs.size();
   for (size_t i = 0; i < ports; ++i) {
-    if (!remote()) {
-      DeviceSpec spec = config_.sm_specs[i];
-      if (!config_.tuning.sub_block_reads) {
-        // Tuning knob: force the plain block path even on capable devices.
-        spec.supports_sub_block = false;
-      }
-      sm_.push_back(std::make_unique<NvmeDevice>(spec, config_.sm_backing_bytes[i],
-                                                 loop_, rng.Next()));
-      // Per-4KB-block checksums, stamped at write and verified at
-      // bounce-buffer fill (self-healing integrity layer). Off = byte-
-      // identical device behaviour.
-      if (config_.tuning.enable_checksums) sm_.back()->set_checksums(true);
+    DeviceSpec spec = config_.sm_specs[i];
+    if (!config_.tuning.sub_block_reads) {
+      // Tuning knob: force the plain block path even on capable devices.
+      spec.supports_sub_block = false;
     }
+    sm_.push_back(std::make_unique<NvmeDevice>(spec, config_.sm_backing_bytes[i], loop_,
+                                               rng.Next()));
+    // Per-4KB-block checksums, stamped at write and verified at
+    // bounce-buffer fill (self-healing integrity layer). Off = byte-
+    // identical device behaviour.
+    if (config_.tuning.enable_checksums) sm_.back()->set_checksums(true);
     IoEngineConfig ecfg;
     ecfg.queue_depth = config_.tuning.io_queue_depth;
     ecfg.completion_mode = config_.tuning.completion_mode;
-    if (remote()) {
-      // Host-side slice: the engine's "device" is the remote stack's — the
-      // immutable spec source — but submissions ride the channel to the
-      // device shard instead of touching it.
-      engines_.push_back(std::make_unique<IoEngine>(&config_.remote.stack->device(i),
-                                                    loop_, ecfg));
-      engines_.back()->set_remote_channel(config_.remote.channel, i);
-    } else {
-      engines_.push_back(std::make_unique<IoEngine>(sm_.back().get(), loop_, ecfg));
-    }
+    engines_.push_back(std::make_unique<IoEngine>(sm_.back().get(), loop_, ecfg));
     BatchSchedulerConfig bcfg;
     bcfg.cross_request = config_.tuning.io_batching == IoBatching::kCrossRequest;
     bcfg.max_batch_sqes = config_.tuning.max_batch_sqes;
@@ -97,17 +82,12 @@ SharedDeviceService::SharedDeviceService(SharedDeviceConfig config, EventLoop* l
                                                route->shift};
           });
     }
-    if (!remote()) {
-      // The stack owns the devices, so it owns the re-replication engine;
-      // sharded slices instead forward their sickness transitions to the
-      // device shard's manager (src/serving wires that path).
-      replication_ = std::make_unique<ReplicationManager>(this, loop_);
-      if (config_.obs != nullptr) {
-        replication_->set_obs(config_.obs, config_.obs_prefix);
-      }
-      health_->SetSickTransitionListener(
-          [this](size_t endpoint) { replication_->OnEndpointSick(endpoint); });
+    replication_ = std::make_unique<ReplicationManager>(this, loop_);
+    if (config_.obs != nullptr) {
+      replication_->set_obs(config_.obs, config_.obs_prefix);
     }
+    health_->SetSickTransitionListener(
+        [this](size_t endpoint) { replication_->OnEndpointSick(endpoint); });
   }
 }
 
@@ -168,7 +148,6 @@ Result<size_t> SharedDeviceService::FindReplicaTarget(size_t source) const {
 
 Result<SharedDeviceService::ReplicaLocation> SharedDeviceService::AllocateReplica(
     uint64_t id, size_t target) {
-  assert(!remote() && "replica space lives on the device-owning stack");
   const auto it = extent_infos_.find(id);
   if (it == extent_infos_.end()) return NotFoundError("unknown extent id");
   const ExtentInfo& info = it->second;
@@ -216,23 +195,6 @@ TenantId SharedDeviceService::RegisterTenant(std::string name, TenantClass cls) 
 Result<SharedDeviceService::Extent> SharedDeviceService::PlaceTable(
     TenantId tenant, const std::string& table_name, std::span<const uint8_t> bytes,
     uint64_t content_hash) {
-  if (remote()) {
-    // Host-side slice: the device shard's stack owns space and the dedup
-    // registry; place there under this HOST's identity so replicas dedup
-    // across hosts exactly like the single-loop path. Load-time only.
-    (void)tenant;  // the local single-tenant id; the stack keys on the host
-    auto placed = config_.remote.stack->PlaceTable(config_.remote.tenant, table_name, bytes,
-                                                   content_hash);
-    if (placed.ok() && placed.value().id != 0) {
-      // Mirror the extent into this slice's private routing view (load-time
-      // only); replica routes arrive later as cross-shard AddReplicaRoute
-      // posts, and demand heat accrues here, never on the stack.
-      const Extent& e = placed.value();
-      extent_infos_.try_emplace(e.id,
-                                ExtentInfo{e.device, e.offset, bytes.size(), 0, {}, {}});
-    }
-    return placed;
-  }
   if (sm_.empty()) return FailedPreconditionError("no SM devices configured");
 
   const ExtentKey key{table_name, bytes.size(), content_hash};
@@ -281,13 +243,11 @@ Result<SharedDeviceService::Extent> SharedDeviceService::PlaceTable(
 }
 
 bool SharedDeviceService::ExtentShared(uint64_t id) const {
-  if (remote()) return config_.remote.stack->ExtentShared(id);
   const auto it = extent_infos_.find(id);
   return it != extent_infos_.end() && it->second.owners.size() > 1;
 }
 
 Bytes SharedDeviceService::sm_used_bytes() const {
-  if (remote()) return config_.remote.stack->sm_used_bytes();
   Bytes total = 0;
   for (const Bytes b : sm_used_) total += b;
   return total;

@@ -1,6 +1,5 @@
 // SharedDeviceService — one SM device stack shared by N tenant stores
-// (ROADMAP "Sharded SdmStore"; paper §5.3's capacity argument at IO
-// granularity).
+// (paper §5.3's capacity argument at IO granularity).
 //
 // The service owns everything that is per-DEVICE rather than per-tenant:
 // the simulated NVMe devices, their IoEngines, the
@@ -63,7 +62,6 @@
 namespace sdm {
 
 class FaultInjector;
-class RemoteDeviceChannel;
 class ReplicationManager;
 class SharedDeviceService;
 
@@ -75,26 +73,6 @@ struct SharedDeviceConfig {
   /// lane budgets, throttle. Tenant stores keep their own cache knobs.
   TuningConfig tuning;
   uint64_t seed = 42;
-
-  // ---- Sharded runtime (src/common/sharded_runtime, src/serving) ----
-  /// Engaged (stack != nullptr): build the HOST-SIDE SLICE of a sharded
-  /// disaggregated runtime instead of a full device stack. The slice owns
-  /// everything per-HOST — schedulers, throttle, health view, and
-  /// its own BufferArena (the per-shard/per-socket arena of the NUMA-arena
-  /// ROADMAP item) — but no NvmeDevices: its per-port IoEngines ship
-  /// doorbells through `channel` to the DEVICE shard's `stack`, which owns
-  /// the physical devices. `sm_specs` must be empty. Table placement
-  /// delegates to `stack`'s extent registry under `tenant` (this host's id
-  /// there), so cross-host content dedup is byte-identical to the
-  /// single-loop path. Placement runs at load time, before worker threads
-  /// exist; at serving time the slice NEVER touches `stack` state — only
-  /// the channel's messages cross shards.
-  struct RemoteStack {
-    SharedDeviceService* stack = nullptr;
-    RemoteDeviceChannel* channel = nullptr;
-    TenantId tenant = 0;
-  };
-  RemoteStack remote;
 
   // ---- Observability (src/obs) ----
   /// Per-loop observability instance for the stack's components (null =
@@ -150,9 +128,7 @@ class SharedDeviceService {
                                           uint64_t content_hash);
 
   /// True when more than one tenant serves from extent `id` — its bytes are
-  /// then read-only for every one of them, the first placer included. A
-  /// sharded slice asks the device stack (load time or between runs only,
-  /// never on the serving path).
+  /// then read-only for every one of them, the first placer included.
   [[nodiscard]] bool ExtentShared(uint64_t id) const;
 
   // ---- Self-healing: extent heat, replicas, routing (src/fault) ------------
@@ -180,9 +156,7 @@ class SharedDeviceService {
 
   /// Bumps demand heat on extent `id` (no-op for 0/unknown). Lookup engines
   /// call this once per lookup that reaches the IO phase; the heat ranking
-  /// decides which extents a sick endpoint re-replicates first. On a
-  /// sharded slice this records into the SLICE's private view — serving
-  /// threads never touch the device shard's registry.
+  /// decides which extents a sick endpoint re-replicates first.
   void RecordExtentDemand(uint64_t id);
 
   /// Healthiest replica route for `id` avoiding `avoid_device`; nullopt
@@ -191,8 +165,7 @@ class SharedDeviceService {
                                                              size_t avoid_device) const;
 
   /// Publishes a replica of `id` at `loc` so FindReplicaRoute can reach it.
-  /// Unknown ids are ignored (a sharded slice only tracks extents its own
-  /// host placed or attached to).
+  /// Unknown ids are ignored.
   void AddReplicaRoute(uint64_t id, ReplicaLocation loc);
 
   /// Extent ids resident on `device`, hottest demand first (ties broken by
@@ -204,31 +177,20 @@ class SharedDeviceService {
 
   /// Bump-allocates space for a replica of `id` on `target`, preserving the
   /// primary offset modulo the block size (routed spans keep their block
-  /// geometry). Local stacks only. Does not publish the route — the
+  /// geometry). Does not publish the route — the
   /// ReplicationManager does, after the copy lands.
   [[nodiscard]] Result<ReplicaLocation> AllocateReplica(uint64_t id, size_t target);
 
   /// Primary span of extent `id` (copy source for re-replication).
   [[nodiscard]] std::optional<ExtentSpan> ExtentInfoFor(uint64_t id) const;
 
-  /// The re-replication engine (nullptr unless this is a local stack with
-  /// tuning.enable_replication).
+  /// The re-replication engine (nullptr unless tuning.enable_replication).
   [[nodiscard]] ReplicationManager* replication() { return replication_.get(); }
 
   // ---- Device stack --------------------------------------------------------
 
-  /// Device PORTS this service exposes. A remote slice has no local
-  /// devices but one engine/scheduler port per remote device.
-  [[nodiscard]] size_t device_count() const {
-    return remote() ? remote_ports_ : sm_.size();
-  }
-  /// The physical device behind port `i` — the remote stack's in a sharded
-  /// slice (safe only at load time and after the run: post-run report
-  /// reads, never the serving path, which stays on this shard).
-  [[nodiscard]] NvmeDevice& device(size_t i) {
-    return remote() ? config_.remote.stack->device(i) : *sm_[i];
-  }
-  [[nodiscard]] bool remote() const { return config_.remote.stack != nullptr; }
+  [[nodiscard]] size_t device_count() const { return sm_.size(); }
+  [[nodiscard]] NvmeDevice& device(size_t i) { return *sm_[i]; }
   [[nodiscard]] IoEngine& io_engine(size_t i) { return *engines_[i]; }
   /// Whether reads on port `i` use SGL sub-block transfers: the tuning
   /// knob and the device behind the port must both allow it.
@@ -279,17 +241,14 @@ class SharedDeviceService {
     uint64_t content_hash = 0;
     auto operator<=>(const ExtentKey&) const = default;
   };
-  /// Replica-routing view of one placed extent. Local stacks hold the
-  /// authoritative registry; sharded slices mirror entries for the extents
-  /// their host placed (routes arrive via AddReplicaRoute posts).
+  /// Replica-routing view of one placed extent.
   struct ExtentInfo {
     size_t device = 0;
     Bytes offset = 0;
     Bytes size = 0;
     uint64_t heat = 0;  ///< lookups that reached the IO phase on this extent
     std::vector<ReplicaLocation> replicas;
-    /// Tenants serving from these bytes (local stacks; empty in a slice's
-    /// mirror, whose ExtentShared asks the stack).
+    /// Tenants serving from these bytes.
     std::set<TenantId> owners;
   };
 
@@ -300,7 +259,6 @@ class SharedDeviceService {
 
   SharedDeviceConfig config_;
   EventLoop* loop_;
-  size_t remote_ports_ = 0;  ///< port count of a remote slice
   // Declared before the schedulers that hold a pointer to it so it
   // outlives them on destruction.
   BufferArena buffer_arena_;

@@ -551,43 +551,5 @@ TEST(EventLoop, CascadedEventsAllRun) {
   EXPECT_EQ(n, 100u);
 }
 
-TEST(EventLoop, RunWindowIsStrictlyExclusiveOfItsEnd) {
-  // The conservative-window primitive: a window [start, end) owns events
-  // BEFORE end; an event exactly AT end (a cross-shard message one
-  // lookahead away) belongs to the next window.
-  EventLoop loop;
-  std::vector<int> order;
-  loop.ScheduleAt(SimTime(100), [&] { order.push_back(1); });
-  loop.ScheduleAt(SimTime(199), [&] { order.push_back(2); });
-  loop.ScheduleAt(SimTime(200), [&] { order.push_back(3); });
-  EXPECT_EQ(loop.RunWindow(SimTime(200)), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(loop.Now().nanos(), 200);  // clock rests at the window end
-  EXPECT_EQ(loop.pending_events(), 1u);
-  EXPECT_EQ(loop.RunWindow(SimTime(300)), 1u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventLoop, NextEventTimeTracksTheHeapHead) {
-  EventLoop loop;
-  EXPECT_EQ(loop.next_event_time(), SimTime::Max());  // idle
-  loop.ScheduleAt(SimTime(500), [] {});
-  loop.ScheduleAt(SimTime(300), [] {});
-  EXPECT_EQ(loop.next_event_time().nanos(), 300);
-  loop.RunWindow(SimTime(400));
-  EXPECT_EQ(loop.next_event_time().nanos(), 500);
-}
-
-TEST(EventLoop, LastEventTimeIgnoresArtificialDeadlines) {
-  // Now() advances to RunUntil/RunWindow deadlines; last_event_time()
-  // reports when the simulation actually went quiet.
-  EventLoop loop;
-  loop.ScheduleAt(SimTime(100), [] {});
-  loop.RunUntil(SimTime(10'000));
-  EXPECT_EQ(loop.Now().nanos(), 10'000);
-  EXPECT_EQ(loop.last_event_time().nanos(), 100);
-  EXPECT_EQ(loop.events_run(), 1u);
-}
-
 }  // namespace
 }  // namespace sdm

@@ -3,11 +3,8 @@
 // Three invariants carry the layer:
 //   1. OFF is byte-inert and ON is timing-inert: serving reports are
 //      field-identical with observability on or off, in every runtime shape
-//      (single host, single-loop disaggregated, sharded, shared tenants).
-//   2. Exports are deterministic: the sharded runtime's merged documents are
-//      bit-identical for every worker count, and the single-loop path agrees
-//      with the sharded path on aggregate counters at serial load (the same
-//      oracle sharded_runtime_test pins for serving reports).
+//      (single host, disaggregated cluster, shared tenants).
+//   2. Exports are deterministic: two identical runs emit identical bytes.
 //   3. The primitives behave: windows close lazily and stay sparse, span
 //      rings bound memory by dropping NEW events, SLO watchdogs debounce and
 //      emit both edges through the pluggable log sink.
@@ -144,8 +141,7 @@ TEST(ObsSpans, ExportsChromeTraceEventsWithArgs) {
   const SpanRecorder::TrackId l = rec.Track("host0", "lookup");
   rec.Span(q, "query", At(Micros(1)), At(Micros(5)), "{\"rows\":3}");
   rec.Instant(l, "join", At(Micros(2)));
-  const std::vector<const SpanRecorder*> recs = {&rec};
-  const std::string doc = SpanRecorder::ExportChromeTrace(recs);
+  const std::string doc = rec.ExportChromeTrace();
   EXPECT_TRUE(Contains(doc, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
   EXPECT_TRUE(Contains(doc, "\"ph\":\"b\"")) << doc;
   EXPECT_TRUE(Contains(doc, "\"ph\":\"e\"")) << doc;
@@ -166,10 +162,7 @@ TEST(ObsSpans, ExportDoesNotDependOnTrackRegistrationOrder) {
   a.Span(a_l, "lookup", At(Micros(2)), At(Micros(4)));
   b.Span(b_q, "query", At(Micros(1)), At(Micros(5)));
   b.Span(b_l, "lookup", At(Micros(2)), At(Micros(4)));
-  const std::vector<const SpanRecorder*> ra = {&a};
-  const std::vector<const SpanRecorder*> rb = {&b};
-  EXPECT_EQ(SpanRecorder::ExportChromeTrace(ra),
-            SpanRecorder::ExportChromeTrace(rb));
+  EXPECT_EQ(a.ExportChromeTrace(), b.ExportChromeTrace());
 }
 
 TEST(ObsSpans, RingDropsNewEventsWhenFullAndCountsThem) {
@@ -180,8 +173,7 @@ TEST(ObsSpans, RingDropsNewEventsWhenFullAndCountsThem) {
   rec.Span(t, "q3", At(Micros(5)), At(Micros(6)));  // dropped, not evicting
   EXPECT_EQ(rec.event_count(), 2u);
   EXPECT_EQ(rec.dropped(), 1u);
-  const std::vector<const SpanRecorder*> recs = {&rec};
-  const std::string doc = SpanRecorder::ExportChromeTrace(recs);
+  const std::string doc = rec.ExportChromeTrace();
   EXPECT_TRUE(Contains(doc, "\"name\":\"q1\""));
   EXPECT_FALSE(Contains(doc, "\"name\":\"q3\""));
 }
@@ -239,8 +231,8 @@ TEST(ObsSlo, DebouncesFiresOnceAndClearsThroughTheLogSink) {
 // Serving-stack wiring: the on/off byte-identity and export determinism.
 // ---------------------------------------------------------------------------
 
-/// The sharded_runtime_test profile: batching delay off so the single-loop
-/// and sharded schedulers flush identically under serial load.
+/// The disaggregated serving profile with batching delay off and a 5us
+/// fabric hop.
 HostSimConfig ObsHostConfig() {
   HostSimConfig cfg;
   cfg.host = MakeHwFAO(2);
@@ -381,11 +373,10 @@ struct ClusterRun {
   std::string slo;
 };
 
-ClusterRun RunClusterObs(size_t hosts, const HostSimConfig& cfg,
-                         size_t num_shards, double qps, uint64_t queries) {
+ClusterRun RunClusterObs(size_t hosts, const HostSimConfig& cfg, double qps,
+                         uint64_t queries) {
   DisaggregatedConfig dc;
   dc.enabled = true;
-  dc.num_shards = num_shards;
   ClusterSimulation cluster(hosts, cfg, RoutingPolicy::kUserSticky, dc);
   EXPECT_TRUE(cluster.LoadModel(ObsModel()).ok());
   ClusterRun out;
@@ -397,8 +388,8 @@ ClusterRun RunClusterObs(size_t hosts, const HostSimConfig& cfg,
 }
 
 /// The subset of DisaggregatedRunReport the obs on/off identity pins (the
-/// full-field version lives in sharded_runtime_test; this covers every
-/// family the instrumentation touches).
+/// full-field version lives in serving_test; this covers every family the
+/// instrumentation touches).
 void ExpectClusterReportsEqual(const DisaggregatedRunReport& a,
                                const DisaggregatedRunReport& b) {
   ASSERT_EQ(a.hosts.size(), b.hosts.size());
@@ -421,69 +412,12 @@ TEST(ObsServing, DisaggregatedReportIsByteIdenticalWithObsOnAndOff) {
   const HostSimConfig off = ObsHostConfig();
   HostSimConfig on = off;
   on.tuning.obs = FullObs();
-  // Single-loop and sharded runtimes, both pinned.
-  for (const size_t shards : {size_t{1}, size_t{2}}) {
-    SCOPED_TRACE(testing::Message() << "num_shards " << shards);
-    const ClusterRun ro = RunClusterObs(2, off, shards, 400, 600);
-    const ClusterRun rx = RunClusterObs(2, on, shards, 400, 600);
-    ExpectClusterReportsEqual(ro.report, rx.report);
-    EXPECT_EQ(ro.metrics, "{}");
-    EXPECT_TRUE(Contains(rx.metrics, "host1/query/requests")) << rx.metrics;
-    EXPECT_TRUE(Contains(rx.trace, "\"name\":\"query\""));
-  }
-}
-
-TEST(ObsServing, ShardedExportsAreBitIdenticalAcrossWorkerCounts) {
-  HostSimConfig cfg = ObsHostConfig();
-  cfg.tuning.obs = FullObs();
-  // High load — real cross-host overlap, thousands of cross-LP messages —
-  // yet the merged documents must not move by one byte with worker count.
-  const ClusterRun k2 = RunClusterObs(2, cfg, 2, 2000, 1500);
-  const ClusterRun k3 = RunClusterObs(2, cfg, 3, 2000, 1500);
-  const ClusterRun k4 = RunClusterObs(2, cfg, 4, 2000, 1500);
-  EXPECT_EQ(k2.metrics, k3.metrics);
-  EXPECT_EQ(k2.metrics, k4.metrics);
-  EXPECT_EQ(k2.trace, k3.trace);
-  EXPECT_EQ(k2.trace, k4.trace);
-  EXPECT_EQ(k2.slo, k3.slo);
-  EXPECT_EQ(k2.slo, k4.slo);
-  // The documents carry both sides of the split fabric instrumentation.
-  EXPECT_TRUE(Contains(k2.metrics, "host0/dev0/fabric/")) << k2.metrics;
-  EXPECT_TRUE(Contains(k2.metrics, "svc/host0/dev0/fabric/"));
-}
-
-TEST(ObsServing, SerialLoadSingleLoopAndShardedAgreeOnAggregates) {
-  // The single-loop determinism oracle, extended to the metric plane: under
-  // serial load the host-side counters (queries, lookups, rows) must agree
-  // exactly between the two runtimes. Device/scheduler metric NAMES differ
-  // structurally between the shapes (single-loop hosts own scheduler slices
-  // under host<i>/, the sharded device shard records under svc/), so the
-  // comparison pins the host-plane series that exist in both.
-  HostSimConfig cfg = ObsHostConfig();
-  cfg.tuning.obs = FullObs();
-  const ClusterRun single = RunClusterObs(2, cfg, 1, 2.0, 120);
-  const ClusterRun sharded = RunClusterObs(2, cfg, 2, 2.0, 120);
-  ExpectClusterReportsEqual(single.report, sharded.report);
-  uint64_t completed = 0;
-  for (const auto& h : single.report.hosts) completed += h.run.queries_completed;
-  double single_total = 0, sharded_total = 0;
-  for (const std::string host : {"host0/", "host1/"}) {
-    for (const std::string series :
-         {"query/requests", "lookup/requests", "lookup/sm_rows"}) {
-      SCOPED_TRACE(host + series);
-      const double s = SumCounterPoints(single.metrics, host + series);
-      const double k = SumCounterPoints(sharded.metrics, host + series);
-      EXPECT_GE(s, 0) << "series missing from single-loop export";
-      EXPECT_EQ(s, k);
-    }
-    single_total += SumCounterPoints(single.metrics, host + "query/requests");
-    sharded_total += SumCounterPoints(sharded.metrics, host + "query/requests");
-  }
-  EXPECT_EQ(single_total, static_cast<double>(completed));
-  EXPECT_EQ(sharded_total, static_cast<double>(completed));
-  // Query spans are host-plane too: same sampled population in both shapes.
-  EXPECT_EQ(CountOccurrences(single.trace, "\"name\":\"query\""),
-            CountOccurrences(sharded.trace, "\"name\":\"query\""));
+  const ClusterRun ro = RunClusterObs(2, off, 400, 600);
+  const ClusterRun rx = RunClusterObs(2, on, 400, 600);
+  ExpectClusterReportsEqual(ro.report, rx.report);
+  EXPECT_EQ(ro.metrics, "{}");
+  EXPECT_TRUE(Contains(rx.metrics, "host1/query/requests")) << rx.metrics;
+  EXPECT_TRUE(Contains(rx.trace, "\"name\":\"query\""));
 }
 
 TEST(ObsServing, SharedTenantsReportIsByteIdenticalWithObsOnAndOff) {

@@ -1,9 +1,18 @@
 // Tests for src/serving: host specs, inference engine semantics (Eq. 3
 // latency hiding, inter-op parallelism), host simulation, fleet power math
-// (Tables 8/9/10/11), cluster routing, multi-tenancy.
+// (Tables 8/9/10/11), cluster routing, multi-tenancy, the disaggregated
+// cluster (its reproducibility under faults and its one-pass replica load).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/lookup_engine.h"
+#include "core/model_loader.h"
+#include "core/model_updater.h"
 #include "dlrm/model_zoo.h"
+#include "embedding/quantization.h"
+#include "fault/fault_injector.h"
 #include "serving/cluster.h"
 #include "serving/host.h"
 #include "serving/power_model.h"
@@ -31,6 +40,9 @@ HostSimConfig SmallHostConfig(HostSpec host = MakeHwSS()) {
 }
 
 ModelConfig SmallModel() { return MakeTinyUniformModel(16, 4, 2, 4000); }
+
+/// Absolute virtual time `d` past the epoch (loops start at SimTime(0)).
+constexpr SimTime At(SimDuration d) { return SimTime(0) + d; }
 
 // ---------------------------------------------------------------------------
 // Host specs (Table 7).
@@ -513,6 +525,270 @@ TEST(Disaggregated, DisabledFabricMatchesIsolatedCluster) {
       EXPECT_EQ(plain.host(i).store().sm_device(d).stats().CounterValue("bus_bytes"),
                 disabled.host(i).store().sm_device(d).stats().CounterValue("bus_bytes"));
     }
+  }
+}
+
+/// Field-by-field equality of two disaggregated reports (virtual-time
+/// metrics only — wall clock never appears in a report).
+void ExpectDisaggReportsEqual(const DisaggregatedRunReport& a,
+                              const DisaggregatedRunReport& b) {
+  ASSERT_EQ(a.hosts.size(), b.hosts.size());
+  for (size_t i = 0; i < a.hosts.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "host " << i);
+    const HostRunReport& x = a.hosts[i].run;
+    const HostRunReport& y = b.hosts[i].run;
+    EXPECT_EQ(x.queries_served, y.queries_served);
+    EXPECT_EQ(x.queries_completed, y.queries_completed);
+    EXPECT_DOUBLE_EQ(x.achieved_qps, y.achieved_qps);
+    EXPECT_EQ(x.p50.nanos(), y.p50.nanos());
+    EXPECT_EQ(x.p95.nanos(), y.p95.nanos());
+    EXPECT_EQ(x.p99.nanos(), y.p99.nanos());
+    EXPECT_EQ(x.mean.nanos(), y.mean.nanos());
+    EXPECT_DOUBLE_EQ(x.row_cache_hit_rate, y.row_cache_hit_rate);
+    EXPECT_DOUBLE_EQ(x.pooled_hit_rate, y.pooled_hit_rate);
+    EXPECT_EQ(x.io_errors, y.io_errors);
+    EXPECT_EQ(x.singleflight_hits, y.singleflight_hits);
+    EXPECT_EQ(x.queries_degraded, y.queries_degraded);
+    EXPECT_EQ(x.rows_failed, y.rows_failed);
+    EXPECT_EQ(x.blocks_corrupt, y.blocks_corrupt);
+    EXPECT_EQ(x.replica_reads, y.replica_reads);
+    EXPECT_EQ(x.read_repairs, y.read_repairs);
+    EXPECT_EQ(x.extents_replicated, y.extents_replicated);
+    EXPECT_EQ(a.hosts[i].share.demand_reads, b.hosts[i].share.demand_reads);
+    EXPECT_EQ(a.hosts[i].share.demand_bytes, b.hosts[i].share.demand_bytes);
+    EXPECT_EQ(a.hosts[i].share.cross_tenant_hits,
+              b.hosts[i].share.cross_tenant_hits);
+    EXPECT_EQ(a.hosts[i].share.cross_tenant_bytes_saved,
+              b.hosts[i].share.cross_tenant_bytes_saved);
+    EXPECT_EQ(a.hosts[i].throttle_queue_time.nanos(),
+              b.hosts[i].throttle_queue_time.nanos());
+  }
+  EXPECT_DOUBLE_EQ(a.mean_hit_rate, b.mean_hit_rate);
+  EXPECT_DOUBLE_EQ(a.aggregate_qps, b.aggregate_qps);
+  EXPECT_EQ(a.sm_device_reads, b.sm_device_reads);
+  EXPECT_EQ(a.io.device_reads, b.io.device_reads);
+  EXPECT_EQ(a.io.cross_request_merges, b.io.cross_request_merges);
+  EXPECT_EQ(a.io.singleflight_hits, b.io.singleflight_hits);
+  EXPECT_EQ(a.io.flushes, b.io.flushes);
+  EXPECT_EQ(a.io.deadline_expired, b.io.deadline_expired);
+  EXPECT_EQ(a.io.hedges_issued, b.io.hedges_issued);
+  EXPECT_EQ(a.io.hedges_won, b.io.hedges_won);
+  EXPECT_EQ(a.cross_host_hits, b.cross_host_hits);
+  EXPECT_EQ(a.cross_host_bytes_saved, b.cross_host_bytes_saved);
+  EXPECT_EQ(a.sm_logical_bytes, b.sm_logical_bytes);
+  EXPECT_EQ(a.sm_unique_bytes, b.sm_unique_bytes);
+  EXPECT_EQ(a.fabric.requests, b.fabric.requests);
+  EXPECT_EQ(a.fabric.responses, b.fabric.responses);
+  EXPECT_EQ(a.fabric.request_bytes, b.fabric.request_bytes);
+  EXPECT_EQ(a.fabric.response_bytes, b.fabric.response_bytes);
+  EXPECT_EQ(a.fabric.queue_time.nanos(), b.fabric.queue_time.nanos());
+  EXPECT_EQ(a.fabric.dropped, b.fabric.dropped);
+  EXPECT_EQ(a.fabric.partition_deferred, b.fabric.partition_deferred);
+  EXPECT_EQ(a.queries_degraded, b.queries_degraded);
+  EXPECT_EQ(a.rows_failed, b.rows_failed);
+  EXPECT_EQ(a.blocks_corrupt, b.blocks_corrupt);
+  EXPECT_EQ(a.replica_reads, b.replica_reads);
+  EXPECT_EQ(a.read_repairs, b.read_repairs);
+  EXPECT_EQ(a.extents_replicated, b.extents_replicated);
+  EXPECT_EQ(a.Summary(), b.Summary());
+}
+
+/// One fresh 3-host cluster under a scripted storm: rtt 20us over a
+/// queued 25 GB/s fabric, checksums, health monitor and re-replication on.
+DisaggregatedRunReport RunStormCluster(const FaultPlan& plan) {
+  HostSimConfig cfg = DisaggHostConfig();
+  cfg.tuning.fabric_latency = Micros(10);
+  cfg.tuning.fabric_bandwidth_bytes_per_sec = 25e9;
+  cfg.tuning.fabric_queueing = true;
+  cfg.tuning.io_deadline = Millis(20);  // the only rescue for a dropped transfer
+  // Re-replication copy retries back off from this base: long enough that
+  // they outlast the error burst, so the copy publishes its route.
+  cfg.tuning.retry_backoff_base = Millis(40);
+  cfg.tuning.enable_checksums = true;
+  cfg.tuning.enable_health_monitor = true;
+  cfg.tuning.enable_replication = true;
+  cfg.tuning.health_window = 8;
+  cfg.tuning.health_probe_interval = 16;
+  DisaggregatedConfig dc;
+  dc.enabled = true;
+  ClusterSimulation cluster(3, cfg, RoutingPolicy::kUserSticky, dc);
+  EXPECT_TRUE(cluster.LoadModel(DisaggModel()).ok());
+  FaultInjector inj(plan, cluster.host_store(0).loop(), /*seed=*/23);
+  cluster.fabric_service()->InstallFaultInjector(&inj);
+  return cluster.RunDisaggregated(/*total_qps=*/3000, /*num_queries=*/3000);
+}
+
+TEST(Disaggregated, FaultStormRunReproducesFieldForField) {
+  // The single loop is the one cluster model, so it must replay itself
+  // exactly at real load — cross-host reads overlapping in flight — with
+  // every fault kind that draws randomness or reorders transfers active.
+  FaultPlan plan;
+  plan.ErrorBurst(At(Millis(100)), At(Millis(300)), /*probability=*/1.0,
+                  /*device=*/0);
+  plan.FabricPartition(At(Millis(450)), At(Millis(500)));
+  plan.FabricDrop(At(Millis(650)), At(Millis(800)), /*probability=*/0.2);
+  const DisaggregatedRunReport a = RunStormCluster(plan);
+  const DisaggregatedRunReport b = RunStormCluster(plan);
+  // The storm bit and the hosts really shared reads.
+  EXPECT_GT(a.cross_host_hits, 0u);
+  EXPECT_GT(a.rows_failed, 0u);
+  EXPECT_GT(a.fabric.partition_deferred, 0u);
+  EXPECT_GT(a.fabric.dropped, 0u);
+  EXPECT_GT(a.io.deadline_expired, 0u);
+  EXPECT_GT(a.extents_replicated, 0u);
+  uint64_t completed = 0;
+  uint64_t served = 0;
+  for (const auto& h : a.hosts) {
+    completed += h.run.queries_completed;
+    served += h.run.queries_served;
+  }
+  EXPECT_EQ(completed, served);  // nothing wedged behind a lost transfer
+  ExpectDisaggReportsEqual(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Replica loading: one ModelLoader::LoadReplicas pass per cluster.
+// ---------------------------------------------------------------------------
+
+/// DisaggHostConfig with batching delay off and a 5us fabric hop.
+HostSimConfig ReplicaHostConfig() {
+  HostSimConfig cfg = DisaggHostConfig();
+  cfg.tuning.max_batch_delay = SimDuration(0);
+  cfg.tuning.fabric_latency = Micros(5);
+  return cfg;
+}
+
+/// Stored bytes of unpruned row `row` of `table` as `store` sees them
+/// (through its own mapping tensor), dequantized; empty when pruned away.
+std::vector<float> StoredRow(SdmStore& store, TableId table, RowIndex row) {
+  const TableRuntime& t = store.table(table);
+  RowIndex physical = row;
+  if (t.mapping.has_value()) {
+    const auto mapped = t.mapping->Lookup(row);
+    if (!mapped.has_value()) return {};
+    physical = *mapped;
+  }
+  const Bytes row_bytes = t.config.row_bytes();
+  const auto bytes =
+      t.tier == MemoryTier::kSm
+          ? store.sm_device(t.sm_device).backing().subspan(t.offset + physical * row_bytes,
+                                                           row_bytes)
+          : store.fm().View(t.offset + physical * row_bytes, row_bytes).value();
+  std::vector<float> out(t.config.dim);
+  DequantizeRow(t.config.dtype, bytes, out);
+  return out;
+}
+
+TEST(ReplicaLoad, PrunedModelGivesEveryHostItsOwnMapping) {
+  HostSimConfig cfg = ReplicaHostConfig();
+  cfg.loader.prune_keep_fraction = 0.75;
+  cfg.tuning.deprune_at_load = false;
+  const ModelConfig model = DisaggModel();
+  constexpr size_t kHosts = 3;
+
+  // A standalone load of the host shape: the per-host reference.
+  EventLoop solo_loop;
+  SdmStoreConfig solo_cfg;
+  solo_cfg.fm_capacity = cfg.fm_capacity;
+  solo_cfg.tuning = cfg.tuning;
+  solo_cfg.sm_specs = cfg.host.ssds;
+  solo_cfg.sm_backing_bytes.assign(cfg.host.ssds.size(), cfg.sm_backing_per_device);
+  SdmStore solo(solo_cfg, &solo_loop);
+  const auto solo_report = ModelLoader::Load(model, cfg.loader, &solo);
+  ASSERT_TRUE(solo_report.ok()) << solo_report.status().ToString();
+  ASSERT_GT(solo_report.value().fm_mapping_bytes, 0u);
+  ASSERT_GT(solo_report.value().tables_pruned, 0u);
+
+  const std::vector<RowIndex> rows = {0, 1, 17, 999, 12'345, 39'999};
+  DisaggregatedConfig dc;
+  dc.enabled = true;
+  ClusterSimulation cluster(kHosts, cfg, RoutingPolicy::kUserSticky, dc);
+  ASSERT_TRUE(cluster.LoadModel(model).ok());
+
+  for (size_t h = 0; h < kHosts; ++h) {
+    SCOPED_TRACE(testing::Message() << "host " << h);
+    SdmStore& store = cluster.host_store(h);
+    EXPECT_EQ(store.fm_mapping_bytes(), solo_report.value().fm_mapping_bytes);
+    EXPECT_EQ(store.sm_used_bytes(), solo_report.value().sm_bytes);
+    for (size_t t = 0; t < model.tables.size(); ++t) {
+      const TableId id = MakeTableId(static_cast<uint32_t>(t));
+      const TableRuntime& rt = store.table(id);
+      ASSERT_EQ(rt.mapping.has_value(), solo.table(id).mapping.has_value());
+      if (rt.mapping.has_value() && h > 0) {
+        // Its own copy, not an alias of host 0's tensor.
+        EXPECT_NE(rt.mapping->map.data(), cluster.host_store(0).table(id).mapping->map.data());
+        EXPECT_EQ(rt.mapping->map, solo.table(id).mapping->map);
+      }
+      const uint64_t seed = ModelLoader::TableSeed(cfg.loader, t);
+      for (const RowIndex r : rows) {
+        if (r >= model.tables[t].num_rows) continue;
+        const std::vector<float> got = StoredRow(store, id, r);
+        if (got.empty()) continue;  // pruned away
+        const std::vector<float> ref =
+            EmbeddingTableImage::ReferenceRowValues(model.tables[t], seed, r);
+        ASSERT_EQ(got.size(), ref.size());
+        for (size_t d = 0; d < ref.size(); ++d) {
+          EXPECT_NEAR(got[d], ref[d], 2.0f / 255.0f + 1e-5f) << "table " << t << " row " << r;
+        }
+      }
+    }
+  }
+
+  // Pooled lookups through each host's own mapping match the reference rows.
+  const TableId user = MakeTableId(0);
+  const uint64_t seed = ModelLoader::TableSeed(cfg.loader, 0);
+  for (size_t h = 0; h < kHosts; ++h) {
+    SdmStore& store = cluster.host_store(h);
+    std::vector<float> expect(model.tables[0].dim, 0.0f);
+    size_t kept = 0;
+    for (const RowIndex r : rows) {
+      if (!store.table(user).mapping->Lookup(r).has_value()) continue;
+      ++kept;
+      const auto ref = EmbeddingTableImage::ReferenceRowValues(model.tables[0], seed, r);
+      for (size_t d = 0; d < ref.size(); ++d) expect[d] += ref[d];
+    }
+    ASSERT_GT(kept, 0u);
+    LookupEngine engine(&store);
+    std::vector<float> pooled;
+    bool done = false;
+    LookupRequest req;
+    req.table = user;
+    req.indices = rows;
+    engine.Lookup(std::move(req), [&](Status s, std::vector<float> out, const LookupTrace&) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      pooled = std::move(out);
+      done = true;
+    });
+    store.loop()->RunUntilIdle();
+    ASSERT_TRUE(done);
+    ASSERT_EQ(pooled.size(), expect.size());
+    for (size_t d = 0; d < expect.size(); ++d) {
+      EXPECT_NEAR(pooled[d], expect[d], static_cast<float>(kept) * (2.0f / 255.0f + 1e-5f))
+          << "host " << h;
+    }
+  }
+
+  // The stack holds one model's worth of bytes for all the hosts.
+  const DisaggregatedRunReport r = cluster.RunDisaggregated(/*total_qps=*/2.0, 12);
+  EXPECT_EQ(r.sm_unique_bytes, solo_report.value().sm_bytes);
+  EXPECT_EQ(r.sm_logical_bytes, kHosts * solo_report.value().sm_bytes);
+}
+
+TEST(ReplicaLoad, NoHostMayUpdateAnExtentOtherHostsServe) {
+  // Host 0 places every SM extent and host 1 attaches; an in-place refresh
+  // from EITHER host would rewrite bytes the other one serves.
+  DisaggregatedConfig dc;
+  dc.enabled = true;
+  ClusterSimulation cluster(2, ReplicaHostConfig(), RoutingPolicy::kUserSticky, dc);
+  ASSERT_TRUE(cluster.LoadModel(DisaggModel()).ok());
+  UpdateOptions opts;
+  opts.row_fraction = 0.1;
+  for (const size_t h : {size_t{0}, size_t{1}}) {
+    ModelUpdater updater(&cluster.host_store(h));
+    const auto report = updater.Update(opts);
+    ASSERT_FALSE(report.ok()) << "host " << h;
+    EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(cluster.host_store(h).extent_shared(MakeTableId(0)));
   }
 }
 

@@ -3,7 +3,7 @@
 //
 //   no-wall-clock    simulation code must read virtual time (EventLoop), not
 //                    the host clock — wall-clock reads break bit-identical
-//                    replay across machines and worker counts.
+//                    replay across machines and runs.
 //   no-ambient-rng   all randomness flows through src/common/rng.h's seeded
 //                    streams; ambient RNG breaks (plan, seed) replays.
 //   ordered-exports  report/export/Summary/Json paths must not iterate
@@ -15,8 +15,8 @@
 //                    byte-identity (or behavior) test pinning its default.
 //   obs-name-prefix  metric registrations follow PR 9's source-prefixed
 //                    "group/metric" scheme: a runtime source prefix plus a
-//                    lowercase slash-separated literal, so per-LP registries
-//                    stay disjoint and sharded merges stay bit-identical.
+//                    lowercase slash-separated literal, so hosts sharing one
+//                    registry stay disjoint.
 #include <cctype>
 
 #include "lint/lint_engine.h"
@@ -455,8 +455,8 @@ class ObsNamePrefixCheck : public Check {
         out->push_back({name(), ctx.path, last_literal->line,
                         "metric registered without a runtime source prefix — "
                         "write `prefix + \"" + last_literal->text +
-                            "\"` so per-LP registries stay disjoint and "
-                            "sharded merges stay bit-identical"});
+                            "\"` so hosts sharing one registry stay "
+                            "disjoint"});
       }
     }
   }

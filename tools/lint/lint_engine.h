@@ -1,8 +1,8 @@
 // sdm_lint — a determinism-invariant linter for this repository.
 //
 // The serving stack's headline guarantee is bit-identical results across
-// worker counts, byte-inert knobs, and replayable fault plans. The runtime
-// oracle tests (sharded_runtime_test, obs_test, fault_injection_test) catch a
+// runs, byte-inert knobs, and replayable fault plans. The runtime
+// oracle tests (serving_test, obs_test, fault_injection_test) catch a
 // violation only AFTER someone writes wall-clock reads, ambient RNG, or
 // unordered-container iteration into a report path. This tool catches those
 // classes at lint time, before the oracle ever runs.
