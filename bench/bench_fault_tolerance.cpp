@@ -85,7 +85,7 @@ FaultPlan StormPlan(SimTime t0) {
 }
 
 struct LegResult {
-  DisaggregatedRunReport report;
+  ClusterRunReport report;
   uint64_t completed = 0;
   uint64_t served = 0;
   double availability_pct = 0;
@@ -144,7 +144,7 @@ LegResult RunStorm(bool responses, const std::string* trace_out = nullptr) {
   cluster.fabric_service()->InstallFaultInjector(&injector);
 
   LegResult leg;
-  leg.report = cluster.RunDisaggregated(kTotalQps, kStormQueries);
+  leg.report = cluster.Run(kTotalQps, kStormQueries);
   if (trace_out != nullptr) {
     WriteDoc(*trace_out, cluster.ObsTraceJson());
     WriteDoc(*trace_out + ".metrics.json", cluster.ObsMetricsJson());
@@ -261,8 +261,8 @@ std::string FaultFreeFingerprint(bool install_empty) {
         FaultPlan(), cluster.host_store(0).loop(), /*seed=*/99);
     cluster.fabric_service()->InstallFaultInjector(injector.get());
   }
-  const DisaggregatedRunReport r =
-      cluster.RunDisaggregated(kTotalQps, kStormQueries / 4);
+  const ClusterRunReport r =
+      cluster.Run(kTotalQps, kStormQueries / 4);
   std::string fp = r.Summary();
   for (const auto& h : r.hosts) {
     fp += "\n";

@@ -52,28 +52,8 @@ HostSimConfig BaseConfig() {
   return base;
 }
 
-/// Physical SM device reads across the host, both modes.
-uint64_t TotalDeviceReads(MultiTenantHost& host) {
-  if (host.shared_device()) {
-    uint64_t reads = 0;
-    for (size_t d = 0; d < host.service()->device_count(); ++d) {
-      reads += host.service()->device(d).stats().CounterValue("reads");
-    }
-    return reads;
-  }
-  uint64_t reads = 0;
-  for (size_t i = 0; i < host.tenant_count(); ++i) {
-    SdmStore& store = host.tenant_store(i);
-    for (size_t d = 0; d < store.sm_device_count(); ++d) {
-      reads += store.sm_device(d).stats().CounterValue("reads");
-    }
-  }
-  return reads;
-}
-
 struct SweepPoint {
-  MultiTenantReport report;
-  uint64_t device_reads = 0;
+  ClusterRunReport report;
   double fg_p99_ms = 0;   ///< mean p99 over foreground tenants
   double fg_qps = 0;      ///< aggregate foreground achieved QPS
 };
@@ -82,8 +62,8 @@ struct SweepPoint {
 /// and runs one measured pass.
 SweepPoint RunTenants(bool shared, int foreground, int background, double qps,
                       uint64_t queries) {
-  const HostSimConfig base = BaseConfig();
-  MultiTenantHost host(base, /*seed=*/0x7e, shared);
+  HostSimConfig base = BaseConfig();
+  base.seed = 0x7e;
   // Capacity-bound tenants (the §5.3 premise): user tables far larger than
   // the FM share, so the row cache cannot hold the hot set and hot-block
   // misses recur — the traffic co-location must absorb. The item table is
@@ -97,24 +77,18 @@ SweepPoint RunTenants(bool shared, int foreground, int background, double qps,
     if (tc.role == TableRole::kUser) tc.zipf_alpha = 1.1;
   }
   const Bytes fm_share = 1 * kMiB;
-  for (int i = 0; i < foreground; ++i) {
-    if (Status s = host.AddTenant(model, fm_share, TenantClass::kForeground); !s.ok()) {
-      std::fprintf(stderr, "tenant load failed: %s\n", s.ToString().c_str());
-      std::exit(1);
-    }
-  }
-  for (int i = 0; i < background; ++i) {
-    if (Status s = host.AddTenant(model, fm_share, TenantClass::kBackground); !s.ok()) {
-      std::fprintf(stderr, "tenant load failed: %s\n", s.ToString().c_str());
-      std::exit(1);
-    }
+  std::vector<HostRole> roles(foreground, HostRole{model, fm_share, TenantClass::kForeground});
+  roles.resize(foreground + background, HostRole{model, fm_share, TenantClass::kBackground});
+  ClusterSimulation host(roles.size(), base, RoutingPolicy::kLocal,
+                         DisaggregatedConfig{.enabled = shared});
+  if (Status s = host.LoadModels(roles); !s.ok()) {
+    std::fprintf(stderr, "tenant load failed: %s\n", s.ToString().c_str());
+    std::exit(1);
   }
   SweepPoint pt;
-  const uint64_t reads0 = TotalDeviceReads(host);
-  pt.report = host.Run(qps, queries);
-  pt.device_reads = TotalDeviceReads(host) - reads0;
+  pt.report = host.Run(qps * static_cast<double>(roles.size()), queries * roles.size());
   int fg = 0;
-  for (const auto& t : pt.report.tenants) {
+  for (const auto& t : pt.report.hosts) {
     if (t.cls != TenantClass::kForeground) continue;
     pt.fg_p99_ms += t.run.p99.millis();
     pt.fg_qps += t.run.achieved_qps;
@@ -140,22 +114,19 @@ int main(int argc, char** argv) {
   for (const int tenants : {2, 4, 6}) {
     const SweepPoint iso = RunTenants(false, tenants, 0, kQps, kQueries);
     const SweepPoint sh = RunTenants(true, tenants, 0, kQps, kQueries);
-    uint64_t xt = 0;
-    for (const auto& tr : sh.report.tenants) xt += tr.cross_tenant_hits;
+    const uint64_t xt = sh.report.cross_host_hits;
     // Isolated mode still single-flights WITHIN each tenant (per-host
     // scheduler); only cross-tenant sharing is impossible there.
-    uint64_t iso_sf = 0;
-    for (const auto& tr : iso.report.tenants) iso_sf += tr.run.singleflight_hits;
-    const double reduction = sh.device_reads == 0
+    const double reduction = sh.report.sm_device_reads == 0
                                  ? 0
-                                 : static_cast<double>(iso.device_reads) /
-                                       static_cast<double>(sh.device_reads);
-    t.Row(tenants, "isolated", iso.device_reads, iso_sf,
+                                 : static_cast<double>(iso.report.sm_device_reads) /
+                                       static_cast<double>(sh.report.sm_device_reads);
+    t.Row(tenants, "isolated", iso.report.sm_device_reads, iso.report.io.singleflight_hits,
           uint64_t{0}, iso.fg_p99_ms,
           bench::Fmt("%.1f / %.1f", AsMiB(iso.report.sm_unique_bytes),
                      AsMiB(iso.report.sm_logical_bytes)),
           "1.00");
-    t.Row(tenants, "shared", sh.device_reads, sh.report.io.singleflight_hits, xt,
+    t.Row(tenants, "shared", sh.report.sm_device_reads, sh.report.io.singleflight_hits, xt,
           sh.fg_p99_ms,
           bench::Fmt("%.1f / %.1f", AsMiB(sh.report.sm_unique_bytes),
                      AsMiB(sh.report.sm_logical_bytes)),
@@ -181,7 +152,7 @@ int main(int argc, char** argv) {
   const SweepPoint mixed = RunTenants(true, 2, 2, kQps, kQueries);
   double bg_p99 = 0;
   int bg_n = 0;
-  for (const auto& tr : mixed.report.tenants) {
+  for (const auto& tr : mixed.report.hosts) {
     if (tr.cls == TenantClass::kBackground) {
       bg_p99 += tr.run.p99.millis();
       ++bg_n;
@@ -204,7 +175,7 @@ int main(int argc, char** argv) {
       fg_p99_ratio, (1 / std::max(fg_p99_ratio, 1e-9) - 1) * 100));
   json.Metric("fg_p99_ratio", fg_p99_ratio);
   json.Metric("bg_reads", mixed.report.io.background_reads);
-  for (const auto& tr : mixed.report.tenants) {
+  for (const auto& tr : mixed.report.hosts) {
     bench::Note(tr.Summary());
   }
 
@@ -212,7 +183,7 @@ int main(int argc, char** argv) {
   bench::Section("capacity — the co-located set needs SM (§5.3 setup)");
   bench::Table f2({"tenant", "QPS", "p95 ms", "hit %", "FM share MiB", "SM MiB"});
   Bytes sm_total = 0;
-  for (const auto& tr : mixed.report.tenants) {
+  for (const auto& tr : mixed.report.hosts) {
     f2.Row(tr.model_name, tr.run.achieved_qps, tr.run.p95.millis(),
            tr.run.row_cache_hit_rate * 100, AsMiB(tr.fm_used), AsMiB(tr.sm_used));
     sm_total += tr.sm_used;

@@ -128,58 +128,32 @@ ModelConfig DisaggModel() {
   return model;
 }
 
-struct LocalPoint {
-  uint64_t device_reads = 0;
+struct ClusterPoint {
+  ClusterRunReport report;
   double p95_ms = 0;  ///< mean over hosts
 };
 
-/// Local-SM baseline: N hosts with PRIVATE device stacks serving the same
-/// replicated model (MultiTenantHost isolated mode, one "tenant" per host).
-LocalPoint RunLocal(int hosts, double qps_per_host, uint64_t queries_per_host) {
-  const HostSimConfig base = DisaggBase();
-  MultiTenantHost fleet(base, base.seed, /*shared_device=*/false);
-  const ModelConfig model = DisaggModel();
-  for (int i = 0; i < hosts; ++i) {
-    if (Status s = fleet.AddTenant(model, base.fm_capacity); !s.ok()) {
-      std::fprintf(stderr, "local host load failed: %s\n", s.ToString().c_str());
-      std::exit(1);
-    }
-  }
-  const MultiTenantReport r = fleet.Run(qps_per_host, queries_per_host);
-  LocalPoint pt;
-  for (size_t i = 0; i < fleet.tenant_count(); ++i) {
-    SdmStore& store = fleet.tenant_store(i);
-    for (size_t d = 0; d < store.sm_device_count(); ++d) {
-      pt.device_reads += store.sm_device(d).stats().CounterValue("reads");
-    }
-  }
-  for (const auto& t : r.tenants) pt.p95_ms += t.run.p95.millis();
-  pt.p95_ms /= static_cast<double>(hosts);
-  return pt;
-}
-
-struct DisaggPoint {
-  DisaggregatedRunReport report;
-  double p95_ms = 0;  ///< mean over hosts
-};
-
-/// Disaggregated: N hosts attach to ONE fabric-attached stack behind
-/// `rtt/2` one-way latency (25 GB/s per direction, FIFO-queued hops).
-DisaggPoint RunDisagg(int hosts, SimDuration rtt, double qps_per_host,
-                      uint64_t queries_per_host) {
+/// N hosts serving the replicated model on one loop: each on a PRIVATE
+/// device stack (local SM, `rtt` unused), or all attached to ONE fabric
+/// stack behind `rtt/2` one-way latency (25 GB/s per direction, FIFO-queued
+/// hops).
+ClusterPoint RunCluster(bool disaggregated, int hosts, SimDuration rtt, double qps_per_host,
+                        uint64_t queries_per_host) {
   HostSimConfig base = DisaggBase();
-  base.tuning.fabric_latency = rtt / 2;
-  base.tuning.fabric_bandwidth_bytes_per_sec = 25e9;
-  base.tuning.fabric_queueing = true;
-  DisaggregatedConfig dc;
-  dc.enabled = true;
-  ClusterSimulation cluster(hosts, base, RoutingPolicy::kUserSticky, dc);
+  RoutingPolicy policy = RoutingPolicy::kLocal;
+  if (disaggregated) {
+    base.tuning.fabric_latency = rtt / 2;
+    base.tuning.fabric_bandwidth_bytes_per_sec = 25e9;
+    base.tuning.fabric_queueing = true;
+    policy = RoutingPolicy::kUserSticky;
+  }
+  ClusterSimulation cluster(hosts, base, policy, DisaggregatedConfig{.enabled = disaggregated});
   if (Status s = cluster.LoadModel(DisaggModel()); !s.ok()) {
-    std::fprintf(stderr, "disaggregated load failed: %s\n", s.ToString().c_str());
+    std::fprintf(stderr, "cluster load failed: %s\n", s.ToString().c_str());
     std::exit(1);
   }
-  DisaggPoint pt;
-  pt.report = cluster.RunDisaggregated(qps_per_host * hosts, queries_per_host * hosts);
+  ClusterPoint pt;
+  pt.report = cluster.Run(qps_per_host * hosts, queries_per_host * hosts);
   for (const auto& h : pt.report.hosts) pt.p95_ms += h.run.p95.millis();
   pt.p95_ms /= static_cast<double>(hosts);
   return pt;
@@ -254,16 +228,16 @@ int main(int argc, char** argv) {
   bench::Table d({"hosts", "mode", "device reads", "sf hits", "x-host", "p95 ms",
                   "SM MiB (phys/logical)", "read reduction"});
   double headline_reduction = 0;
-  DisaggPoint four_hosts_rtt5;  // reused by the rtt sweep (deterministic)
+  ClusterPoint four_hosts_rtt5;  // reused by the rtt sweep (deterministic)
   for (const int hosts : {2, 4, 6}) {
-    const LocalPoint local = RunLocal(hosts, kQpsPerHost, kQueriesPerHost);
-    const DisaggPoint dis = RunDisagg(hosts, kRtt, kQpsPerHost, kQueriesPerHost);
+    const ClusterPoint local = RunCluster(false, hosts, kRtt, kQpsPerHost, kQueriesPerHost);
+    const ClusterPoint dis = RunCluster(true, hosts, kRtt, kQpsPerHost, kQueriesPerHost);
     const double reduction =
         dis.report.sm_device_reads == 0
             ? 0
-            : static_cast<double>(local.device_reads) /
+            : static_cast<double>(local.report.sm_device_reads) /
                   static_cast<double>(dis.report.sm_device_reads);
-    d.Row(hosts, "local SM", local.device_reads, uint64_t{0}, uint64_t{0},
+    d.Row(hosts, "local SM", local.report.sm_device_reads, uint64_t{0}, uint64_t{0},
           local.p95_ms, "private stacks", "1.00");
     d.Row(hosts, "disaggregated", dis.report.sm_device_reads,
           dis.report.io.singleflight_hits, dis.report.cross_host_hits, dis.p95_ms,
@@ -293,9 +267,9 @@ int main(int argc, char** argv) {
                   "fabric resp MiB", "fabric queue us"});
   for (const double rtt_us : {0.0, 5.0, 20.0}) {
     // The 5us point is the host-count sweep's 4-host run (deterministic).
-    const DisaggPoint dis =
+    const ClusterPoint dis =
         rtt_us == 5.0 ? four_hosts_rtt5
-                      : RunDisagg(4, Micros(rtt_us), kQpsPerHost, kQueriesPerHost);
+                      : RunCluster(true, 4, Micros(rtt_us), kQpsPerHost, kQueriesPerHost);
     f.Row(rtt_us, dis.report.sm_device_reads, dis.report.cross_host_hits,
           dis.p95_ms, AsMiB(dis.report.fabric.response_bytes),
           dis.report.fabric.queue_time.micros());

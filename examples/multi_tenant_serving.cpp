@@ -1,7 +1,7 @@
 // Multi-tenant serving on one shared SM device stack (§5.3 + src/tenant):
 // a latency-sensitive recommender (foreground) co-locates with a batch
-// scorer replaying the same model offline (background). Both shards attach
-// to ONE SharedDeviceService, so:
+// scorer replaying the same model offline (background). Both hosts of one
+// ClusterSimulation attach to ONE device stack (an instant fabric), so:
 //
 //   - the scorer's byte-identical tables dedup to the recommender's device
 //     extents (no second copy on SM);
@@ -16,7 +16,7 @@
 
 #include "common/logging.h"
 #include "dlrm/model_zoo.h"
-#include "tenant/multi_tenant_host.h"
+#include "serving/cluster.h"
 
 using namespace sdm;
 
@@ -37,20 +37,19 @@ int main(int argc, char** argv) {
   base.sm_backing_per_device = 64 * kMiB;
   base.workload.num_users = 2000;
   base.tuning.max_batch_delay = Micros(50);
+  base.seed = 0x5e;
 
-  MultiTenantHost host(base, /*seed=*/0x5e, /*shared_device=*/true);
-  if (Status s = host.AddTenant(model, 4 * kMiB, TenantClass::kForeground); !s.ok()) {
-    std::fprintf(stderr, "foreground tenant failed: %s\n", s.ToString().c_str());
+  ClusterSimulation host(2, base, RoutingPolicy::kLocal, DisaggregatedConfig{.enabled = true});
+  const HostRole roles[] = {{model, 4 * kMiB, TenantClass::kForeground},
+                            {model, 4 * kMiB, TenantClass::kBackground}};
+  if (Status s = host.LoadModels(roles); !s.ok()) {
+    std::fprintf(stderr, "tenant load failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  if (Status s = host.AddTenant(model, 4 * kMiB, TenantClass::kBackground); !s.ok()) {
-    std::fprintf(stderr, "background tenant failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
 
-  const MultiTenantReport r = host.Run(qps, 4000);
+  const ClusterRunReport r = host.Run(2 * qps, 2 * 4000);
   std::printf("\n%s\n\n", r.Summary().c_str());
-  for (const auto& t : r.tenants) {
+  for (const auto& t : r.hosts) {
     std::printf("  %s\n", t.Summary().c_str());
   }
 
@@ -60,9 +59,9 @@ int main(int argc, char** argv) {
       "%llu promoted on foreground overlap), keeping the recommender's p99 at\n"
       "%.2f ms while both tenants run from one device stack.\n",
       AsMiB(r.sm_logical_bytes - r.sm_unique_bytes),
-      static_cast<unsigned long long>(r.tenants[1].cross_tenant_hits),
+      static_cast<unsigned long long>(r.hosts[1].share.cross_tenant_hits),
       static_cast<unsigned long long>(r.io.background_parked),
       static_cast<unsigned long long>(r.io.background_promoted),
-      r.tenants[0].run.p99.millis());
+      r.hosts[0].run.p99.millis());
   return 0;
 }

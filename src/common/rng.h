@@ -13,6 +13,15 @@
 
 namespace sdm {
 
+/// splitmix64's output function: a bijective 64-bit hash. Seed derivations
+/// (per host, per table, per Feistel round) and Rng seeding all use it.
+[[nodiscard]] inline uint64_t Mix64(uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** PRNG seeded via splitmix64. Not cryptographic; fast and
 /// statistically solid for simulation workloads.
 class Rng {

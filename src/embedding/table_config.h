@@ -33,6 +33,8 @@ struct TableConfig {
   [[nodiscard]] double bytes_per_query() const {
     return avg_pooling_factor * static_cast<double>(row_bytes());
   }
+
+  bool operator==(const TableConfig&) const = default;
 };
 
 /// Configuration of a whole model's sparse part plus its dense-layer shape
@@ -58,6 +60,8 @@ struct ModelConfig {
 
   /// IO operations per query hitting tables of `role` (Eq. 8 numerator).
   [[nodiscard]] double LookupsPerQuery(TableRole role) const;
+
+  bool operator==(const ModelConfig&) const = default;
 };
 
 }  // namespace sdm

@@ -13,10 +13,10 @@
 //
 // An INSTANT link (zero latency, unlimited bandwidth) delivers callbacks
 // synchronously, so a zero-latency fabric is event-order identical to no
-// fabric at all — the byte-identity anchor the cluster tests pin
-// (disaggregated mode with an instant fabric == MultiTenantHost::RunShared
-// with the same stores). Traffic is still accounted, so an instant link
-// reports how many bytes WOULD have crossed.
+// fabric at all: a cluster on an instant fabric is hosts co-located on one
+// local shared device stack (§5.3), which serving_test pins against golden
+// values. Traffic is still accounted, so an instant link reports how many
+// bytes WOULD have crossed.
 #pragma once
 
 #include "common/event_loop.h"

@@ -13,7 +13,7 @@
 // TableId-only overloads), which reduces to the original behavior. When
 // constructed with an EventLoop the throttle also accounts, per tenant,
 // the virtual time work spent queued for a slot — the queueing component
-// of a tenant's IO latency, reported by TenantReport.
+// of a tenant's IO latency, reported by ClusterHostReport.
 #pragma once
 
 #include <cstdint>

@@ -85,6 +85,25 @@ CrossRequestIoStats CrossRequestIoStats::Since(const CrossRequestIoStats& base) 
   return d;
 }
 
+CrossRequestIoStats& CrossRequestIoStats::operator+=(const CrossRequestIoStats& o) {
+  device_reads += o.device_reads;
+  cross_request_merges += o.cross_request_merges;
+  singleflight_hits += o.singleflight_hits;
+  singleflight_bytes_saved += o.singleflight_bytes_saved;
+  flushes += o.flushes;
+  prefetch_reads += o.prefetch_reads;
+  prefetch_dropped += o.prefetch_dropped;
+  prefetch_promoted += o.prefetch_promoted;
+  background_reads += o.background_reads;
+  background_parked += o.background_parked;
+  background_promoted += o.background_promoted;
+  deadline_expired += o.deadline_expired;
+  hedges_issued += o.hedges_issued;
+  hedges_won += o.hedges_won;
+  replica_hedges += o.replica_hedges;
+  return *this;
+}
+
 TenantIoShare TenantIoShare::Since(const TenantIoShare& base) const {
   TenantIoShare d;
   d.demand_reads = demand_reads - base.demand_reads;

@@ -118,6 +118,8 @@ struct CrossRequestIoStats {
   /// This-minus-base, field by field. Counters are cumulative across runs;
   /// every run report subtracts its start-of-run snapshot through here.
   [[nodiscard]] CrossRequestIoStats Since(const CrossRequestIoStats& base) const;
+  /// Field-by-field sum (aggregating schedulers or device stacks).
+  CrossRequestIoStats& operator+=(const CrossRequestIoStats& o);
 };
 
 /// One tenant's slice of a scheduler's device traffic — the fair-share

@@ -8,13 +8,13 @@ namespace sdm {
 
 std::vector<ArrivalStats> RunInterleavedArrivals(
     EventLoop& loop, std::span<const ArrivalParticipant> participants,
-    double qps_each, uint64_t queries_each, const ArrivalRoute& route) {
+    double qps_each, const ArrivalRoute& route) {
   assert(qps_each > 0);
   std::vector<ArrivalStats> stats(participants.size());
   for (size_t i = 0; i < participants.size(); ++i) {
     Rng arrivals(participants[i].arrival_seed);
     SimTime next_arrival = loop.Now();
-    for (uint64_t q = 0; q < queries_each; ++q) {
+    for (uint64_t q = 0; q < participants[i].queries; ++q) {
       next_arrival += Seconds(arrivals.NextExponential(1.0 / qps_each));
       loop.ScheduleAt(next_arrival, [&participants, &stats, &route, i] {
         const Query query = participants[i].workload->Next();
@@ -27,7 +27,6 @@ std::vector<ArrivalStats> RunInterleavedArrivals(
                 st.latencies.Record(trace.total);
                 ++st.completed;
                 if (trace.degraded) ++st.degraded;
-                st.rows_failed += trace.rows_failed;
               }
             });
       });

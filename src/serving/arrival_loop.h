@@ -1,20 +1,16 @@
-// RunInterleavedArrivals — the shared interleaved open-loop arrival driver
-// behind every "many engines, one EventLoop" experiment.
+// RunInterleavedArrivals — the one open-loop arrival driver behind every
+// serving run: HostSimulation::Run (one participant) and
+// ClusterSimulation::Run (one participant per host, private or shared
+// device stacks alike).
 //
-// MultiTenantHost::RunShared introduced the loop (every tenant's Poisson
-// arrivals interleave in virtual time so concurrent tenants' reads meet in
-// the shared BatchSchedulers); ClusterSimulation::RunDisaggregated is its
-// generalization — N HOSTS on one loop, with a router deciding which
-// host's engine each arrival enters. The only degree of freedom between
-// the two is that routing hook, so the loop lives here once:
-//
-//   - each participant runs an independent Poisson process (qps_each,
-//     queries_each) seeded by its own arrival_seed, all interleaved on one
-//     EventLoop;
+//   - each participant runs an independent Poisson process at `qps_each`
+//     for its own `queries`, seeded by its own arrival_seed, all
+//     interleaved on one EventLoop (so concurrent hosts' reads meet in a
+//     shared stack's BatchSchedulers);
 //   - an arrival draws the next query from its SOURCE participant's
 //     workload, then `route(source, query)` picks the participant whose
-//     engine serves it (identity for the multi-tenant host; user-sticky /
-//     random / local for the cluster);
+//     engine serves it (identity for one host or kLocal; user-sticky or
+//     random for a routed cluster);
 //   - stats are attributed to the SERVING participant: `served` counts
 //     arrivals entering its engine, `completed` and `latencies` its OK
 //     completions.
@@ -37,6 +33,7 @@ struct ArrivalParticipant {
   QueryGenerator* workload = nullptr;
   /// Seeds this participant's independent Poisson arrival process.
   uint64_t arrival_seed = 0;
+  uint64_t queries = 0;  ///< arrivals this participant draws
 };
 
 struct ArrivalStats {
@@ -46,7 +43,6 @@ struct ArrivalStats {
   /// Of `completed`, queries whose pooled output is missing rows (some
   /// embedding IO exhausted retries or was shed; graceful degradation).
   uint64_t degraded = 0;
-  uint64_t rows_failed = 0;  ///< zero-filled rows across degraded queries
 };
 
 /// Maps (source participant, drawn query) to the serving participant.
@@ -56,6 +52,6 @@ using ArrivalRoute = std::function<size_t(size_t source, const Query& query)>;
 /// returns per-participant stats (indexed like `participants`).
 std::vector<ArrivalStats> RunInterleavedArrivals(
     EventLoop& loop, std::span<const ArrivalParticipant> participants,
-    double qps_each, uint64_t queries_each, const ArrivalRoute& route);
+    double qps_each, const ArrivalRoute& route);
 
 }  // namespace sdm

@@ -5,39 +5,35 @@
 //   each host sees a stable user sub-population and higher per-host
 //   temporal locality than the global trace (paper Fig. 4c). Random
 //   routing is available as the baseline.
-// - Disaggregated mode (src/fabric): instead of per-host private SM, all
-//   hosts' stores attach to ONE FabricAttachedService — a shared device
-//   stack behind a configurable fabric hop — and RunDisaggregated
-//   interleaves every host's arrivals on one EventLoop so cross-HOST
-//   single-flight of shared hot blocks is actually exercised (the
-//   measured counterpart of the analytic ScaleOutModel below).
+// - ClusterSimulation is the one multi-host driver: N hosts on one
+//   EventLoop, each with its own model, FM share and TenantClass. Its SM
+//   is either a private device stack per host, or (DisaggregatedConfig)
+//   ONE FabricAttachedService every host attaches to, so cross-HOST
+//   single-flight of shared hot blocks is actually exercised. With zero
+//   fabric knobs the link is instant: that is §5.3's co-location of
+//   several models on one host's shared device stack.
 // - ScaleOutModel: analytic latency/power for the (Lui et al.) sharded
 //   alternative SDM competes against in §5.2.
-// - MultiTenantHost (src/tenant/multi_tenant_host.h, re-exported here):
-//   co-locates several models on one simulated host — as isolated stores,
-//   or as real shards on a SharedDeviceService — to exercise the §5.3
-//   capacity argument.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "fabric/fabric_attached_service.h"
 #include "serving/host.h"
 #include "serving/power_model.h"
-#include "tenant/multi_tenant_host.h"
 
 namespace sdm {
 
 enum class RoutingPolicy : uint8_t {
   kUserSticky,  ///< consistent hash of the user id (Fig. 4c affinity)
   kRandom,      ///< per-query draw (the no-affinity baseline)
-  /// No redistribution: an arrival is served where it lands (round-robin
-  /// partition in isolated Run; the drawing frontend in RunDisaggregated).
-  /// This is the shared-nothing baseline sticky routing is measured
-  /// against, and — with an instant fabric — the configuration that is
-  /// byte-identical to MultiTenantHost::RunShared.
+  /// No redistribution: an arrival is served by the host whose arrival
+  /// process drew it. This is the shared-nothing baseline sticky routing
+  /// is measured against, and the co-location setup: each host serves its
+  /// own model's queries.
   kLocal,
 };
 
@@ -59,128 +55,81 @@ class StickyRouter {
   mutable Rng rng_;  ///< used by kRandom only; never drawn on the hash path
 };
 
-struct ClusterRunReport {
-  std::vector<HostRunReport> hosts;
-  /// Mean row-cache hit rate weighted by each host's served queries (idle
-  /// hosts contribute nothing instead of deflating the mean).
-  double mean_hit_rate = 0;
-  double aggregate_qps = 0;
-};
-
-/// Builds the cluster's hosts as shards of one fabric-attached device
-/// stack instead of per-host private SM (see file header). Fabric shape
-/// (latency / bandwidth / queueing) comes from the host config's
-/// TuningConfig fabric knobs.
+/// Puts every host's store on ONE fabric-attached device stack instead of
+/// a private one (see file header). Fabric shape (latency / bandwidth /
+/// queueing) comes from the host config's TuningConfig fabric knobs.
 struct DisaggregatedConfig {
   bool enabled = false;
 };
 
-/// One host's slice of a disaggregated run.
-struct DisaggregatedHostReport {
-  HostRunReport run;
-  /// Per-HOST fair-share ledger of the shared device, this run only: lane
-  /// bus bytes owned, and single-flight hits served by reads OTHER hosts
-  /// paid for (`share.cross_tenant_hits` reads as cross-HOST hits).
-  TenantIoShare share;
-  SimDuration throttle_queue_time;  ///< virtual time queued for IO slots
+/// What one host serves: its model, its FM share (from the host config's
+/// FM pool) and the scheduler lane its demand reads ride.
+struct HostRole {
+  ModelConfig model;
+  Bytes fm_capacity = 0;
+  TenantClass cls = TenantClass::kForeground;
 };
 
-struct DisaggregatedRunReport {
-  std::vector<DisaggregatedHostReport> hosts;
-  double mean_hit_rate = 0;  ///< served-query weighted, like ClusterRunReport
-  double aggregate_qps = 0;
-  // ---- Shared device stack, this run only ----
-  uint64_t sm_device_reads = 0;  ///< physical device reads
-  CrossRequestIoStats io;        ///< scheduler effectiveness
-  uint64_t cross_host_hits = 0;  ///< runs served by another HOST's read
-  Bytes cross_host_bytes_saved = 0;
-  // ---- Model bytes (replicas of one model dedup to one extent set) ----
-  Bytes sm_logical_bytes = 0;  ///< sum of host footprints
-  Bytes sm_unique_bytes = 0;   ///< device bytes after cross-host dedup
-  // ---- Fabric traffic, this run only ----
-  FabricLinkStats fabric;
-  // ---- Robustness (src/fault), this run only ----
-  uint64_t queries_degraded = 0;  ///< completed queries with zero-filled rows
-  uint64_t rows_failed = 0;       ///< zero-filled rows across the cluster
-  // ---- Self-healing storage (src/fault), this run only ----
-  uint64_t blocks_corrupt = 0;      ///< 4KB blocks failing their checksum
-  uint64_t replica_reads = 0;       ///< demand reads failed over to a replica
-  uint64_t read_repairs = 0;        ///< terminally-failed reads served from a replica
-  uint64_t extents_replicated = 0;  ///< extents re-replicated off sick endpoints
-
-  [[nodiscard]] std::string Summary() const;
-};
-
-/// A small fleet of identical hosts used to demonstrate routing effects:
-/// every host loads the same model; a global user stream is partitioned by
-/// the router; each host then serves its share.
+/// A small fleet on one EventLoop. Every host is an SdmStore +
+/// InferenceEngine + workload; Run interleaves every host's open-loop
+/// Poisson arrivals, with the router deciding which host's engine each
+/// arrival enters.
 ///
-/// Two SM attachments:
-///  - isolated (default): each host is a full HostSimulation with private
-///    devices; Run() replays the routed stream per host (exact — hosts
-///    share nothing).
-///  - disaggregated (DisaggregatedConfig::enabled): hosts are real shards
-///    — SdmStore + InferenceEngine + workload on ONE EventLoop — attached
-///    to one FabricAttachedService, and RunDisaggregated interleaves all
-///    hosts' Poisson arrivals with the router deciding which host's engine
-///    each arrival enters. Seeds derive exactly like MultiTenantHost's
-///    shared mode, so an instant fabric with kLocal routing is
-///    byte-identical to RunShared with the same stores.
+/// Seeds: host i's store is seeded `seed ^ Mix64(i + 0x7e0a)` and its
+/// workload `workload.seed ^ Mix64(0x7e0a + i)`. Its arrivals are seeded
+/// like a HostSimulation of that store (`store seed ^ 0xa11e`) on a private
+/// stack, and `seed ^ Mix64(i + 1) ^ 0xa11e` on the shared one.
 class ClusterSimulation {
  public:
   ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
-                    RoutingPolicy policy);
-  ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
-                    RoutingPolicy policy, const DisaggregatedConfig& disaggregated);
+                    RoutingPolicy policy, const DisaggregatedConfig& disaggregated = {});
+  /// Every store holds the address of the cluster's loop.
+  ClusterSimulation(const ClusterSimulation&) = delete;
+  ClusterSimulation& operator=(const ClusterSimulation&) = delete;
 
+  /// Every host serves `model` from the config's FM capacity, in the
+  /// foreground lane.
   Status LoadModel(const ModelConfig& model);
+  /// Host i serves `roles[i]` (one role per host). Hosts serving equal
+  /// models load in one ModelLoader::LoadReplicas pass.
+  Status LoadModels(std::span<const HostRole> roles);
 
-  /// Routes `num_queries` global arrivals and runs each host at its share
-  /// of `total_qps`. Isolated mode only.
+  /// Serves exactly `num_queries` arrivals at `total_qps`, split evenly
+  /// across the hosts' arrival processes (the first `num_queries % size()`
+  /// hosts draw one more). Callable repeatedly; caches stay warm.
   [[nodiscard]] ClusterRunReport Run(double total_qps, uint64_t num_queries);
 
-  /// Interleaves every host's open-loop Poisson arrivals (total_qps and
-  /// num_queries split evenly) on the common loop against the shared
-  /// fabric-attached device stack. Disaggregated mode only.
-  [[nodiscard]] DisaggregatedRunReport RunDisaggregated(double total_qps,
-                                                        uint64_t num_queries);
-
   [[nodiscard]] bool disaggregated() const { return fabric_ != nullptr; }
-  [[nodiscard]] size_t size() const;
-  /// Isolated-mode host (undefined in disaggregated mode).
-  [[nodiscard]] HostSimulation& host(size_t i) { return *hosts_[i]; }
-  /// Disaggregated-mode accessors (null/undefined in isolated mode).
+  [[nodiscard]] size_t size() const { return hosts_.size(); }
+  /// The shared device stack (null with private stacks).
   [[nodiscard]] FabricAttachedService* fabric_service() { return fabric_.get(); }
-  [[nodiscard]] SdmStore& host_store(size_t i) { return *dhosts_[i].store; }
+  /// Host i's store (after a load).
+  [[nodiscard]] SdmStore& host_store(size_t i) { return *hosts_[i].store; }
 
   /// Observability exports (src/obs): non-empty iff tuning.obs.enabled().
-  /// Disaggregated mode exports the whole cluster from its one instance.
-  /// Isolated mode returns "{}": each host there owns a private
-  /// Observability (use host(i).ObsMetricsJson()).
+  /// The whole cluster exports from its one instance: host i records under
+  /// "host<i>/" (its private stack under "host<i>/dev<d>/"), the shared
+  /// stack under "svc/".
   [[nodiscard]] std::string ObsMetricsJson();
   [[nodiscard]] std::string ObsTraceJson();
   [[nodiscard]] std::string ObsSloJson();
 
  private:
-  struct DisaggregatedHost {  // one host on the common loop
-    TenantId id = 0;  ///< host identity on the fabric service's ledger
+  struct Host {
+    std::string model_name;
     std::unique_ptr<SdmStore> store;
     std::unique_ptr<InferenceEngine> engine;
     std::unique_ptr<QueryGenerator> workload;
   };
 
-  /// Serving host of arrival `i` carrying `user` (kLocal short-circuits
-  /// the router: arrivals stay where they land).
-  [[nodiscard]] size_t RouteTarget(size_t source, UserId user) const;
+  [[nodiscard]] uint64_t StoreSeed(size_t i) const;
 
   HostSimConfig base_config_;
-  std::vector<std::unique_ptr<HostSimulation>> hosts_;  ///< isolated mode
   StickyRouter router_;
-  // ---- Disaggregated mode (src/fabric) ----
-  EventLoop dloop_;  ///< the one loop every host and the device stack run on
+  EventLoop loop_;  ///< the one loop every host and device stack run on
   std::unique_ptr<Observability> obs_;  ///< outlives the stacks
   std::unique_ptr<FabricAttachedService> fabric_;
-  std::vector<DisaggregatedHost> dhosts_;
+  std::vector<Host> hosts_;
 };
 
 // ---------------------------------------------------------------------------

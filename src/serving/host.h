@@ -4,20 +4,18 @@
 // CPU sockets, DRAM, attached SSDs, accelerator, and (normalized) power.
 // HostSimulation assembles the full stack on one EventLoop — SdmStore,
 // ModelLoader, InferenceEngine, QueryGenerator — and drives an open-loop
-// Poisson arrival process to measure QPS/latency/hit-rate, the quantities
-// Tables 8/9/10/11 build their fleet arithmetic on.
+// Poisson arrival process (serving/arrival_loop.h, one participant) to
+// measure QPS/latency/hit-rate, the quantities Tables 8/9/10/11 build
+// their fleet arithmetic on.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/model_loader.h"
 #include "obs/observability.h"
-#include "serving/inference_engine.h"
+#include "serving/run_report.h"
 
 namespace sdm {
 
@@ -62,52 +60,9 @@ struct HostSimConfig {
   uint64_t seed = 7;
 };
 
-struct HostRunReport {
-  uint64_t queries_completed = 0;
-  /// Arrivals this host's engine admitted in the run (completed counts only
-  /// the ones that finished OK). Stays 0 on a default-constructed report,
-  /// which is how cluster aggregation tells an IDLE host (the router never
-  /// picked it) from a host that served traffic and achieved nothing.
-  uint64_t queries_served = 0;
-  double offered_qps = 0;
-  double achieved_qps = 0;
-  SimDuration p50;
-  SimDuration p95;
-  SimDuration p99;
-  SimDuration mean;
-  double row_cache_hit_rate = 0;
-  double pooled_hit_rate = 0;
-  double sm_iops = 0;               ///< sustained IOs/sec against SM
-  double sm_read_amplification = 1;
-  // ---- Cross-request batch scheduling (src/sched), this run only ----
-  uint64_t cross_request_merges = 0;  ///< spans fused across concurrent queries
-  uint64_t singleflight_hits = 0;     ///< runs served by another query's read
-  double batch_occupancy = 0;         ///< mean SQEs per ring doorbell
-  // ---- Speculative prefetch (src/prefetch), this run only ----
-  uint64_t prefetch_issued = 0;       ///< rows read ahead of demand
-  double prefetch_hit_rate = 0;       ///< issued rows later claimed by demand
-  uint64_t prefetch_wasted_bytes = 0; ///< speculative bus bytes with no demand hit
-  // ---- Robustness / fault tolerance (src/fault), this run only ----
-  uint64_t io_errors = 0;         ///< device-level read errors (IoEngine)
-  uint64_t io_retries = 0;        ///< transient-error re-reads of lookup runs
-  uint64_t deadline_expired = 0;  ///< scheduler reads settled by io_deadline
-  uint64_t hedges_issued = 0;     ///< tail-latency hedge reads submitted
-  uint64_t hedges_won = 0;        ///< hedges that beat the original read
-  uint64_t queries_degraded = 0;  ///< completed queries with zero-filled rows
-  uint64_t rows_failed = 0;       ///< zero-filled rows across those queries
-  uint64_t lookups_shed = 0;      ///< lookups short-circuited by the health monitor
-  // ---- Self-healing storage (src/fault), this run only ----
-  uint64_t blocks_corrupt = 0;      ///< 4KB blocks failing their checksum (bit rot)
-  uint64_t replica_reads = 0;       ///< demand reads failed over to an extent replica
-  uint64_t read_repairs = 0;        ///< terminally-failed reads served from a replica
-  uint64_t extents_replicated = 0;  ///< extents re-replicated off sick endpoints
-  SimDuration avg_cpu_per_query;
-  /// Max QPS one host CPU-second supports (1 / cpu_per_query); the compute
-  /// term of Eq. 5.
-  double cpu_qps_bound = 0;
-
-  [[nodiscard]] std::string Summary() const;
-};
+/// The engine config a host of `config` runs: its accelerator, dense rate,
+/// and (unless set) one admitted query per core.
+[[nodiscard]] InferenceConfig HostInferenceConfig(const HostSimConfig& config);
 
 class HostSimulation {
  public:
@@ -121,10 +76,6 @@ class HostSimulation {
   /// run, caches stay warm across runs (matching steady-state measurement
   /// after a warmup run).
   [[nodiscard]] HostRunReport Run(double target_qps, uint64_t num_queries);
-
-  /// Like Run, but serves queries for an explicit user sequence (one query
-  /// per entry) — the cluster router uses this to replay a routed stream.
-  [[nodiscard]] HostRunReport RunUsers(std::span<const UserId> users, double target_qps);
 
   /// Convenience: warm the caches with `n` queries (no measurement).
   void Warmup(uint64_t n, double qps = 1000.0);
@@ -151,9 +102,6 @@ class HostSimulation {
                                   double qps_lo = 50, double qps_hi = 100000);
 
  private:
-  [[nodiscard]] HostRunReport RunInternal(double target_qps, uint64_t num_queries,
-                                          const std::function<Query()>& next_query);
-
   HostSimConfig config_;
   EventLoop loop_;
   std::unique_ptr<Observability> obs_;  ///< must outlive store_/engine_

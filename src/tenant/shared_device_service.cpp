@@ -255,23 +255,7 @@ Bytes SharedDeviceService::sm_used_bytes() const {
 
 CrossRequestIoStats SharedDeviceService::cross_request_io_stats() const {
   CrossRequestIoStats agg;
-  for (const auto& s : schedulers_) {
-    const CrossRequestIoStats one = s->Snapshot();
-    agg.device_reads += one.device_reads;
-    agg.cross_request_merges += one.cross_request_merges;
-    agg.singleflight_hits += one.singleflight_hits;
-    agg.singleflight_bytes_saved += one.singleflight_bytes_saved;
-    agg.flushes += one.flushes;
-    agg.prefetch_reads += one.prefetch_reads;
-    agg.prefetch_dropped += one.prefetch_dropped;
-    agg.prefetch_promoted += one.prefetch_promoted;
-    agg.background_reads += one.background_reads;
-    agg.background_parked += one.background_parked;
-    agg.background_promoted += one.background_promoted;
-    agg.deadline_expired += one.deadline_expired;
-    agg.hedges_issued += one.hedges_issued;
-    agg.hedges_won += one.hedges_won;
-  }
+  for (const auto& s : schedulers_) agg += s->Snapshot();
   return agg;
 }
 

@@ -6,17 +6,6 @@
 
 namespace sdm {
 
-namespace {
-
-uint64_t Mix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 IndexPermuter::IndexPermuter(uint64_t n, uint64_t seed) : n_(std::max<uint64_t>(n, 1)) {
   // Smallest even-bit domain 2^(2h) >= n, h >= 1.
   half_bits_ = 1;

@@ -332,7 +332,7 @@ TEST(FaultFabric, PartitionIsRiddenOutByDeadlines) {
   FaultInjector inj(plan, loop, 17);
   cluster.fabric_service()->InstallFaultInjector(&inj);
 
-  const DisaggregatedRunReport r = cluster.RunDisaggregated(400, 800);
+  const ClusterRunReport r = cluster.Run(400, 800);
   uint64_t completed = 0;
   uint64_t served = 0;
   for (const auto& h : r.hosts) {

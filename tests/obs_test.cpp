@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "obs/observability.h"
 #include "serving/cluster.h"
 #include "serving/host.h"
-#include "tenant/multi_tenant_host.h"
 
 namespace sdm {
 namespace {
@@ -367,7 +367,7 @@ TEST(ObsServing, TraceSamplingBoundsSpanVolumeDeterministically) {
 // ---------------------------------------------------------------------------
 
 struct ClusterRun {
-  DisaggregatedRunReport report;
+  ClusterRunReport report;
   std::string metrics;
   std::string trace;
   std::string slo;
@@ -380,18 +380,18 @@ ClusterRun RunClusterObs(size_t hosts, const HostSimConfig& cfg, double qps,
   ClusterSimulation cluster(hosts, cfg, RoutingPolicy::kUserSticky, dc);
   EXPECT_TRUE(cluster.LoadModel(ObsModel()).ok());
   ClusterRun out;
-  out.report = cluster.RunDisaggregated(qps, queries);
+  out.report = cluster.Run(qps, queries);
   out.metrics = cluster.ObsMetricsJson();
   out.trace = cluster.ObsTraceJson();
   out.slo = cluster.ObsSloJson();
   return out;
 }
 
-/// The subset of DisaggregatedRunReport the obs on/off identity pins (the
+/// The subset of ClusterRunReport the obs on/off identity pins (the
 /// full-field version lives in serving_test; this covers every family the
 /// instrumentation touches).
-void ExpectClusterReportsEqual(const DisaggregatedRunReport& a,
-                               const DisaggregatedRunReport& b) {
+void ExpectClusterReportsEqual(const ClusterRunReport& a,
+                               const ClusterRunReport& b) {
   ASSERT_EQ(a.hosts.size(), b.hosts.size());
   for (size_t i = 0; i < a.hosts.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "host " << i);
@@ -420,35 +420,56 @@ TEST(ObsServing, DisaggregatedReportIsByteIdenticalWithObsOnAndOff) {
   EXPECT_TRUE(Contains(rx.trace, "\"name\":\"query\""));
 }
 
+/// Two tenants of one model (fg + bg) co-located on one shared stack.
+std::unique_ptr<ClusterSimulation> MakeTenantPair(const HostSimConfig& cfg) {
+  const ModelConfig model = MakeTinyUniformModel(64, 2, 1, 40'000);
+  const HostRole roles[] = {{model, 4 * kMiB, TenantClass::kForeground},
+                            {model, 4 * kMiB, TenantClass::kBackground}};
+  auto host = std::make_unique<ClusterSimulation>(2, cfg, RoutingPolicy::kLocal,
+                                                  DisaggregatedConfig{.enabled = true});
+  EXPECT_TRUE(host->LoadModels(roles).ok());
+  return host;
+}
+
 TEST(ObsServing, SharedTenantsReportIsByteIdenticalWithObsOnAndOff) {
   HostSimConfig base = ObsHostConfig();
   base.fm_capacity = 24 * kMiB;
+  base.seed = 77;
   HostSimConfig on = base;
   on.tuning.obs.enable_metrics = true;
   on.tuning.obs.enable_tracing = true;
 
-  const ModelConfig model = MakeTinyUniformModel(64, 2, 1, 40'000);
-  MultiTenantHost a(base, 77, /*shared_device=*/true);
-  MultiTenantHost b(on, 77, /*shared_device=*/true);
-  for (MultiTenantHost* h : {&a, &b}) {
-    ASSERT_TRUE(h->AddTenant(model, 4 * kMiB, TenantClass::kForeground).ok());
-    ASSERT_TRUE(h->AddTenant(model, 4 * kMiB, TenantClass::kBackground).ok());
-  }
-  const MultiTenantReport ra = a.Run(/*qps_per_tenant=*/200, /*queries=*/300);
-  const MultiTenantReport rb = b.Run(200, 300);
-  ASSERT_EQ(ra.tenants.size(), rb.tenants.size());
-  for (size_t i = 0; i < ra.tenants.size(); ++i) {
+  const auto a = MakeTenantPair(base);
+  const auto b = MakeTenantPair(on);
+  const ClusterRunReport ra = a->Run(/*total_qps=*/2 * 200, /*num_queries=*/2 * 300);
+  const ClusterRunReport rb = b->Run(2 * 200, 2 * 300);
+  ASSERT_EQ(ra.hosts.size(), rb.hosts.size());
+  for (size_t i = 0; i < ra.hosts.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "tenant " << i);
-    ExpectHostReportsEqual(ra.tenants[i].run, rb.tenants[i].run);
-    EXPECT_EQ(ra.tenants[i].fg_lane_bytes, rb.tenants[i].fg_lane_bytes);
-    EXPECT_EQ(ra.tenants[i].bg_lane_bytes, rb.tenants[i].bg_lane_bytes);
+    ExpectHostReportsEqual(ra.hosts[i].run, rb.hosts[i].run);
+    EXPECT_EQ(ra.hosts[i].share.demand_bytes, rb.hosts[i].share.demand_bytes);
+    EXPECT_EQ(ra.hosts[i].share.background_bytes, rb.hosts[i].share.background_bytes);
   }
   EXPECT_EQ(ra.sm_device_reads, rb.sm_device_reads);
-  EXPECT_EQ(a.ObsMetricsJson(), "{}");
-  const std::string metrics = b.ObsMetricsJson();
-  EXPECT_TRUE(Contains(metrics, "tenant0/query/requests")) << metrics;
-  EXPECT_TRUE(Contains(metrics, "tenant1/query/requests"));
+  EXPECT_EQ(a->ObsMetricsJson(), "{}");
+  const std::string metrics = b->ObsMetricsJson();
+  EXPECT_TRUE(Contains(metrics, "host0/query/requests")) << metrics;
+  EXPECT_TRUE(Contains(metrics, "host1/query/requests"));
   EXPECT_TRUE(Contains(metrics, "svc/"));
+}
+
+TEST(ObsServing, PrivateStackClusterExportsFromItsOneInstance) {
+  HostSimConfig cfg = ObsHostConfig();
+  cfg.tuning.obs = FullObs();
+  ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky);
+  ASSERT_TRUE(cluster.LoadModel(ObsModel()).ok());
+  (void)cluster.Run(400, 600);
+  const std::string metrics = cluster.ObsMetricsJson();
+  EXPECT_TRUE(Contains(metrics, "host0/query/requests")) << metrics;
+  EXPECT_TRUE(Contains(metrics, "host1/query/requests"));
+  EXPECT_TRUE(Contains(metrics, "host1/dev0/"));
+  EXPECT_FALSE(Contains(metrics, "svc/"));
+  EXPECT_TRUE(Contains(cluster.ObsTraceJson(), "\"name\":\"query\""));
 }
 
 // ---------------------------------------------------------------------------
@@ -469,7 +490,7 @@ TEST(ObsExportStability, ClusterExportsRepeatAndReproduceByteIdentically) {
     SCOPED_TRACE(testing::Message() << "round " << round);
     ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
     ASSERT_TRUE(cluster.LoadModel(ObsModel()).ok());
-    (void)cluster.RunDisaggregated(400, 600);
+    (void)cluster.Run(400, 600);
     const std::string m = cluster.ObsMetricsJson();
     const std::string t = cluster.ObsTraceJson();
     const std::string s = cluster.ObsSloJson();
@@ -495,19 +516,16 @@ TEST(ObsExportStability, MultiTenantExportsRepeatAndReproduceByteIdentically) {
   HostSimConfig cfg = ObsHostConfig();
   cfg.fm_capacity = 24 * kMiB;
   cfg.tuning.obs = FullObs();
-  const ModelConfig model = MakeTinyUniformModel(64, 2, 1, 40'000);
   std::string first_metrics, first_trace;
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(testing::Message() << "round " << round);
-    MultiTenantHost host(cfg, 77, /*shared_device=*/true);
-    ASSERT_TRUE(host.AddTenant(model, 4 * kMiB, TenantClass::kForeground).ok());
-    ASSERT_TRUE(host.AddTenant(model, 4 * kMiB, TenantClass::kBackground).ok());
-    (void)host.Run(/*qps_per_tenant=*/200, /*queries=*/300);
-    const std::string m = host.ObsMetricsJson();
-    const std::string t = host.ObsTraceJson();
+    const auto host = MakeTenantPair(cfg);
+    (void)host->Run(/*total_qps=*/2 * 200, /*num_queries=*/2 * 300);
+    const std::string m = host->ObsMetricsJson();
+    const std::string t = host->ObsTraceJson();
     EXPECT_FALSE(m == "{}");
-    EXPECT_EQ(host.ObsMetricsJson(), m);
-    EXPECT_EQ(host.ObsTraceJson(), t);
+    EXPECT_EQ(host->ObsMetricsJson(), m);
+    EXPECT_EQ(host->ObsTraceJson(), t);
     if (round == 0) {
       first_metrics = m;
       first_trace = t;

@@ -299,25 +299,43 @@ TEST(Cluster, MeanHitRateIgnoresIdleHosts) {
   size_t active = 0;
   size_t active_idx = 0;
   for (size_t i = 0; i < r.hosts.size(); ++i) {
-    if (r.hosts[i].queries_served > 0) {
+    if (r.hosts[i].run.queries_served > 0) {
       ++active;
       active_idx = i;
     }
   }
   // Idle hosts are distinguishable: queries_served stays 0 on their
-  // default-constructed report entries.
+  // report entries.
   ASSERT_EQ(active, 1u);
-  EXPECT_EQ(r.hosts[active_idx].queries_served, 2000u);
-  EXPECT_GT(r.hosts[active_idx].row_cache_hit_rate, 0.0);
-  EXPECT_DOUBLE_EQ(r.mean_hit_rate, r.hosts[active_idx].row_cache_hit_rate);
+  EXPECT_EQ(r.hosts[active_idx].run.queries_served, 2000u);
+  EXPECT_GT(r.hosts[active_idx].run.row_cache_hit_rate, 0.0);
+  EXPECT_DOUBLE_EQ(r.mean_hit_rate, r.hosts[active_idx].run.row_cache_hit_rate);
 }
 
-TEST(Cluster, LocalRoutingSpreadsArrivalsRoundRobin) {
+TEST(Cluster, LocalRoutingServesEveryArrivalWhereItLands) {
   ModelConfig model = MakeTinyUniformModel(16, 3, 1, 8000);
   ClusterSimulation cluster(3, SmallHostConfig(), RoutingPolicy::kLocal);
   ASSERT_TRUE(cluster.LoadModel(model).ok());
   const ClusterRunReport r = cluster.Run(300, 900);
-  for (const auto& h : r.hosts) EXPECT_EQ(h.queries_served, 300u);
+  for (const auto& h : r.hosts) EXPECT_EQ(h.run.queries_served, 300u);
+}
+
+TEST(Cluster, RunServesEveryQueryWhenHostsDoNotDivideIt) {
+  // Regression: the disaggregated run gave each host num_queries / n
+  // arrivals and dropped the remainder (999 of 1,000 here).
+  for (const bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared stack" : "private stacks");
+    ClusterSimulation cluster(3, SmallHostConfig(MakeHwFAO(2)), RoutingPolicy::kLocal,
+                              DisaggregatedConfig{.enabled = shared});
+    ASSERT_TRUE(cluster.LoadModel(MakeTinyUniformModel(16, 3, 1, 8000)).ok());
+    const ClusterRunReport r = cluster.Run(3000, 1000);
+    uint64_t served = 0;
+    for (const auto& h : r.hosts) served += h.run.queries_served;
+    EXPECT_EQ(served, 1000u);
+    // The first host draws the remainder.
+    EXPECT_EQ(r.hosts[0].run.queries_served, 334u);
+    EXPECT_EQ(r.hosts[2].run.queries_served, 333u);
+  }
 }
 
 TEST(Cluster, StickyBeatsRandomOnHitRate) {
@@ -343,16 +361,18 @@ TEST(MultiTenant, CoLocatesModelsAndReportsFm) {
   HostSimConfig base = SmallHostConfig(MakeHwFAO(2));
   base.fm_capacity = 24 * kMiB;          // host-level FM pool
   base.sm_backing_per_device = 32 * kMiB;
-  MultiTenantHost host(base, 77);
+  base.seed = 77;
   // Each tenant's user embeddings (~5-8 MiB on SM) would not fit in the
   // FM shares without SM — the §5.3 memory-capacity-bound setup.
-  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 2, 1, 40'000), 4 * kMiB).ok());
-  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 3, 1, 30'000), 4 * kMiB).ok());
-  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 2, 1, 35'000), 4 * kMiB).ok());
-  EXPECT_EQ(host.tenant_count(), 3u);
-  const MultiTenantReport r = host.Run(100, 300);
-  ASSERT_EQ(r.tenants.size(), 3u);
-  for (const auto& t : r.tenants) {
+  const HostRole roles[] = {{MakeTinyUniformModel(64, 2, 1, 40'000), 4 * kMiB},
+                            {MakeTinyUniformModel(64, 3, 1, 30'000), 4 * kMiB},
+                            {MakeTinyUniformModel(64, 2, 1, 35'000), 4 * kMiB}};
+  ClusterSimulation host(3, base, RoutingPolicy::kLocal);
+  ASSERT_TRUE(host.LoadModels(roles).ok());
+  EXPECT_EQ(host.size(), 3u);
+  const ClusterRunReport r = host.Run(3 * 100, 3 * 300);
+  ASSERT_EQ(r.hosts.size(), 3u);
+  for (const auto& t : r.hosts) {
     EXPECT_EQ(t.run.queries_completed, 300u);
     EXPECT_GT(t.sm_used, 0u);
   }
@@ -406,7 +426,7 @@ TEST(Disaggregated, CrossHostSingleFlightOverFabric) {
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
   ASSERT_TRUE(cluster.disaggregated());
   ASSERT_TRUE(cluster.LoadModel(DisaggModel()).ok());
-  const DisaggregatedRunReport r = cluster.RunDisaggregated(400, 1600);
+  const ClusterRunReport r = cluster.Run(400, 1600);
   ASSERT_EQ(r.hosts.size(), 2u);
   uint64_t per_host_hits = 0;
   for (const auto& h : r.hosts) {
@@ -442,7 +462,7 @@ TEST(Disaggregated, FabricQueueingKnobGatesFifoSerialization) {
     dc.enabled = true;
     ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
     ASSERT_TRUE(cluster.LoadModel(DisaggModel()).ok());
-    const DisaggregatedRunReport r = cluster.RunDisaggregated(400, 1600);
+    const ClusterRunReport r = cluster.Run(400, 1600);
     EXPECT_GT(r.fabric.responses, 0u);
     if (queueing) {
       EXPECT_GT(r.fabric.queue_time.nanos(), 0);
@@ -452,51 +472,107 @@ TEST(Disaggregated, FabricQueueingKnobGatesFifoSerialization) {
   }
 }
 
-TEST(Disaggregated, InstantFabricByteIdenticalToMultiTenantRunShared) {
-  // Acceptance anchor: a disaggregated cluster with a zero-latency fabric
-  // and kLocal routing IS MultiTenantHost::RunShared with the same stores —
-  // same seeds, same arrival interleaving, same shared device stack.
-  const HostSimConfig cfg = DisaggHostConfig();  // fabric knobs zero: instant
-  const ModelConfig model = DisaggModel();
-  constexpr size_t kHosts = 3;
+/// Co-location profile of the golden pins below: capacity-bound tenants of
+/// one base model on 1 MiB FM shares (the multitenant bench's shape).
+HostSimConfig CoLocationConfig() {
+  HostSimConfig cfg = DisaggHostConfig();
+  cfg.fm_capacity = 24 * kMiB;
+  cfg.inference.max_concurrent_queries = 0;  // one per core
+  cfg.seed = 77;
+  return cfg;
+}
 
-  DisaggregatedConfig dc;
-  dc.enabled = true;
-  ClusterSimulation cluster(kHosts, cfg, RoutingPolicy::kLocal, dc);
-  ASSERT_TRUE(cluster.LoadModel(model).ok());
+uint64_t DeviceCounter(SharedDeviceService& s, const char* name) {
+  uint64_t total = 0;
+  for (size_t d = 0; d < s.device_count(); ++d) total += s.device(d).stats().CounterValue(name);
+  return total;
+}
 
-  MultiTenantHost mth(cfg, /*seed=*/cfg.seed, /*shared_device=*/true);
-  for (size_t i = 0; i < kHosts; ++i) {
-    ASSERT_TRUE(mth.AddTenant(model, cfg.fm_capacity, TenantClass::kForeground).ok());
+TEST(Disaggregated, InstantFabricFgBgCoLocationIsPinned) {
+  // Golden values of the fg + bg co-location on one shared stack, captured
+  // from the retired standalone multi-tenant driver: an instant fabric with
+  // kLocal routing reproduces it bit for bit.
+  const HostRole roles[] = {{DisaggModel(), 1 * kMiB, TenantClass::kForeground},
+                            {DisaggModel(), 1 * kMiB, TenantClass::kBackground}};
+  ClusterSimulation cluster(2, CoLocationConfig(), RoutingPolicy::kLocal,
+                            DisaggregatedConfig{.enabled = true});
+  ASSERT_TRUE(cluster.LoadModels(roles).ok());
+  const ClusterRunReport r = cluster.Run(2 * 8000.0, 2 * 600);
+
+  SharedDeviceService& svc = cluster.fabric_service()->device_service();
+  EXPECT_EQ(DeviceCounter(svc, "reads"), 22'446u);
+  EXPECT_EQ(DeviceCounter(svc, "bus_bytes"), 97'234'944u);
+  EXPECT_EQ(r.sm_device_reads, 22'446u);
+  EXPECT_EQ(r.io.background_parked, 81u);
+  EXPECT_EQ(r.io.background_promoted, 317u);
+  const int64_t p99[] = {475'135, 573'439};
+  const uint64_t cross_host_hits[] = {215, 186};
+  const int64_t throttle_queue_ns[] = {28'218'086, 51'187'803};
+  ASSERT_EQ(r.hosts.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(testing::Message() << "host " << i);
+    EXPECT_EQ(r.hosts[i].run.queries_served, 600u);
+    EXPECT_EQ(r.hosts[i].run.queries_completed, 600u);
+    EXPECT_EQ(r.hosts[i].run.p99.nanos(), p99[i]);
+    EXPECT_EQ(r.hosts[i].share.cross_tenant_hits, cross_host_hits[i]);
+    EXPECT_EQ(r.hosts[i].throttle_queue_time.nanos(), throttle_queue_ns[i]);
   }
-
-  const DisaggregatedRunReport rc = cluster.RunDisaggregated(kHosts * 150.0, kHosts * 400);
-  const MultiTenantReport rm = mth.Run(150.0, 400);
-
-  // Device reads and bus bytes match bit for bit, device by device.
-  SharedDeviceService& cs = cluster.fabric_service()->device_service();
-  SharedDeviceService* ms = mth.service();
-  ASSERT_NE(ms, nullptr);
-  ASSERT_EQ(cs.device_count(), ms->device_count());
-  for (size_t d = 0; d < cs.device_count(); ++d) {
-    EXPECT_EQ(cs.device(d).stats().CounterValue("reads"),
-              ms->device(d).stats().CounterValue("reads"));
-    EXPECT_EQ(cs.device(d).stats().CounterValue("bus_bytes"),
-              ms->device(d).stats().CounterValue("bus_bytes"));
-  }
-  EXPECT_EQ(rc.sm_device_reads, rm.sm_device_reads);
-  EXPECT_EQ(rc.io.singleflight_hits, rm.io.singleflight_hits);
-  // Per-host serving matches per-tenant serving, latencies included.
-  ASSERT_EQ(rc.hosts.size(), rm.tenants.size());
-  for (size_t i = 0; i < kHosts; ++i) {
-    EXPECT_EQ(rc.hosts[i].run.queries_served, rm.tenants[i].run.queries_served);
-    EXPECT_EQ(rc.hosts[i].run.queries_completed, rm.tenants[i].run.queries_completed);
-    EXPECT_EQ(rc.hosts[i].run.p99.nanos(), rm.tenants[i].run.p99.nanos());
-    EXPECT_EQ(rc.hosts[i].share.cross_tenant_hits, rm.tenants[i].cross_tenant_hits);
-  }
+  EXPECT_EQ(r.cross_host_hits, 215u + 186u);
   // The instant fabric recorded the traffic it did NOT delay.
-  EXPECT_EQ(rc.fabric.responses, rc.sm_device_reads);
-  EXPECT_EQ(rc.fabric.queue_time.nanos(), 0);
+  EXPECT_EQ(r.fabric.responses, r.sm_device_reads);
+  EXPECT_EQ(r.fabric.queue_time.nanos(), 0);
+}
+
+TEST(Cluster, PrivateStackCoLocationIsPinned) {
+  // Golden values of two tenants with different models on private stacks,
+  // captured when each ran as its own host on its own loop: sharing one
+  // loop with a host it shares nothing with changes no host's result.
+  ModelConfig other = MakeTinyUniformModel(64, 2, 1, 30'000);
+  other.tables.back().num_rows = 3'000;
+  const HostRole roles[] = {{DisaggModel(), 1 * kMiB}, {other, 1 * kMiB}};
+  ClusterSimulation cluster(2, CoLocationConfig(), RoutingPolicy::kLocal);
+  ASSERT_TRUE(cluster.LoadModels(roles).ok());
+  const ClusterRunReport r = cluster.Run(2 * 8000.0, 2 * 600);
+
+  const uint64_t reads[] = {11'624, 8'853};
+  const uint64_t bus_bytes[] = {50'024'448, 38'469'632};
+  const int64_t p99[] = {466'943, 573'439};
+  const uint64_t singleflight_hits[] = {2'138, 675};
+  const int64_t throttle_queue_ns[] = {29'851'065, 83'258'897};
+  ASSERT_EQ(r.hosts.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(testing::Message() << "host " << i);
+    SharedDeviceService& svc = cluster.host_store(i).device_service();
+    EXPECT_EQ(DeviceCounter(svc, "reads"), reads[i]);
+    EXPECT_EQ(DeviceCounter(svc, "bus_bytes"), bus_bytes[i]);
+    EXPECT_EQ(r.hosts[i].run.queries_served, 600u);
+    EXPECT_EQ(r.hosts[i].run.queries_completed, 600u);
+    EXPECT_EQ(r.hosts[i].run.p99.nanos(), p99[i]);
+    EXPECT_EQ(r.hosts[i].run.singleflight_hits, singleflight_hits[i]);
+    EXPECT_EQ(r.hosts[i].throttle_queue_time.nanos(), throttle_queue_ns[i]);
+  }
+  EXPECT_EQ(r.sm_device_reads, 11'624u + 8'853u);
+  EXPECT_EQ(r.cross_host_hits, 0u);
+  EXPECT_EQ(r.sm_unique_bytes, r.sm_logical_bytes);  // private stacks: no dedup
+}
+
+TEST(Disaggregated, SharedStackHostsReportTheirOwnCounters) {
+  // Regression: hosts on a shared stack reported 0 for their pooled hit
+  // rate and CPU per query, which only the single-host path filled.
+  HostSimConfig cfg = SmallHostConfig(MakeHwFAO(2));
+  cfg.tuning.enable_pooled_cache = true;
+  ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky,
+                            DisaggregatedConfig{.enabled = true});
+  ASSERT_TRUE(cluster.LoadModel(MakeTinyUniformModel(16, 3, 1, 8000)).ok());
+  const ClusterRunReport r = cluster.Run(400, 2000);
+  for (const auto& h : r.hosts) {
+    EXPECT_GT(h.run.pooled_hit_rate, 0.0);
+    EXPECT_GT(h.run.avg_cpu_per_query.nanos(), 0);
+    EXPECT_GT(h.run.cpu_qps_bound, 0.0);
+    // Stack-wide counters stay in the stack section.
+    EXPECT_EQ(h.run.sm_iops, 0.0);
+  }
+  EXPECT_GT(r.sm_device_reads, 0u);
 }
 
 TEST(Disaggregated, DisabledFabricMatchesIsolatedCluster) {
@@ -514,24 +590,24 @@ TEST(Disaggregated, DisabledFabricMatchesIsolatedCluster) {
   EXPECT_DOUBLE_EQ(a.mean_hit_rate, b.mean_hit_rate);
   ASSERT_EQ(a.hosts.size(), b.hosts.size());
   for (size_t i = 0; i < a.hosts.size(); ++i) {
-    EXPECT_EQ(a.hosts[i].queries_served, b.hosts[i].queries_served);
-    EXPECT_EQ(a.hosts[i].queries_completed, b.hosts[i].queries_completed);
-    EXPECT_EQ(a.hosts[i].p99.nanos(), b.hosts[i].p99.nanos());
+    EXPECT_EQ(a.hosts[i].run.queries_served, b.hosts[i].run.queries_served);
+    EXPECT_EQ(a.hosts[i].run.queries_completed, b.hosts[i].run.queries_completed);
+    EXPECT_EQ(a.hosts[i].run.p99.nanos(), b.hosts[i].run.p99.nanos());
   }
   for (size_t i = 0; i < plain.size(); ++i) {
-    for (size_t d = 0; d < plain.host(i).store().sm_device_count(); ++d) {
-      EXPECT_EQ(plain.host(i).store().sm_device(d).stats().CounterValue("reads"),
-                disabled.host(i).store().sm_device(d).stats().CounterValue("reads"));
-      EXPECT_EQ(plain.host(i).store().sm_device(d).stats().CounterValue("bus_bytes"),
-                disabled.host(i).store().sm_device(d).stats().CounterValue("bus_bytes"));
+    for (size_t d = 0; d < plain.host_store(i).sm_device_count(); ++d) {
+      EXPECT_EQ(plain.host_store(i).sm_device(d).stats().CounterValue("reads"),
+                disabled.host_store(i).sm_device(d).stats().CounterValue("reads"));
+      EXPECT_EQ(plain.host_store(i).sm_device(d).stats().CounterValue("bus_bytes"),
+                disabled.host_store(i).sm_device(d).stats().CounterValue("bus_bytes"));
     }
   }
 }
 
-/// Field-by-field equality of two disaggregated reports (virtual-time
+/// Field-by-field equality of two cluster reports (virtual-time
 /// metrics only — wall clock never appears in a report).
-void ExpectDisaggReportsEqual(const DisaggregatedRunReport& a,
-                              const DisaggregatedRunReport& b) {
+void ExpectDisaggReportsEqual(const ClusterRunReport& a,
+                              const ClusterRunReport& b) {
   ASSERT_EQ(a.hosts.size(), b.hosts.size());
   for (size_t i = 0; i < a.hosts.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "host " << i);
@@ -595,7 +671,7 @@ void ExpectDisaggReportsEqual(const DisaggregatedRunReport& a,
 
 /// One fresh 3-host cluster under a scripted storm: rtt 20us over a
 /// queued 25 GB/s fabric, checksums, health monitor and re-replication on.
-DisaggregatedRunReport RunStormCluster(const FaultPlan& plan) {
+ClusterRunReport RunStormCluster(const FaultPlan& plan) {
   HostSimConfig cfg = DisaggHostConfig();
   cfg.tuning.fabric_latency = Micros(10);
   cfg.tuning.fabric_bandwidth_bytes_per_sec = 25e9;
@@ -615,7 +691,7 @@ DisaggregatedRunReport RunStormCluster(const FaultPlan& plan) {
   EXPECT_TRUE(cluster.LoadModel(DisaggModel()).ok());
   FaultInjector inj(plan, cluster.host_store(0).loop(), /*seed=*/23);
   cluster.fabric_service()->InstallFaultInjector(&inj);
-  return cluster.RunDisaggregated(/*total_qps=*/3000, /*num_queries=*/3000);
+  return cluster.Run(/*total_qps=*/3000, /*num_queries=*/3000);
 }
 
 TEST(Disaggregated, FaultStormRunReproducesFieldForField) {
@@ -627,8 +703,8 @@ TEST(Disaggregated, FaultStormRunReproducesFieldForField) {
                   /*device=*/0);
   plan.FabricPartition(At(Millis(450)), At(Millis(500)));
   plan.FabricDrop(At(Millis(650)), At(Millis(800)), /*probability=*/0.2);
-  const DisaggregatedRunReport a = RunStormCluster(plan);
-  const DisaggregatedRunReport b = RunStormCluster(plan);
+  const ClusterRunReport a = RunStormCluster(plan);
+  const ClusterRunReport b = RunStormCluster(plan);
   // The storm bit and the hosts really shared reads.
   EXPECT_GT(a.cross_host_hits, 0u);
   EXPECT_GT(a.rows_failed, 0u);
@@ -769,7 +845,7 @@ TEST(ReplicaLoad, PrunedModelGivesEveryHostItsOwnMapping) {
   }
 
   // The stack holds one model's worth of bytes for all the hosts.
-  const DisaggregatedRunReport r = cluster.RunDisaggregated(/*total_qps=*/2.0, 12);
+  const ClusterRunReport r = cluster.Run(/*total_qps=*/2.0, 12);
   EXPECT_EQ(r.sm_unique_bytes, solo_report.value().sm_bytes);
   EXPECT_EQ(r.sm_logical_bytes, kHosts * solo_report.value().sm_bytes);
 }
@@ -837,8 +913,8 @@ TEST(ReportFormat, HostRunReportSummaryIsPinned) {
             "hedge=2/6 deg=1 rowsf=3 shed=2 rot=1 rrd=1 rep=2 xrep=1");
 }
 
-TEST(ReportFormat, DisaggregatedRunReportSummaryIsPinned) {
-  DisaggregatedRunReport r;
+TEST(ReportFormat, ClusterRunReportSummaryIsPinned) {
+  ClusterRunReport r;
   r.hosts.resize(2);
   r.aggregate_qps = 512.3;
   r.mean_hit_rate = 0.805;

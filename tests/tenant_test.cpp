@@ -2,7 +2,7 @@
 // starvation bound, byte-budget parking, foreground promotion), the
 // SharedDeviceService (extent dedup, cross-tenant single-flight, fair-share
 // attribution), single-tenant byte-identity of shared vs owned device
-// stacks, shared-device tuning validation, and the reworked MultiTenantHost.
+// stacks, shared-device tuning validation, and co-located tenants as cluster hosts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,7 @@
 #include "core/model_updater.h"
 #include "core/sdm_store.h"
 #include "dlrm/model_zoo.h"
-#include "tenant/multi_tenant_host.h"
+#include "serving/cluster.h"
 #include "tenant/shared_device_service.h"
 #include "tenant/tenant.h"
 
@@ -560,18 +560,20 @@ TEST(TenantTuning, AttachedStoreRejectsInconsistentKnobsAtLoad) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(TenantTuning, MultiTenantHostSurfacesValidationError) {
+TEST(TenantTuning, SharedStackClusterSurfacesValidationError) {
   HostSimConfig base;
   base.host = MakeHwFAO(2);
   base.tuning.io_batching = IoBatching::kPerRequest;
-  MultiTenantHost host(base, 1, /*shared_device=*/true);
-  const Status s = host.AddTenant(MakeTinyUniformModel(32, 1, 1, 1000), 4 * kMiB);
+  base.seed = 1;
+  ClusterSimulation host(1, base, RoutingPolicy::kLocal, DisaggregatedConfig{.enabled = true});
+  const HostRole role{MakeTinyUniformModel(32, 1, 1, 1000), 4 * kMiB};
+  const Status s = host.LoadModels(std::span(&role, 1));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
-// MultiTenantHost on the real shared-device path.
+// Co-located tenants: ClusterSimulation hosts on one shared device stack.
 // ---------------------------------------------------------------------------
 
 HostSimConfig TenantHostConfig() {
@@ -581,24 +583,25 @@ HostSimConfig TenantHostConfig() {
   cfg.sm_backing_per_device = 32 * kMiB;
   cfg.workload.num_users = 2000;
   cfg.workload.seed = 11;
-  cfg.seed = 11;
+  cfg.seed = 77;
   return cfg;
 }
 
 TEST(MultiTenantShared, RunsShardsOnOneDeviceStackAndReports) {
-  MultiTenantHost host(TenantHostConfig(), 77, /*shared_device=*/true);
-  ModelConfig shared_model = MakeTinyUniformModel(64, 2, 1, 40'000);
-  ASSERT_TRUE(host.AddTenant(shared_model, 4 * kMiB, TenantClass::kForeground).ok());
-  ASSERT_TRUE(host.AddTenant(shared_model, 4 * kMiB, TenantClass::kBackground).ok());
-  ASSERT_TRUE(
-      host.AddTenant(MakeTinyUniformModel(64, 3, 1, 30'000), 4 * kMiB).ok());
-  EXPECT_EQ(host.tenant_count(), 3u);
-  ASSERT_NE(host.service(), nullptr);
+  const ModelConfig shared_model = MakeTinyUniformModel(64, 2, 1, 40'000);
+  const HostRole roles[] = {{shared_model, 4 * kMiB, TenantClass::kForeground},
+                            {shared_model, 4 * kMiB, TenantClass::kBackground},
+                            {MakeTinyUniformModel(64, 3, 1, 30'000), 4 * kMiB}};
+  ClusterSimulation host(3, TenantHostConfig(), RoutingPolicy::kLocal,
+                         DisaggregatedConfig{.enabled = true});
+  ASSERT_TRUE(host.LoadModels(roles).ok());
+  EXPECT_EQ(host.size(), 3u);
+  ASSERT_NE(host.fabric_service(), nullptr);
 
-  const MultiTenantReport r = host.Run(/*qps_per_tenant=*/200, /*queries=*/400);
-  ASSERT_EQ(r.tenants.size(), 3u);
-  EXPECT_TRUE(r.shared_device);
-  for (const auto& t : r.tenants) {
+  const ClusterRunReport r = host.Run(/*total_qps=*/3 * 200, /*num_queries=*/3 * 400);
+  ASSERT_EQ(r.hosts.size(), 3u);
+  EXPECT_TRUE(host.disaggregated());
+  for (const auto& t : r.hosts) {
     EXPECT_EQ(t.run.queries_completed, 400u);
     EXPECT_GT(t.sm_used, 0u);
     EXPECT_FALSE(t.Summary().empty());
@@ -607,11 +610,11 @@ TEST(MultiTenantShared, RunsShardsOnOneDeviceStackAndReports) {
   EXPECT_LT(r.sm_unique_bytes, r.sm_logical_bytes);
   // The background tenant's demand rode the background lane; foreground
   // tenants rode the demand lane.
-  EXPECT_EQ(r.tenants[1].cls, TenantClass::kBackground);
-  EXPECT_GT(r.tenants[1].bg_lane_bytes, 0u);
-  EXPECT_EQ(r.tenants[1].fg_lane_bytes, 0u);
-  EXPECT_GT(r.tenants[0].fg_lane_bytes, 0u);
-  EXPECT_EQ(r.tenants[0].bg_lane_bytes, 0u);
+  EXPECT_EQ(r.hosts[1].cls, TenantClass::kBackground);
+  EXPECT_GT(r.hosts[1].share.background_bytes, 0u);
+  EXPECT_EQ(r.hosts[1].share.demand_bytes, 0u);
+  EXPECT_GT(r.hosts[0].share.demand_bytes, 0u);
+  EXPECT_EQ(r.hosts[0].share.background_bytes, 0u);
   EXPECT_GT(r.io.background_reads, 0u);
   EXPECT_GT(r.sm_device_reads, 0u);
   EXPECT_FALSE(r.Summary().empty());
@@ -620,37 +623,39 @@ TEST(MultiTenantShared, RunsShardsOnOneDeviceStackAndReports) {
 }
 
 TEST(MultiTenantShared, IsolatedModeStillWorks) {
-  MultiTenantHost host(TenantHostConfig(), 77);
-  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 2, 1, 40'000), 4 * kMiB).ok());
-  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 3, 1, 30'000), 4 * kMiB).ok());
-  const MultiTenantReport r = host.Run(100, 200);
-  ASSERT_EQ(r.tenants.size(), 2u);
-  EXPECT_FALSE(r.shared_device);
-  for (const auto& t : r.tenants) EXPECT_EQ(t.run.queries_completed, 200u);
+  const HostRole roles[] = {{MakeTinyUniformModel(64, 2, 1, 40'000), 4 * kMiB},
+                            {MakeTinyUniformModel(64, 3, 1, 30'000), 4 * kMiB}};
+  ClusterSimulation host(2, TenantHostConfig(), RoutingPolicy::kLocal);
+  ASSERT_TRUE(host.LoadModels(roles).ok());
+  const ClusterRunReport r = host.Run(2 * 100, 2 * 200);
+  ASSERT_EQ(r.hosts.size(), 2u);
+  EXPECT_FALSE(host.disaggregated());
+  for (const auto& t : r.hosts) EXPECT_EQ(t.run.queries_completed, 200u);
   EXPECT_EQ(r.sm_unique_bytes, r.sm_logical_bytes);
 }
 
 TEST(MultiTenantShared, TwinTenantsCannotUpdateTheirSharedExtents) {
-  MultiTenantHost host(TenantHostConfig(), 77, /*shared_device=*/true);
   const ModelConfig model = MakeTinyUniformModel(64, 2, 1, 40'000);
-  ASSERT_TRUE(host.AddTenant(model, 4 * kMiB).ok());
-  ASSERT_TRUE(host.AddTenant(model, 4 * kMiB).ok());
+  const HostRole roles[] = {{model, 4 * kMiB}, {model, 4 * kMiB}};
+  ClusterSimulation host(2, TenantHostConfig(), RoutingPolicy::kLocal,
+                         DisaggregatedConfig{.enabled = true});
+  ASSERT_TRUE(host.LoadModels(roles).ok());
   UpdateOptions opts;
   opts.row_fraction = 0.1;
   // Tenant 0 placed the extents tenant 1 serves from: neither may rewrite
   // them in place.
   for (size_t tenant : {0, 1}) {
-    ModelUpdater updater(&host.tenant_store(tenant));
+    ModelUpdater updater(&host.host_store(tenant));
     const auto report = updater.Update(opts);
     ASSERT_FALSE(report.ok()) << "tenant " << tenant;
     EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
   }
 }
 
-TEST(MultiTenant, TenantReportSummaryIsPinned) {
+TEST(MultiTenant, ClusterHostReportSummaryIsPinned) {
   // Exact-output pin for the KvFormatter-built tenant line (see the host
   // and cluster pins in serving_test).
-  TenantReport t;
+  ClusterHostReport t;
   t.model_name = "rm1";
   t.cls = TenantClass::kBackground;
   t.run.offered_qps = 200;
@@ -658,10 +663,10 @@ TEST(MultiTenant, TenantReportSummaryIsPinned) {
   t.run.p95 = Millis(2.5);
   t.run.p99 = Millis(4);
   t.run.row_cache_hit_rate = 0.5;
-  t.singleflight_hits = 12;
-  t.cross_tenant_hits = 7;
-  t.fg_lane_bytes = 0;
-  t.bg_lane_bytes = 96 * kKiB;
+  t.share.singleflight_hits = 12;
+  t.share.cross_tenant_hits = 7;
+  t.share.demand_bytes = 0;
+  t.share.background_bytes = 96 * kKiB;
   t.throttle_queue_time = Micros(250);
   EXPECT_EQ(t.Summary(),
             "rm1 [background] qps=200/200 p95=2.50ms p99=4.00ms hit=50.0% sf=12 "
