@@ -19,7 +19,9 @@
 #include "io/io_engine.h"
 #include "obs/observability.h"
 #include "sched/batch_scheduler.h"
+#include "embedding/embedding_table.h"
 #include "serving/cluster.h"
+#include "serving/host.h"
 #include "trace/trace_gen.h"
 
 #include "common/logging.h"
@@ -54,6 +56,26 @@ BENCHMARK(BM_QuantizeRow)
     ->Args({static_cast<int>(DataType::kInt8Rowwise), 256})
     ->Args({static_cast<int>(DataType::kInt4Rowwise), 64})
     ->Args({static_cast<int>(DataType::kFp16), 64});
+
+/// One M1-mini user table (30k rows x 120 int8): per-row value generation,
+/// quantization into the image, then the content hash the loader keys
+/// shared extents by. `per_element` is time per generated element.
+void BM_GenerateTableImage(benchmark::State& state) {
+  TableConfig cfg;
+  cfg.name = "gen";
+  cfg.dtype = DataType::kInt8Rowwise;
+  cfg.dim = 120;
+  cfg.num_rows = 30'000;
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    const auto image = EmbeddingTableImage::GenerateRandom(cfg, ++seed);
+    benchmark::DoNotOptimize(image.ContentHash());
+  }
+  state.counters["per_element"] = benchmark::Counter(
+      static_cast<double>(cfg.num_rows * cfg.dim),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GenerateTableImage)->Unit(benchmark::kMillisecond);
 
 void BM_DequantizeAccumulate(benchmark::State& state) {
   const auto type = static_cast<DataType>(state.range(0));
@@ -406,6 +428,41 @@ void BM_ClusterLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterLoad)->Arg(1)->Arg(16)->Unit(benchmark::kMillisecond);
+
+/// One M1-mini host (HW-SS, 2 x 64 MiB SM backing, 28 MiB FM; 12 user
+/// tables of 30k x 120 and 6 item tables of 2k x 120, int8): construction
+/// plus LoadModel, teardown paused. Set-up cost here is image generation,
+/// hashing and the device writes, not the backing size.
+void BM_HostLoad(benchmark::State& state) {
+  HostSimConfig cfg;
+  cfg.host = MakeHwSS();
+  cfg.fm_capacity = 28 * kMiB;
+  cfg.sm_backing_per_device = 64 * kMiB;
+  cfg.workload.num_users = 1500;
+  ModelConfig model;
+  model.name = "m1-mini";
+  model.item_batch_size = 10;
+  for (int i = 0; i < 18; ++i) {
+    TableConfig t;
+    t.name = (i < 12 ? "user." : "item.") + std::to_string(i);
+    t.role = i < 12 ? TableRole::kUser : TableRole::kItem;
+    t.dim = 120;
+    t.num_rows = i < 12 ? 30'000 : 2'000;
+    t.avg_pooling_factor = i < 12 ? 10 : 4;
+    model.tables.push_back(t);
+  }
+  for (auto _ : state) {
+    auto sim = std::make_unique<HostSimulation>(cfg);
+    if (!sim->LoadModel(model).ok()) {
+      state.SkipWithError("load failed");
+      return;
+    }
+    state.PauseTiming();
+    sim.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_HostLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sdm

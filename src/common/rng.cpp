@@ -4,29 +4,11 @@
 
 namespace sdm {
 
-namespace {
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   for (auto& s : s_) {
     s = Mix64(seed);
     seed += 0x9e3779b97f4a7c15ULL;
   }
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
@@ -45,12 +27,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   }
   return static_cast<uint64_t>(m >> 64);
 }
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::NextDouble(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
 bool Rng::NextBernoulli(double p) {
   if (p <= 0) return false;

@@ -29,17 +29,27 @@ class Rng {
   explicit Rng(uint64_t seed);
 
   /// Uniform 64-bit value.
-  [[nodiscard]] uint64_t Next();
+  [[nodiscard]] uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Uses Lemire rejection to
   /// avoid modulo bias.
   [[nodiscard]] uint64_t NextBounded(uint64_t bound);
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double NextDouble();
+  [[nodiscard]] double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
-  [[nodiscard]] double NextDouble(double lo, double hi);
+  [[nodiscard]] double NextDouble(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
   /// True with probability p (p clamped to [0,1]).
   [[nodiscard]] bool NextBernoulli(double p);
@@ -59,6 +69,8 @@ class Rng {
   [[nodiscard]] Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
 };
 

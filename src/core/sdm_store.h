@@ -56,8 +56,8 @@ struct SdmStoreConfig {
   Bytes fm_capacity = 256 * kMiB;
 
   /// SM devices on the host (specs define latency/IOPS; backing sizes the
-  /// actual byte store for scaled-down runs). Owned mode only — must be
-  /// empty when `shared_device` is set.
+  /// actual byte store for scaled-down runs, virtual until written). Owned
+  /// mode only — must be empty when `shared_device` is set.
   std::vector<DeviceSpec> sm_specs;
   std::vector<Bytes> sm_backing_bytes;
 

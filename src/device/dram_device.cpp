@@ -4,14 +4,14 @@
 
 namespace sdm {
 
-DramDevice::DramDevice(Bytes size, DeviceSpec spec) : spec_(std::move(spec)), store_(size, 0) {
+DramDevice::DramDevice(Bytes size, DeviceSpec spec) : spec_(std::move(spec)), store_(size) {
   reads_ = stats_.GetCounter("reads");
   read_bytes_ = stats_.GetCounter("read_bytes");
   writes_ = stats_.GetCounter("writes");
 }
 
 Status DramDevice::Write(Bytes offset, std::span<const uint8_t> data) {
-  if (offset + data.size() > store_.size()) {
+  if (offset > store_.size() || data.size() > store_.size() - offset) {
     return OutOfRangeError("DRAM write beyond store");
   }
   std::memcpy(store_.data() + offset, data.data(), data.size());
@@ -20,7 +20,7 @@ Status DramDevice::Write(Bytes offset, std::span<const uint8_t> data) {
 }
 
 Result<SimDuration> DramDevice::Read(Bytes offset, std::span<uint8_t> dest) {
-  if (offset + dest.size() > store_.size()) {
+  if (offset > store_.size() || dest.size() > store_.size() - offset) {
     return OutOfRangeError("DRAM read beyond store");
   }
   std::memcpy(dest.data(), store_.data() + offset, dest.size());
@@ -30,7 +30,7 @@ Result<SimDuration> DramDevice::Read(Bytes offset, std::span<uint8_t> dest) {
 }
 
 Result<std::span<const uint8_t>> DramDevice::View(Bytes offset, Bytes length) const {
-  if (offset + length > store_.size()) {
+  if (offset > store_.size() || length > store_.size() - offset) {
     return OutOfRangeError("DRAM view beyond store");
   }
   reads_->Add(1);

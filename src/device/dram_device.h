@@ -7,11 +7,11 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/result.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/zeroed_buffer.h"
 #include "device/device_spec.h"
 
 namespace sdm {
@@ -44,7 +44,7 @@ class DramDevice {
 
  private:
   DeviceSpec spec_;
-  std::vector<uint8_t> store_;
+  ZeroedBuffer store_;  ///< virtual until written
   StatsRegistry stats_;
   Counter* reads_ = nullptr;
   Counter* read_bytes_ = nullptr;

@@ -1,6 +1,7 @@
 #include "device/nvme_device.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -14,7 +15,7 @@ NvmeDevice::NvmeDevice(DeviceSpec spec, Bytes backing_size, EventLoop* loop, uin
       latency_(spec_, seed),
       wear_(spec_.capacity, spec_.endurance_dwpd),
       fault_rng_(seed ^ 0xfa'017'0000ULL),
-      store_(backing_size, 0) {
+      store_(backing_size) {
   assert(loop != nullptr);
   reads_ = stats_.GetCounter("reads");
   read_errors_ = stats_.GetCounter("read_errors");
@@ -27,35 +28,32 @@ NvmeDevice::NvmeDevice(DeviceSpec spec, Bytes backing_size, EventLoop* loop, uin
   blocks_corrupt_ = stats_.GetCounter("blocks_corrupt");
 }
 
-namespace {
-
-/// FNV-1a over one block, truncated to 32 bits. Collision quality is ample
-/// for detecting single-byte rot; speed matters more (stamped per write).
-uint32_t BlockCrc(const uint8_t* data, size_t n) {
+// Collision quality is ample for detecting single-byte rot; speed matters
+// more (stamped per write).
+uint32_t NvmeDevice::BlockCrc(std::span<const uint8_t> block) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
+  for (const uint8_t b : block) {
+    h ^= b;
     h *= 0x100000001b3ULL;
   }
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
-
-}  // namespace
 
 void NvmeDevice::set_checksums(bool enabled) {
   if (!enabled) {
     block_crc_.clear();
     return;
   }
-  const size_t full_blocks = store_.size() / kBlockSize;
-  block_crc_.resize(full_blocks);
-  for (size_t b = 0; b < full_blocks; ++b) {
-    block_crc_[b] = BlockCrc(store_.data() + b * kBlockSize, kBlockSize);
-  }
+  assert(writes_->value() == 0 && "checksums must be enabled before the first write");
+  static const uint32_t kZeroBlockCrc = [] {
+    const std::array<uint8_t, kBlockSize> zero{};
+    return BlockCrc(zero);
+  }();
+  block_crc_.assign(store_.size() / kBlockSize, kZeroBlockCrc);
 }
 
 Result<SimDuration> NvmeDevice::Write(Bytes offset, std::span<const uint8_t> data) {
-  if (offset + data.size() > store_.size()) {
+  if (offset > store_.size() || data.size() > store_.size() - offset) {
     return OutOfRangeError("write beyond device backing store");
   }
   std::memcpy(store_.data() + offset, data.data(), data.size());
@@ -65,7 +63,7 @@ Result<SimDuration> NvmeDevice::Write(Bytes offset, std::span<const uint8_t> dat
     const size_t first = offset / kBlockSize;
     const size_t last = (offset + data.size() - 1) / kBlockSize;
     for (size_t b = first; b <= last && b < block_crc_.size(); ++b) {
-      block_crc_[b] = BlockCrc(store_.data() + b * kBlockSize, kBlockSize);
+      block_crc_[b] = BlockCrc({store_.data() + b * kBlockSize, kBlockSize});
     }
   }
   wear_.RecordWrite(data.size());
@@ -92,7 +90,7 @@ void NvmeDevice::SubmitRead(ReadRequest req) {
   Status error;
   if (req.length == 0) {
     error = InvalidArgumentError("zero-length read");
-  } else if (req.offset + req.length > store_.size()) {
+  } else if (req.offset > store_.size() || req.length > store_.size() - req.offset) {
     error = OutOfRangeError("read beyond device backing store");
   } else if (req.sub_block && !spec_.supports_sub_block) {
     error = FailedPreconditionError("device lacks SGL bit-bucket sub-block support");
@@ -177,7 +175,7 @@ void NvmeDevice::SubmitRead(ReadRequest req) {
     for (size_t i = 0; i < blocks; ++i) {
       const size_t b = first_block + i;
       if (b >= block_crc_.size()) break;  // unstamped partial/backing tail
-      if (BlockCrc(req.dest.data() + i * kBlockSize, kBlockSize) != block_crc_[b]) {
+      if (BlockCrc(req.dest.subspan(i * kBlockSize, kBlockSize)) != block_crc_[b]) {
         ++bad;
       }
     }

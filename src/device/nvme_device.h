@@ -22,6 +22,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/zeroed_buffer.h"
 #include "device/device_spec.h"
 #include "device/endurance.h"
 #include "device/latency_model.h"
@@ -32,8 +33,9 @@ class FaultInjector;
 
 class NvmeDevice {
  public:
-  /// `backing_size` is the actual allocated store (experiments run scaled
-  /// down; the spec's nominal capacity is used for cost/endurance math).
+  /// `backing_size` is the actual byte store (experiments run scaled down;
+  /// the spec's nominal capacity is used for cost/endurance math). It is
+  /// virtual until written: host memory is committed page by page.
   NvmeDevice(DeviceSpec spec, Bytes backing_size, EventLoop* loop, uint64_t seed);
 
   NvmeDevice(const NvmeDevice&) = delete;
@@ -84,14 +86,20 @@ class NvmeDevice {
   /// Sub-block (SGL) payloads are not block-shaped and stay unverified.
   /// Off (the default) leaves reads byte-identical: verification of a
   /// clean payload has no timing or RNG footprint either way.
+  /// Enabling must precede the first Write: every block is still zero
+  /// then, so each is stamped with the one zero-block CRC.
   void set_checksums(bool enabled);
   [[nodiscard]] bool checksums() const { return !block_crc_.empty(); }
+  /// Per-4KB-block stamps (empty with checksums off).
+  [[nodiscard]] std::span<const uint32_t> block_crcs() const { return block_crc_; }
+  /// The block checksum: FNV-1a over the bytes, folded to 32 bits.
+  [[nodiscard]] static uint32_t BlockCrc(std::span<const uint8_t> block);
 
   /// Direct view of the backing store for OFFLINE copies — replication
   /// staging and refresh-time FM migration read source bytes here instead
   /// of modeling serving-path IO (the same convention as load-time writes,
   /// which are offline too). Never used on the serving path.
-  [[nodiscard]] std::span<const uint8_t> backing() const { return store_; }
+  [[nodiscard]] std::span<const uint8_t> backing() const { return store_.span(); }
 
   /// Installs (or clears, with nullptr) a scripted fault injector
   /// (src/fault): error-burst windows fail reads at completion time, stall
@@ -124,7 +132,7 @@ class NvmeDevice {
   Rng fault_rng_;
   FaultInjector* injector_ = nullptr;
   int device_index_ = -1;
-  std::vector<uint8_t> store_;
+  ZeroedBuffer store_;
   /// Per-4KB-block CRCs over the backing store; empty = checksums off.
   /// A partial tail block (backing not block-multiple) stays unstamped.
   std::vector<uint32_t> block_crc_;

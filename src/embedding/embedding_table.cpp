@@ -1,12 +1,19 @@
 #include "embedding/embedding_table.h"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace sdm {
 
-EmbeddingTableImage::EmbeddingTableImage(TableConfig config) : config_(std::move(config)) {
+EmbeddingTableImage::EmbeddingTableImage(TableConfig config, Unfilled)
+    : config_(std::move(config)) {
   assert(config_.dim > 0);
-  data_.assign(config_.row_bytes() * config_.num_rows, 0);
+  data_.resize(config_.row_bytes() * config_.num_rows);
+}
+
+EmbeddingTableImage::EmbeddingTableImage(TableConfig config)
+    : EmbeddingTableImage(std::move(config), Unfilled{}) {
   // Zero rows must still carry valid quant params; QuantizeRow of a zero row
   // produces exactly that, so write each row once for quantized dtypes.
   if (config_.dtype == DataType::kInt8Rowwise || config_.dtype == DataType::kInt4Rowwise) {
@@ -19,22 +26,24 @@ EmbeddingTableImage::EmbeddingTableImage(TableConfig config) : config_(std::move
   }
 }
 
+void EmbeddingTableImage::FillRowValues(uint64_t seed, RowIndex row, std::span<float> out) {
+  Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (row + 1)));
+  for (auto& v : out) v = static_cast<float>(rng.NextDouble(-1.0, 1.0));
+}
+
 std::vector<float> EmbeddingTableImage::ReferenceRowValues(const TableConfig& config,
                                                            uint64_t seed, RowIndex row) {
-  Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (row + 1)));
   std::vector<float> values(config.dim);
-  for (auto& v : values) v = static_cast<float>(rng.NextDouble(-1.0, 1.0));
+  FillRowValues(seed, row, values);
   return values;
 }
 
 EmbeddingTableImage EmbeddingTableImage::GenerateRandom(TableConfig config, uint64_t seed) {
-  EmbeddingTableImage image(std::move(config));
-  std::vector<uint8_t> row_buf(image.row_bytes());
+  EmbeddingTableImage image(std::move(config), Unfilled{});
+  std::vector<float> values(image.config_.dim);
   for (uint64_t r = 0; r < image.num_rows(); ++r) {
-    const std::vector<float> values = ReferenceRowValues(image.config_, seed, r);
-    QuantizeRow(image.config_.dtype, values, row_buf);
-    std::copy(row_buf.begin(), row_buf.end(),
-              image.data_.begin() + static_cast<ptrdiff_t>(r * row_buf.size()));
+    FillRowValues(seed, r, values);
+    QuantizeRow(image.config_.dtype, values, image.MutableRow(r));
   }
   return image;
 }
@@ -63,12 +72,23 @@ Status EmbeddingTableImage::SetRow(RowIndex row, std::span<const float> values) 
 }
 
 uint64_t EmbeddingTableImage::ContentHash() const {
+  // FNV-style multiply per 64-bit word; the rotate feeds high bits back
+  // down. A zero-padded tail word and the length finish the fold.
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const uint8_t b : data_) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
+  const size_t n = data_.size();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, data_.data() + i, 8);
+    h = std::rotl((h ^ w) * kPrime, 29);
   }
-  return h;
+  if (i < n) {
+    uint64_t w = 0;
+    std::memcpy(&w, data_.data() + i, n - i);
+    h = std::rotl((h ^ w) * kPrime, 29);
+  }
+  return Mix64(h ^ n);
 }
 
 }  // namespace sdm

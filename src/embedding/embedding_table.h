@@ -44,8 +44,9 @@ class EmbeddingTableImage {
   /// Raw bytes of the whole image (what gets written to a device).
   [[nodiscard]] std::span<const uint8_t> bytes() const { return data_; }
 
-  /// FNV-1a over bytes() — the shared-device extent registry's content
-  /// fingerprint. Collisions are guarded by the registry's (name, size) key
+  /// 64-bit fingerprint of bytes(), folded 8 bytes at a time — the
+  /// shared-device extent registry's content key. Only equality matters
+  /// there. Collisions are guarded by the registry's (name, size) key
   /// components; images here are deterministic generator output, not
   /// adversarial input.
   [[nodiscard]] uint64_t ContentHash() const;
@@ -56,6 +57,14 @@ class EmbeddingTableImage {
                                                              uint64_t seed, RowIndex row);
 
  private:
+  struct Unfilled {};
+  /// Sized image of zero bytes without the zero rows' quant params; the
+  /// caller writes every row.
+  EmbeddingTableImage(TableConfig config, Unfilled);
+
+  /// Fills `out` (dim floats) with row `row`'s generated values.
+  static void FillRowValues(uint64_t seed, RowIndex row, std::span<float> out);
+
   TableConfig config_;
   std::vector<uint8_t> data_;
 };

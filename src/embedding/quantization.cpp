@@ -92,14 +92,19 @@ struct RowRange {
   float lo;
   float scale_inv;  // levels / (hi - lo), 0 when hi == lo
   float scale;      // (hi - lo) / levels
+  /// No NaN or inf among the values, span and scale: every scaled value is
+  /// then in [0, levels] up to a rounding ulp.
+  bool finite;
 };
 
 RowRange ComputeRange(std::span<const float> values, int levels) {
   float lo = std::numeric_limits<float>::max();
   float hi = std::numeric_limits<float>::lowest();
+  bool nan = false;
   for (const float v : values) {
     lo = std::min(lo, v);
     hi = std::max(hi, v);
+    nan |= std::isnan(v);
   }
   if (values.empty()) lo = hi = 0;
   RowRange r;
@@ -107,13 +112,57 @@ RowRange ComputeRange(std::span<const float> values, int levels) {
   const float span = hi - lo;
   r.scale = span > 0 ? span / static_cast<float>(levels) : 1.0f;
   r.scale_inv = span > 0 ? static_cast<float>(levels) / span : 0.0f;
+  r.finite = !nan && std::isfinite(span) && std::isfinite(r.scale_inv);
   return r;
 }
 
+/// One code. A finite row rounds half-to-even by adding 2^23, which
+/// leaves no fraction bits for 0 <= x < 2^22, so the FPU's default
+/// rounding matches lrintf without a libm call. Other rows keep lrintf:
+/// the stored bytes depend on what it returns for NaN and out-of-range
+/// input.
+template <bool kFinite>
 uint32_t QuantizeValue(float v, const RowRange& r, int levels) {
   const float scaled = (v - r.lo) * r.scale_inv;
-  const auto q = static_cast<int32_t>(std::lrintf(scaled));
-  return static_cast<uint32_t>(std::clamp<int32_t>(q, 0, levels));
+  if constexpr (kFinite) {
+    const auto q = static_cast<int32_t>((scaled + 0x1.0p23f) - 0x1.0p23f);
+    return static_cast<uint32_t>(std::min(q, levels));
+  } else {
+    const auto q = static_cast<int32_t>(std::lrintf(scaled));
+    return static_cast<uint32_t>(std::clamp<int32_t>(q, 0, levels));
+  }
+}
+
+/// Writes the code bytes of an int8 (levels 255) or packed int4 (levels
+/// 15, low nibble = even element) row.
+template <bool kFinite>
+void WriteCodes(std::span<const float> values, const RowRange& r, int levels,
+                std::span<uint8_t> dest) {
+  if (levels == 255) {
+    for (size_t i = 0; i < values.size(); ++i) {
+      dest[i] = static_cast<uint8_t>(QuantizeValue<kFinite>(values[i], r, 255));
+    }
+    return;
+  }
+  const size_t packed = (values.size() + 1) / 2;
+  for (size_t i = 0; i < packed; ++i) {
+    const uint32_t lo_nibble = QuantizeValue<kFinite>(values[2 * i], r, 15);
+    const uint32_t hi_nibble =
+        2 * i + 1 < values.size() ? QuantizeValue<kFinite>(values[2 * i + 1], r, 15) : 0;
+    dest[i] = static_cast<uint8_t>(lo_nibble | (hi_nibble << 4));
+  }
+}
+
+/// Quantizes an int8 or int4 row's codes into `dest`; returns the range
+/// whose scale and bias the caller stores after them.
+RowRange QuantizeCodes(std::span<const float> values, int levels, std::span<uint8_t> dest) {
+  const RowRange r = ComputeRange(values, levels);
+  if (r.finite) {
+    WriteCodes<true>(values, r, levels, dest);
+  } else {
+    WriteCodes<false>(values, r, levels, dest);
+  }
+  return r;
 }
 
 }  // namespace
@@ -133,23 +182,14 @@ void QuantizeRow(DataType type, std::span<const float> values, std::span<uint8_t
       return;
     }
     case DataType::kInt8Rowwise: {
-      const RowRange r = ComputeRange(values, 255);
-      for (size_t i = 0; i < values.size(); ++i) {
-        dest[i] = static_cast<uint8_t>(QuantizeValue(values[i], r, 255));
-      }
+      const RowRange r = QuantizeCodes(values, 255, dest);
       std::memcpy(dest.data() + values.size(), &r.scale, 4);
       std::memcpy(dest.data() + values.size() + 4, &r.lo, 4);
       return;
     }
     case DataType::kInt4Rowwise: {
-      const RowRange r = ComputeRange(values, 15);
+      const RowRange r = QuantizeCodes(values, 15, dest);
       const size_t packed = (values.size() + 1) / 2;
-      for (size_t i = 0; i < packed; ++i) {
-        const uint32_t lo_nibble = QuantizeValue(values[2 * i], r, 15);
-        const uint32_t hi_nibble =
-            2 * i + 1 < values.size() ? QuantizeValue(values[2 * i + 1], r, 15) : 0;
-        dest[i] = static_cast<uint8_t>(lo_nibble | (hi_nibble << 4));
-      }
       const uint16_t hscale = FloatToHalf(r.scale);
       const uint16_t hbias = FloatToHalf(r.lo);
       std::memcpy(dest.data() + packed, &hscale, 2);

@@ -51,7 +51,8 @@ struct HostSimConfig {
   /// FM the SDM may use (scaled-down experiments use far less than the
   /// host's nominal DRAM).
   Bytes fm_capacity = 128 * kMiB;
-  /// Backing bytes allocated per SSD (scaled).
+  /// Backing bytes per SSD (scaled). Virtual until written: host memory
+  /// is committed page by page as tables are placed.
   Bytes sm_backing_per_device = 256 * kMiB;
   TuningConfig tuning;
   LoaderOptions loader;

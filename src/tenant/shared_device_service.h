@@ -66,7 +66,8 @@ class ReplicationManager;
 class SharedDeviceService;
 
 struct SharedDeviceConfig {
-  /// SM devices (specs define latency/IOPS; backing sizes the byte store).
+  /// SM devices (specs define latency/IOPS; backing sizes the byte store,
+  /// which commits host memory only where tables are written).
   std::vector<DeviceSpec> sm_specs;
   std::vector<Bytes> sm_backing_bytes;
   /// Device-side knobs: queue depth, completion mode, scheduler batching,

@@ -2,6 +2,8 @@
 // device (block + sub-block reads, read amplification, wear), DRAM device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "device/endurance.h"
 #include "device/latency_model.h"
 #include "device/nvme_device.h"
+#include "resident_memory.h"
 
 namespace sdm {
 namespace {
@@ -343,6 +346,83 @@ TEST_F(NvmeDeviceTest, WriteBeyondStoreFails) {
   EXPECT_FALSE(dev_.Write(1 * kMiB - 8, data).ok());
 }
 
+TEST_F(NvmeDeviceTest, WrappingOffsetsAreOutOfRange) {
+  // offset + 16 wraps past zero; the check must not, or the copy runs
+  // far outside the backing store.
+  constexpr Bytes kOffset = UINT64_MAX - 8;
+  const std::vector<uint8_t> data(16, 0x5a);
+  EXPECT_EQ(dev_.Write(kOffset, data).status().code(), StatusCode::kOutOfRange);
+
+  // A sub-block read whose (wrapped) bus size matches its buffer gets past
+  // every other check.
+  std::vector<uint8_t> dest(NvmeDevice::BusBytes(kOffset, 16, true));
+  Status got;
+  NvmeDevice::ReadRequest req;
+  req.offset = kOffset;
+  req.length = 16;
+  req.sub_block = true;
+  req.dest = dest;
+  req.on_complete = [&](Status s, SimDuration) { got = s; };
+  dev_.SubmitRead(std::move(req));
+  loop_.RunUntilIdle();
+  EXPECT_EQ(got.code(), StatusCode::kOutOfRange);
+}
+
+TEST(NvmeChecksums, StampsMatchPerBlockRecomputation) {
+  EventLoop loop;
+  NvmeDevice dev(MakeNandFlashSpec(), 64 * kBlockSize + 100, &loop, 3);
+  dev.set_checksums(true);
+  ASSERT_EQ(dev.block_crcs().size(), 64u);  // the partial tail block stays unstamped
+  // Unaligned writes inside one block, across blocks and into the tail.
+  std::vector<uint8_t> data(3 * kBlockSize + 77);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i * 7 + 1);
+  ASSERT_TRUE(dev.Write(5 * kBlockSize + 13, data).ok());
+  ASSERT_TRUE(dev.Write(20 * kBlockSize + 1000, std::span(data).first(10)).ok());
+  ASSERT_TRUE(dev.Write(64 * kBlockSize - 50, std::span(data).first(120)).ok());
+  const auto backing = dev.backing();
+  for (size_t b = 0; b < dev.block_crcs().size(); ++b) {
+    EXPECT_EQ(dev.block_crcs()[b],
+              NvmeDevice::BlockCrc(backing.subspan(b * kBlockSize, kBlockSize)))
+        << "block " << b;
+  }
+  EXPECT_NE(dev.block_crcs()[5], dev.block_crcs()[0]);
+}
+
+TEST(SparseBacking, GibDevicesCommitOnlyWhatIsWritten) {
+  constexpr Bytes kBacking = 1 * kGiB;
+  const std::vector<uint8_t> chunk(1 * kMiB, 0xab);
+  const auto all_zero = [](std::span<const uint8_t> s) {
+    return std::all_of(s.begin(), s.end(), [](uint8_t b) { return b == 0; });
+  };
+  {
+    const int64_t before = ResidentBytes();
+    ASSERT_GT(before, 0);
+    EventLoop loop;
+    NvmeDevice dev(MakeNandFlashSpec(), kBacking, &loop, 1);
+    ASSERT_TRUE(dev.Write(kBacking / 2, chunk).ok());
+    const auto backing = dev.backing();
+    EXPECT_TRUE(all_zero(backing.first(4 * kMiB)));
+    EXPECT_TRUE(all_zero(backing.subspan(kBacking / 2 - kBlockSize, kBlockSize)));
+    EXPECT_TRUE(all_zero(backing.last(4 * kMiB)));
+    EXPECT_EQ(backing[kBacking / 2 + kMiB - 1], 0xab);
+    EXPECT_LT(ResidentBytes() - before, static_cast<int64_t>(32 * kMiB));
+  }
+  {
+    const int64_t before = ResidentBytes();
+    DramDevice dram(kBacking);
+    ASSERT_TRUE(dram.Write(kBacking / 2, chunk).ok());
+    std::vector<uint8_t> out(4 * kMiB, 0xff);
+    ASSERT_TRUE(dram.Read(0, out).ok());
+    EXPECT_TRUE(all_zero(out));
+    ASSERT_TRUE(dram.Read(kBacking - out.size(), out).ok());
+    EXPECT_TRUE(all_zero(out));
+    const auto view = dram.View(kBacking / 2, kMiB);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(view.value().back(), 0xab);
+    EXPECT_LT(ResidentBytes() - before, static_cast<int64_t>(32 * kMiB));
+  }
+}
+
 TEST_F(NvmeDeviceTest, LatencyHistogramPopulates) {
   std::vector<uint8_t> dest(512);
   for (int i = 0; i < 50; ++i) {
@@ -408,6 +488,15 @@ TEST(DramDevice, OutOfRangeFails) {
   EXPECT_FALSE(dram.Read(100, buf).ok());
   EXPECT_FALSE(dram.Write(100, buf).ok());
   EXPECT_FALSE(dram.View(100, 64).ok());
+}
+
+TEST(DramDevice, WrappingOffsetsAreOutOfRange) {
+  DramDevice dram(4096);
+  constexpr Bytes kOffset = UINT64_MAX - 8;
+  std::vector<uint8_t> buf(16);
+  EXPECT_EQ(dram.Write(kOffset, buf).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.Read(kOffset, buf).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.View(kOffset, 16).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(DramDevice, LatencyFarBelowSsd) {

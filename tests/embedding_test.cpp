@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <set>
 #include <vector>
 
 #include "embedding/embedding_table.h"
 #include "embedding/pooling.h"
 #include "embedding/pruning.h"
 #include "embedding/quantization.h"
+#include "reference_image_generator.h"
 
 namespace sdm {
 namespace {
@@ -215,6 +218,141 @@ TEST(TableImage, ZeroConstructedRowsDequantizeToZero) {
 TEST(TableImage, SizeBytesMatchesConfig) {
   const auto image = EmbeddingTableImage::GenerateRandom(SmallConfig(), 1);
   EXPECT_EQ(image.size_bytes(), 100u * (16 + 8));
+}
+
+// ---------------------------------------------------------------------------
+// One-pass generator, finite-row quantizer and word-wise hash, pinned to the
+// scalar code they replaced (tests/reference_image_generator.h).
+// ---------------------------------------------------------------------------
+
+constexpr DataType kAllTypes[] = {DataType::kFp32, DataType::kFp16, DataType::kInt8Rowwise,
+                                  DataType::kInt4Rowwise};
+
+std::vector<uint8_t> ToVector(std::span<const uint8_t> s) { return {s.begin(), s.end()}; }
+
+TEST(ImageGenerator, MatchesScalarReferenceByteForByte) {
+  for (const DataType dtype : kAllTypes) {
+    for (const uint32_t dim : {1u, 2u, 3u, 7u, 8u, 31u, 32u, 56u, 64u, 120u, 127u}) {
+      for (const uint64_t seed : {uint64_t{1}, uint64_t{0x5eed}, ~uint64_t{0}}) {
+        TableConfig cfg = SmallConfig(dtype);
+        cfg.dim = dim;
+        cfg.num_rows = 37;
+        const auto image = EmbeddingTableImage::GenerateRandom(cfg, seed);
+        ASSERT_EQ(ToVector(image.bytes()), reference::GenerateRandom(cfg, seed))
+            << ToString(dtype) << " dim " << dim << " seed " << seed;
+        for (const RowIndex r : {RowIndex{0}, RowIndex{36}}) {
+          EXPECT_EQ(EmbeddingTableImage::ReferenceRowValues(cfg, seed, r),
+                    reference::ReferenceRowValues(cfg, seed, r));
+        }
+      }
+    }
+  }
+}
+
+/// Rows that leave the finite fast path or sit on its edges.
+std::vector<std::vector<float>> AdversarialRows() {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  std::vector<std::vector<float>> rows = {
+      {kNan, 0.5f, -0.25f, 1.0f},
+      {0.5f, -0.25f, 1.0f, kNan},
+      {kNan, kNan, kNan},
+      {kInf, 0.0f, 1.0f},
+      {-kInf, 0.0f, 1.0f},
+      {kInf, -kInf, 0.0f, 2.0f, 3.0f},
+      {0.0f, -0.0f, 0.0f, -0.0f, 0.0f},
+      {-0.0f, 0.0f, -0.0f},
+      {-0.0f, 0.0f, 1.0f, -0.0f},
+      {0.75f, 0.75f, 0.75f, 0.75f, 0.75f},
+      {-3.0f},
+      {kMax, -kMax, 0.0f, 1.0f},
+      {kMax, kMax / 2, kMax / 4},
+      {-kMax, -kMax / 3, 0.0f},
+      {kDenorm, 0.0f, 2 * kDenorm},
+      {kDenorm, -kDenorm, 0.0f, kDenorm},
+      {1e-38f, 2e-38f, 0.0f},
+      {kDenorm * 255, 0.0f, kDenorm * 100},
+      {1.0f, 1.0f + 1e-7f, 1.0f},
+  };
+  // Rounding ties: with span == levels every code lands on k + 0.5 (255
+  // for int8, 15 for int4; the other dtype sees a scaled copy).
+  for (const float levels : {255.0f, 15.0f}) {
+    std::vector<float> ties = {0.0f, levels};
+    for (float k = 0.5f; k < levels; k += 1.0f) ties.push_back(k);
+    rows.push_back(ties);
+  }
+  return rows;
+}
+
+TEST(ImageGenerator, QuantizeRowMatchesScalarReferenceOnAdversarialRows) {
+  std::vector<std::vector<float>> rows = AdversarialRows();
+  // Random rows at random scales, some salted with the special values.
+  Rng rng(0xad);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::denorm_min(), -0.0f, 0.0f, 0.5f};
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<float> row(1 + rng.NextBounded(130));
+    const double scale = std::ldexp(1.0, static_cast<int>(rng.NextBounded(280)) - 150);
+    for (auto& v : row) v = static_cast<float>(rng.NextDouble(-1, 1) * scale);
+    if (rng.NextBernoulli(0.3)) row[rng.NextBounded(row.size())] = specials[rng.NextBounded(8)];
+    rows.push_back(std::move(row));
+  }
+  for (const DataType dtype : kAllTypes) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const auto dim = static_cast<uint32_t>(rows[i].size());
+      std::vector<uint8_t> got(StoredRowBytes(dtype, dim), 0xcc);
+      std::vector<uint8_t> want(StoredRowBytes(dtype, dim), 0x33);
+      QuantizeRow(dtype, rows[i], got);
+      reference::QuantizeRow(dtype, rows[i], want);
+      ASSERT_EQ(got, want) << ToString(dtype) << " row " << i;
+    }
+  }
+}
+
+TEST(ImageGenerator, EqualImagesHashEqualAndDifferentOnesDiffer) {
+  const TableConfig cfg = SmallConfig();
+  const auto a = EmbeddingTableImage::GenerateRandom(cfg, 5);
+  const auto b = EmbeddingTableImage::GenerateRandom(cfg, 5);
+  const EmbeddingTableImage copy = a;
+  EXPECT_EQ(a.ContentHash(), b.ContentHash());
+  EXPECT_EQ(a.ContentHash(), copy.ContentHash());
+  EXPECT_NE(a.ContentHash(), EmbeddingTableImage::GenerateRandom(cfg, 6).ContentHash());
+
+  // Every single-byte change of a 3-row image whose size is no multiple of
+  // 8 (so the tail word counts) gives a distinct hash, as the byte-at-a-time
+  // reference does.
+  TableConfig odd = SmallConfig(DataType::kFp16);
+  odd.dim = 3;
+  odd.num_rows = 3;
+  const auto base = EmbeddingTableImage::GenerateRandom(odd, 2);
+  ASSERT_NE(base.size_bytes() % 8, 0u);
+  std::set<uint64_t> hashes = {base.ContentHash()};
+  std::set<uint64_t> reference_hashes = {reference::ContentHash(base.bytes())};
+  for (size_t byte = 0; byte < base.size_bytes(); ++byte) {
+    for (const uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}}) {
+      EmbeddingTableImage changed = base;
+      changed.MutableRow(byte / changed.row_bytes())[byte % changed.row_bytes()] ^= flip;
+      hashes.insert(changed.ContentHash());
+      reference_hashes.insert(reference::ContentHash(changed.bytes()));
+    }
+  }
+  EXPECT_EQ(hashes.size(), reference_hashes.size());
+  EXPECT_EQ(hashes.size(), 1 + 2 * base.size_bytes());
+
+  // All-zero images of different lengths differ, word-aligned or not.
+  std::set<uint64_t> zero_hashes;
+  for (const uint64_t rows : {1, 2, 3, 4}) {
+    TableConfig z = SmallConfig(DataType::kFp32);
+    z.dim = 1;
+    z.num_rows = rows;
+    zero_hashes.insert(EmbeddingTableImage(z).ContentHash());
+  }
+  EXPECT_EQ(zero_hashes.size(), 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "serving/cluster.h"
 #include "serving/host.h"
 #include "serving/power_model.h"
+#include "resident_memory.h"
 
 namespace sdm {
 namespace {
@@ -79,6 +80,23 @@ TEST(HostSim, LoadsAndServes) {
   EXPECT_GT(r.p50.nanos(), 0);
   EXPECT_GE(r.p99, r.p95);
   EXPECT_GE(r.p95, r.p50);
+}
+
+TEST(HostSim, DefaultBackingCommitsOnlyTheLoadedModel) {
+  // Defaults: 2 SSDs x 256 MiB of SM backing plus 128 MiB of FM, all of it
+  // virtual until the load writes it. The bound's 32 MiB slack covers the
+  // row cache's bucket headers (~24 MiB), which TSan's shadow multiplies.
+  if (kThreadSanitizer) GTEST_SKIP() << "TSan shadow memory inflates written heap bytes";
+  HostSimConfig cfg;
+  cfg.host = MakeHwSS();
+  const ModelConfig model = SmallModel();
+  Bytes model_bytes = 0;
+  for (const TableConfig& t : model.tables) model_bytes += t.total_bytes();
+  const int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0);
+  HostSimulation sim(cfg);
+  ASSERT_TRUE(sim.LoadModel(model).ok());
+  EXPECT_LT(ResidentBytes() - before, static_cast<int64_t>(model_bytes + 32 * kMiB));
 }
 
 TEST(HostSim, HitRateRisesWithWarmth) {
