@@ -328,9 +328,11 @@ void BM_SchedulerJoinInFlight(benchmark::State& state) {
   // the same at every arg, so the arg changes only how many reads a lookup
   // could have to pass over (a scan in issue order walks nearly all of
   // them). Every round the reads land with their subscribers and are
-  // issued again, which keeps subscriber lists short.
+  // issued again, which keeps subscriber lists short: 64 joins per read,
+  // small enough that growing them takes no page faults in the timed loop
+  // (at 1 << 14 joins per round a round took ~190 minor faults at every arg).
   constexpr uint64_t kTargets = 16;
-  constexpr uint64_t kJoinsPerRound = 1 << 14;
+  constexpr uint64_t kJoinsPerRound = 1 << 10;
   uint64_t i = 0;
   for (auto _ : state) {
     if (i == kJoinsPerRound) {

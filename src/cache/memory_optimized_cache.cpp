@@ -1,28 +1,40 @@
 #include "cache/memory_optimized_cache.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace sdm {
+namespace {
+
+size_t BucketCount(const MemoryOptimizedCacheConfig& c) {
+  const Bytes per_entry = c.expected_value_bytes + c.per_entry_overhead;
+  const Bytes per_bucket = per_entry * static_cast<Bytes>(c.bucket_entries);
+  return std::max<size_t>(1, c.capacity / std::max<Bytes>(per_bucket, 1));
+}
+
+}  // namespace
 
 MemoryOptimizedCache::MemoryOptimizedCache(MemoryOptimizedCacheConfig config)
-    : config_(config) {
+    : config_(config),
+      bucket_count_(BucketCount(config)),
+      bucket_budget_(config.capacity / bucket_count_),
+      block_bytes_(sizeof(BucketHeader) +
+                   (static_cast<size_t>(config.bucket_entries) + 1) * sizeof(Slot)),
+      stride_(bucket_budget_),
+      blocks_(bucket_count_ * block_bytes_) {
   assert(config_.bucket_entries >= 1);
-  const Bytes per_entry = config_.expected_value_bytes + config_.per_entry_overhead;
-  const Bytes per_bucket = per_entry * static_cast<Bytes>(config_.bucket_entries);
-  bucket_count_ = std::max<size_t>(1, config_.capacity / std::max<Bytes>(per_bucket, 1));
-  bucket_budget_ = config_.capacity / bucket_count_;
   static_assert(sizeof(BucketHeader) % alignof(Slot) == 0);
-  block_bytes_ =
-      sizeof(BucketHeader) + (static_cast<size_t>(config_.bucket_entries) + 1) * sizeof(Slot);
-  stride_ = bucket_budget_;
+  // The blocks start zeroed, and zero bytes are an empty bucket: nothing is
+  // written up front. Slots and values are never read before they are
+  // written.
+  using HeaderBytes = std::array<uint8_t, sizeof(BucketHeader)>;
+  static_assert(std::bit_cast<HeaderBytes>(BucketHeader{}) == HeaderBytes{},
+                "an all-zero block must read as an empty bucket");
   assert(stride_ <= UINT32_MAX);
-  // Only the headers are written up front: slots and values are never read
-  // before they are written.
-  blocks_ = std::make_unique_for_overwrite<std::byte[]>(bucket_count_ * block_bytes_);
   slab_ = std::make_unique_for_overwrite<uint8_t[]>(bucket_count_ * stride_);
-  Clear();
 }
 
 uint32_t MemoryOptimizedCache::Find(size_t bucket, const RowKey& key) const {

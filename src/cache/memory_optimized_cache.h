@@ -33,6 +33,7 @@
 #include <memory>
 
 #include "cache/row_cache.h"
+#include "common/zeroed_buffer.h"
 
 namespace sdm {
 
@@ -89,8 +90,11 @@ class MemoryOptimizedCache final : public RowCache {
     return HashRowKey(key) % bucket_count_;
   }
   /// Bucket `bucket`'s block: its header, then its slots.
-  [[nodiscard]] std::byte* BlockOf(size_t bucket) const {
-    return blocks_.get() + bucket * block_bytes_;
+  [[nodiscard]] std::byte* BlockOf(size_t bucket) {
+    return reinterpret_cast<std::byte*>(blocks_.data()) + bucket * block_bytes_;
+  }
+  [[nodiscard]] const std::byte* BlockOf(size_t bucket) const {
+    return reinterpret_cast<const std::byte*>(blocks_.data()) + bucket * block_bytes_;
   }
   [[nodiscard]] BucketHeader& HeaderOf(size_t bucket) {
     return *reinterpret_cast<BucketHeader*>(BlockOf(bucket));
@@ -130,8 +134,9 @@ class MemoryOptimizedCache final : public RowCache {
   size_t block_bytes_ = 0;  // header + (bucket_entries + 1) slots
   Bytes stride_ = 0;        // bytes per region: max(budget, largest value seen)
   /// Per-bucket blocks; the byte array implicitly creates the headers and
-  /// slots placed in it.
-  std::unique_ptr<std::byte[]> blocks_;
+  /// slots placed in it. Zero bytes read as an empty bucket, so a block's
+  /// page is committed only when its bucket is first written.
+  ZeroedBuffer blocks_;
   std::unique_ptr<uint8_t[]> slab_;
   RowCacheStats stats_;
   size_t entry_count_ = 0;

@@ -134,7 +134,6 @@ class SdmStore {
 
   [[nodiscard]] size_t table_count() const { return tables_.size(); }
   [[nodiscard]] const TableRuntime& table(TableId id) const { return tables_[Raw(id)]; }
-  [[nodiscard]] TableRuntime& mutable_table(TableId id) { return tables_[Raw(id)]; }
   /// True when `id`'s SM extent is served by more than one tenant
   /// (shared-device content dedup): its bytes are read-only for every
   /// owner, whichever placed them first.
@@ -158,11 +157,6 @@ class SdmStore {
   /// lookups on the host — every attached tenant's, in shared mode —
   /// funnel their planned reads through these.
   [[nodiscard]] BatchScheduler& scheduler(size_t i) { return device_service_->scheduler(i); }
-  /// Device-stack-wide scheduler effectiveness (spans every tenant of a
-  /// shared device; exactly this host's traffic when the stack is owned).
-  [[nodiscard]] CrossRequestIoStats cross_request_io_stats() const {
-    return device_service_->cross_request_io_stats();
-  }
   /// The device stack this store reads from — private in owned mode,
   /// shared across tenants in attach mode.
   [[nodiscard]] SharedDeviceService& device_service() { return *device_service_; }

@@ -45,9 +45,6 @@ class LatencyModel {
   /// Number of IOs currently queued or in service at time `now`.
   [[nodiscard]] int InFlight(SimTime now) const;
 
-  /// Per-channel service duration at the natural granularity.
-  [[nodiscard]] SimDuration ServiceTime() const { return service_time_; }
-
  private:
   DeviceSpec spec_;
   Rng rng_;

@@ -75,8 +75,4 @@ Result<float> DlrmModel::Score(std::span<const float> dense,
   return y[0];
 }
 
-uint64_t DlrmModel::DenseFlopsPerSample() const {
-  return bottom_->flops() + top_->flops();
-}
-
 }  // namespace sdm

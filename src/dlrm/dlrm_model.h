@@ -49,9 +49,6 @@ class DlrmModel {
   [[nodiscard]] const ModelConfig& sparse() const { return sparse_; }
   [[nodiscard]] const DlrmArchitecture& arch() const { return arch_; }
 
-  /// Dense-side FLOPs for one sample (one item for one user).
-  [[nodiscard]] uint64_t DenseFlopsPerSample() const;
-
   /// Expected top-MLP input width for N tables of embedding_dim.
   [[nodiscard]] uint32_t InteractionWidth(size_t num_tables) const;
 

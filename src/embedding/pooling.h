@@ -17,11 +17,6 @@ namespace sdm {
 
 enum class PoolingMode : uint8_t { kSum, kMean };
 
-/// Accumulates `row` (stored bytes, dtype layout) into `acc`.
-inline void PoolRow(DataType dtype, std::span<const uint8_t> row, std::span<float> acc) {
-  DequantizeAccumulate(dtype, row, acc);
-}
-
 /// Pools a batch of stored rows into `out` (sized dim). `rows` are the
 /// stored bytes of each gathered row.
 void PoolRows(DataType dtype, PoolingMode mode,

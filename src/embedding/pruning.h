@@ -29,7 +29,6 @@ struct MappingTensor {
   uint32_t index_bytes = 4;  ///< 4 or 8; affects FM footprint only
 
   [[nodiscard]] Bytes size_bytes() const { return map.size() * index_bytes; }
-  [[nodiscard]] uint64_t num_unpruned_rows() const { return map.size(); }
 
   /// Pruned-space index for `unpruned`, or nullopt if the row was removed.
   [[nodiscard]] std::optional<RowIndex> Lookup(RowIndex unpruned) const {

@@ -6,11 +6,11 @@
 namespace sdm {
 
 FabricAttachedService::FabricAttachedService(FabricServiceConfig config, EventLoop* loop)
-    : link_config_(config.link), service_(std::move(config.device), loop) {
+    : service_(std::move(config.device), loop) {
   assert(loop != nullptr);
   links_.reserve(service_.device_count());
   for (size_t d = 0; d < service_.device_count(); ++d) {
-    links_.push_back(std::make_unique<FabricLink>(link_config_, loop));
+    links_.push_back(std::make_unique<FabricLink>(config.link, loop));
     service_.io_engine(d).set_fabric_link(links_.back().get());
     if (service_.config().obs != nullptr) {
       links_.back()->set_obs(

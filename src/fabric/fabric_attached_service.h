@@ -66,15 +66,11 @@ class FabricAttachedService {
   /// SdmStoreConfig::shared_device exactly like tenant shards.
   [[nodiscard]] SharedDeviceService& device_service() { return service_; }
   [[nodiscard]] const FabricLink& link(size_t device) const { return *links_[device]; }
-  [[nodiscard]] const FabricLinkConfig& link_config() const { return link_config_; }
 
   /// One host's fair-share ledger (lane bus bytes, cross-HOST single-flight
   /// hits), aggregated over every device.
   [[nodiscard]] TenantIoShare host_io_share(TenantId id) const {
     return service_.tenant_io_share(id);
-  }
-  [[nodiscard]] SimDuration host_throttle_queue_time(TenantId id) const {
-    return service_.throttle_queue_time(id);
   }
 
   /// Fabric traffic aggregated over every device link.
@@ -86,7 +82,6 @@ class FabricAttachedService {
   void InstallFaultInjector(FaultInjector* injector);
 
  private:
-  FabricLinkConfig link_config_;
   SharedDeviceService service_;
   std::vector<std::unique_ptr<FabricLink>> links_;  ///< one per device port
 };

@@ -61,7 +61,6 @@ class HealthMonitor {
     sick_listener_ = std::move(listener);
   }
 
-  [[nodiscard]] size_t endpoint_count() const { return endpoints_.size(); }
   [[nodiscard]] const HealthMonitorConfig& config() const { return config_; }
   [[nodiscard]] const StatsRegistry& stats() const { return stats_; }
 

@@ -24,10 +24,6 @@ struct BufferArenaStats {
   uint64_t allocations = 0;  ///< acquires that had to malloc (pool miss)
   uint64_t reuses = 0;       ///< acquires served from the free list
   uint64_t discarded = 0;    ///< returned buffers dropped (pool full)
-
-  [[nodiscard]] double ReuseRate() const {
-    return acquires == 0 ? 0.0 : static_cast<double>(reuses) / static_cast<double>(acquires);
-  }
 };
 
 class BufferArena {

@@ -60,12 +60,6 @@ void Prefetcher::set_obs(Observability* obs, EventLoop* loop, const std::string&
   obs_dropped_ = ObsCounter(obs, name + "prefetch/dropped_runs");
 }
 
-size_t Prefetcher::unclaimed_rows() const {
-  size_t n = 0;
-  for (const auto& [id, st] : tables_) n += st.unclaimed.size();
-  return n;
-}
-
 void Prefetcher::MaybeIssue(TableId table) {
   const auto it = tables_.find(table);
   if (it == tables_.end()) return;

@@ -128,8 +128,6 @@ class Prefetcher {
 
   [[nodiscard]] const PrefetchStats& stats() const { return stats_; }
   [[nodiscard]] const PrefetchConfig& config() const { return config_; }
-  /// Rows speculated but not yet claimed by demand (across all tables).
-  [[nodiscard]] size_t unclaimed_rows() const;
 
   /// Observability (src/obs): windowed metrics under `<name>prefetch/`. The
   /// prefetcher has no clock of its own, so the caller lends it `loop`.

@@ -19,26 +19,27 @@ BatchScheduler::BatchScheduler(IoEngine* engine, BufferArena* arena, EventLoop* 
   // the foreground batching window itself.
   config_.background_flush_delay =
       std::max(config_.background_flush_delay, config_.max_batch_delay);
-  enqueued_ = stats_.GetCounter("enqueued");
-  device_reads_ = stats_.GetCounter("device_reads");
+  // Per kind: enqueued, SQEs issued, single-flight hits, promotions.
+  const char* const kNames[kNumKinds][4] = {
+      {"enqueued", "device_reads", "singleflight_hits", nullptr},
+      {"background_enqueued", "background_reads", "background_singleflight",
+       "background_promoted"},
+      {"prefetch_enqueued", "prefetch_reads", "prefetch_singleflight", "prefetch_promoted"}};
+  for (size_t k = 0; k < kNumKinds; ++k) {
+    enqueued_[k] = stats_.GetCounter(kNames[k][0]);
+    reads_[k] = stats_.GetCounter(kNames[k][1]);
+    singleflight_[k] = stats_.GetCounter(kNames[k][2]);
+    if (kNames[k][3] != nullptr) promoted_[k] = stats_.GetCounter(kNames[k][3]);
+  }
   cross_request_merges_ = stats_.GetCounter("cross_request_merges");
-  singleflight_hits_ = stats_.GetCounter("singleflight_hits");
   singleflight_bytes_saved_ = stats_.GetCounter("singleflight_bytes_saved");
   flushes_ = stats_.GetCounter("flushes");
   flush_deadline_ = stats_.GetCounter("flush_deadline");
   flush_size_ = stats_.GetCounter("flush_size");
   flush_prefetch_ = stats_.GetCounter("flush_prefetch");
   flush_background_ = stats_.GetCounter("flush_background");
-  prefetch_enqueued_ = stats_.GetCounter("prefetch_enqueued");
-  prefetch_reads_ = stats_.GetCounter("prefetch_reads");
   prefetch_dropped_ = stats_.GetCounter("prefetch_dropped");
-  prefetch_promoted_ = stats_.GetCounter("prefetch_promoted");
-  prefetch_singleflight_ = stats_.GetCounter("prefetch_singleflight");
-  background_enqueued_ = stats_.GetCounter("background_enqueued");
-  background_reads_ = stats_.GetCounter("background_reads");
   background_parked_ = stats_.GetCounter("background_parked");
-  background_promoted_ = stats_.GetCounter("background_promoted");
-  background_singleflight_ = stats_.GetCounter("background_singleflight");
   cross_tenant_hits_ = stats_.GetCounter("cross_tenant_hits");
   deadline_expired_ = stats_.GetCounter("deadline_expired");
   hedges_issued_ = stats_.GetCounter("hedges_issued");
@@ -65,92 +66,83 @@ void BatchScheduler::set_obs(Observability* obs, const std::string& name) {
   }
 }
 
+namespace {
+
+// Every counter field, for the field-by-field delta and sum.
+constexpr uint64_t CrossRequestIoStats::*kIoStatsFields[] = {
+    &CrossRequestIoStats::device_reads,      &CrossRequestIoStats::cross_request_merges,
+    &CrossRequestIoStats::singleflight_hits, &CrossRequestIoStats::singleflight_bytes_saved,
+    &CrossRequestIoStats::flushes,           &CrossRequestIoStats::prefetch_reads,
+    &CrossRequestIoStats::prefetch_dropped,  &CrossRequestIoStats::prefetch_promoted,
+    &CrossRequestIoStats::background_reads,  &CrossRequestIoStats::background_parked,
+    &CrossRequestIoStats::background_promoted, &CrossRequestIoStats::deadline_expired,
+    &CrossRequestIoStats::hedges_issued,     &CrossRequestIoStats::hedges_won};
+constexpr uint64_t TenantIoShare::*kTenantShareFields[] = {
+    &TenantIoShare::demand_reads,      &TenantIoShare::demand_bytes,
+    &TenantIoShare::background_reads,  &TenantIoShare::background_bytes,
+    &TenantIoShare::prefetch_bytes,    &TenantIoShare::singleflight_hits,
+    &TenantIoShare::cross_tenant_hits, &TenantIoShare::cross_tenant_bytes_saved};
+
+/// Grows pending SQE `p` to cover run (or SQE) `r` too.
+template <typename Run, typename Pending>
+void Widen(Pending& p, const Run& r) {
+  p.span_begin = std::min(p.span_begin, r.span_begin);
+  p.span_end = std::max(p.span_end, r.span_end);
+  p.first_block = std::min(p.first_block, r.first_block);
+  p.last_block = std::max(p.last_block, r.last_block);
+  p.rows += r.rows;
+  p.per_row_bus += r.per_row_bus;
+}
+
+}  // namespace
+
 CrossRequestIoStats CrossRequestIoStats::Since(const CrossRequestIoStats& base) const {
   CrossRequestIoStats d;
-  d.device_reads = device_reads - base.device_reads;
-  d.cross_request_merges = cross_request_merges - base.cross_request_merges;
-  d.singleflight_hits = singleflight_hits - base.singleflight_hits;
-  d.singleflight_bytes_saved = singleflight_bytes_saved - base.singleflight_bytes_saved;
-  d.flushes = flushes - base.flushes;
-  d.prefetch_reads = prefetch_reads - base.prefetch_reads;
-  d.prefetch_dropped = prefetch_dropped - base.prefetch_dropped;
-  d.prefetch_promoted = prefetch_promoted - base.prefetch_promoted;
-  d.background_reads = background_reads - base.background_reads;
-  d.background_parked = background_parked - base.background_parked;
-  d.background_promoted = background_promoted - base.background_promoted;
-  d.deadline_expired = deadline_expired - base.deadline_expired;
-  d.hedges_issued = hedges_issued - base.hedges_issued;
-  d.hedges_won = hedges_won - base.hedges_won;
-  d.replica_hedges = replica_hedges - base.replica_hedges;
+  for (const auto field : kIoStatsFields) d.*field = this->*field - base.*field;
   return d;
 }
 
 CrossRequestIoStats& CrossRequestIoStats::operator+=(const CrossRequestIoStats& o) {
-  device_reads += o.device_reads;
-  cross_request_merges += o.cross_request_merges;
-  singleflight_hits += o.singleflight_hits;
-  singleflight_bytes_saved += o.singleflight_bytes_saved;
-  flushes += o.flushes;
-  prefetch_reads += o.prefetch_reads;
-  prefetch_dropped += o.prefetch_dropped;
-  prefetch_promoted += o.prefetch_promoted;
-  background_reads += o.background_reads;
-  background_parked += o.background_parked;
-  background_promoted += o.background_promoted;
-  deadline_expired += o.deadline_expired;
-  hedges_issued += o.hedges_issued;
-  hedges_won += o.hedges_won;
-  replica_hedges += o.replica_hedges;
+  for (const auto field : kIoStatsFields) this->*field += o.*field;
   return *this;
 }
 
 TenantIoShare TenantIoShare::Since(const TenantIoShare& base) const {
   TenantIoShare d;
-  d.demand_reads = demand_reads - base.demand_reads;
-  d.demand_bytes = demand_bytes - base.demand_bytes;
-  d.background_reads = background_reads - base.background_reads;
-  d.background_bytes = background_bytes - base.background_bytes;
-  d.prefetch_bytes = prefetch_bytes - base.prefetch_bytes;
-  d.singleflight_hits = singleflight_hits - base.singleflight_hits;
-  d.cross_tenant_hits = cross_tenant_hits - base.cross_tenant_hits;
-  d.cross_tenant_bytes_saved = cross_tenant_bytes_saved - base.cross_tenant_bytes_saved;
+  for (const auto field : kTenantShareFields) d.*field = this->*field - base.*field;
   return d;
 }
 
 CrossRequestIoStats BatchScheduler::Snapshot() const {
   CrossRequestIoStats s;
-  s.device_reads = device_reads_->value();
+  s.device_reads = reads_[Index(Kind::kDemand)]->value();
   s.cross_request_merges = cross_request_merges_->value();
-  s.singleflight_hits = singleflight_hits_->value();
+  s.singleflight_hits = singleflight_[Index(Kind::kDemand)]->value();
   s.singleflight_bytes_saved = singleflight_bytes_saved_->value();
   s.flushes = flushes_->value();
-  s.prefetch_reads = prefetch_reads_->value();
+  s.prefetch_reads = reads_[Index(Kind::kPrefetch)]->value();
   s.prefetch_dropped = prefetch_dropped_->value();
-  s.prefetch_promoted = prefetch_promoted_->value();
-  s.background_reads = background_reads_->value();
+  s.prefetch_promoted = promoted_[Index(Kind::kPrefetch)]->value();
+  s.background_reads = reads_[Index(Kind::kBackground)]->value();
   s.background_parked = background_parked_->value();
-  s.background_promoted = background_promoted_->value();
+  s.background_promoted = promoted_[Index(Kind::kBackground)]->value();
   s.deadline_expired = deadline_expired_->value();
   s.hedges_issued = hedges_issued_->value();
   s.hedges_won = hedges_won_->value();
-  s.replica_hedges = replica_hedges_->value();
   return s;
 }
 
-BatchScheduler::LanePolicy BatchScheduler::Policy(size_t lane) const {
-  LanePolicy p;
-  if (lane == kBackgroundLane) {
-    p.max_inflight_bytes = config_.background_max_inflight_bytes;
-    p.drain_delay = config_.background_flush_delay;
-    p.droppable = false;
-    p.drains_despite_demand = true;
-  } else {
-    p.max_inflight_bytes = config_.prefetch_max_inflight_bytes;
-    p.drain_delay = config_.prefetch_flush_delay;
-    p.droppable = true;
-    p.drains_despite_demand = false;
+BatchScheduler::LanePolicy BatchScheduler::Policy(Kind lane) const {
+  if (lane == Kind::kBackground) {
+    return {.max_inflight_bytes = config_.background_max_inflight_bytes,
+            .drain_delay = config_.background_flush_delay,
+            .droppable = false,
+            .drains_despite_demand = true};
   }
-  return p;
+  return {.max_inflight_bytes = config_.prefetch_max_inflight_bytes,
+          .drain_delay = config_.prefetch_flush_delay,
+          .droppable = true,
+          .drains_despite_demand = false};
 }
 
 TenantIoShare& BatchScheduler::Share(uint32_t tenant) {
@@ -162,25 +154,28 @@ TenantIoShare BatchScheduler::tenant_share(uint32_t tenant) const {
   return tenant < tenant_shares_.size() ? tenant_shares_[tenant] : TenantIoShare{};
 }
 
-void BatchScheduler::RecordJoin(const ReadRequest& req, Kind owner_kind,
-                                uint32_t owner_tenant) {
-  (void)owner_kind;
+size_t BatchScheduler::SectionEnd(Kind kind) const {
+  size_t end = 0;
+  for (size_t k = 0; k <= Index(kind); ++k) end += section_size_[k];
+  return end;
+}
+
+void BatchScheduler::RecordJoin(const ReadRequest& req, uint32_t owner_tenant) {
+  singleflight_[Index(req.kind)]->Add(1);
+  if (req.kind == Kind::kDemand) {
+    if (obs_singleflight_ != nullptr) obs_singleflight_->Add(loop_->Now());
+    singleflight_bytes_saved_->Add(BusOf(req));
+  }
   // Speculation riding an existing read saves no tenant any demand bytes;
   // the ledger tracks demand-side sharing only.
   if (req.kind == Kind::kPrefetch) return;
   TenantIoShare& share = Share(req.tenant);
   share.singleflight_hits += 1;
   if (owner_tenant != req.tenant) {
-    const Bytes bus =
-        NvmeDevice::BusBytes(req.span_begin, req.span_end - req.span_begin, req.sub_block);
     share.cross_tenant_hits += 1;
-    share.cross_tenant_bytes_saved += bus;
+    share.cross_tenant_bytes_saved += BusOf(req);
     cross_tenant_hits_->Add(1);
   }
-}
-
-Bytes BatchScheduler::BusOf(const PendingRead& p) const {
-  return NvmeDevice::BusBytes(p.span_begin, p.span_end - p.span_begin, p.sub_block);
 }
 
 bool BatchScheduler::WouldShare(Bytes span_begin, Bytes span_end, uint64_t first_block,
@@ -192,224 +187,94 @@ bool BatchScheduler::WouldShare(Bytes span_begin, Bytes span_end, uint64_t first
   // queue for an outstanding-IO slot like any other device work — letting
   // growth skip the throttle snowballs pending SQEs into cap-sized reads
   // that serialize one device channel.
-  bool covered = false;
-  for (const PendingRead& p : pending_) {
-    if (Compatible(p, span_begin, span_end, first_block, last_block, sub_block,
-                   &covered) &&
-        covered) {
-      return true;
-    }
-  }
-  for (const Lane& lane : lanes_) {
-    for (const PendingRead& p : lane.pending) {
-      if (Compatible(p, span_begin, span_end, first_block, last_block, sub_block,
-                     &covered) &&
-          covered) {
-        return true;  // demand would promote (and fully ride) this lane SQE
-      }
-    }
-  }
-  return false;
+  // A covered lane SQE counts too: demand would promote and fully ride it.
+  return std::any_of(pending_.begin(), pending_.end(), [&](const Read& p) {
+    bool covered = false;
+    return Compatible(p, span_begin, span_end, first_block, last_block, sub_block, &covered) &&
+           covered;
+  });
 }
 
 BatchScheduler::Admission BatchScheduler::Enqueue(ReadRequest req) {
-  if (req.kind == Kind::kDemand) return EnqueueDemand(req);
-  return EnqueueLane(req, LaneIndex(req.kind));
-}
-
-BatchScheduler::Admission BatchScheduler::EnqueueDemand(ReadRequest& req) {
-  enqueued_->Add(1);
-  if (config_.cross_request) {
-    if (TryJoinInFlight(req)) return Admission::kJoinedInFlight;
-    Admission admission{};
-    if (TryAbsorbIntoPending(req, &admission)) return admission;
-    // Foreground overlap upgrades low-priority work (merged-read admission):
-    // background-tenant SQEs first (real demand), then speculation.
-    if (TryPromoteLane(req, kBackgroundLane, &admission)) return admission;
-    if (TryPromoteLane(req, kPrefetchLane, &admission)) return admission;
-  }
-
-  PendingRead p;
-  p.span_begin = req.span_begin;
-  p.span_end = req.span_end;
-  p.first_block = req.first_block;
-  p.last_block = req.last_block;
-  p.sub_block = req.sub_block;
-  p.tenant = req.tenant;
-  p.rows = req.rows;
-  p.per_row_bus = req.per_row_bus;
-  p.service_local = req.service_local;
-  p.subscribers.push_back(std::move(req.cb));
-  pending_.push_back(std::move(p));
-
-  MaybeFlushOrArm();
-  return Admission::kNewRead;
-}
-
-BatchScheduler::Admission BatchScheduler::EnqueueLane(ReadRequest& req, size_t lane_idx) {
   if (!config_.cross_request) {
-    // Background runs are demand: without cross-request batching (a valid
-    // owned-store ablation config) they degrade to the demand lane rather
-    // than losing the read.
-    if (req.kind == Kind::kBackground) return EnqueueDemand(req);
     // Bypass-mode parity: the ablation baselines gain no speculation side
     // channel, so the prefetch lane is inert without cross-request
     // batching (the Prefetcher is not even constructed then; a prefetch
     // enqueue here is a wiring bug, hence the debug assert).
-    assert(false && "prefetch lanes require cross_request batching");
-    prefetch_dropped_->Add(1);
-    return Admission::kDropped;
-  }
-  Lane& lane = lanes_[lane_idx];
-  const LanePolicy policy = Policy(lane_idx);
-  Counter* lane_singleflight =
-      lane_idx == kPrefetchLane ? prefetch_singleflight_ : background_singleflight_;
-  (lane_idx == kPrefetchLane ? prefetch_enqueued_ : background_enqueued_)->Add(1);
-
-  // Free rides first: an in-flight or pending read that already covers the
-  // span serves the run for nothing (and keeps demand counters clean —
-  // lane sharing is tracked separately).
-  if (InFlightRead* read =
-          live_reads_.FindCovering(req.span_begin, req.span_end, req.sub_block)) {
-    lane_singleflight->Add(1);
-    // Background demand catching up with speculation: the prefetch read
-    // proved useful before it even completed.
-    if (read->kind == Kind::kPrefetch && req.kind != Kind::kPrefetch) {
-      prefetch_promoted_->Add(1);
+    if (req.kind == Kind::kPrefetch) {
+      assert(false && "prefetch lanes require cross_request batching");
+      prefetch_dropped_->Add(1);
+      return Admission::kDropped;
     }
-    RecordJoin(req, read->kind, read->tenant);
+    // Background runs are demand: without cross-request batching (a valid
+    // owned-store ablation config) they degrade to the demand lane rather
+    // than losing the read.
+    req.kind = Kind::kDemand;
+    enqueued_[Index(Kind::kDemand)]->Add(1);
+    return Append(req, 0);
+  }
+  const Kind kind = req.kind;
+  enqueued_[Index(kind)]->Add(1);
+
+  // The buffer of a live read covers [base, base + size): whole blocks in
+  // block mode, the DWORD-rounded span in sub-block mode. Any run inside
+  // that window can be served by this read's completion.
+  if (Read* read = live_reads_.FindCovering(req.span_begin, req.span_end, req.sub_block)) {
+    // Demand catching up with speculation: the prefetch read proved useful
+    // before it even completed.
+    if (read->kind == Kind::kPrefetch && kind != Kind::kPrefetch) {
+      promoted_[Index(Kind::kPrefetch)]->Add(1);
+    }
+    RecordJoin(req, read->tenant);
     read->subscribers.push_back(std::move(req.cb));
     return Admission::kJoinedInFlight;
   }
-  for (PendingRead& p : pending_) {
-    bool covered = false;
-    if (Compatible(p, req.span_begin, req.span_end, req.first_block, req.last_block,
-                   req.sub_block, &covered) &&
-        covered) {
-      // Pure subscription: a lane run may ride a demand SQE but never grow
-      // one (that would inflate a foreground read for low-priority bytes).
-      lane_singleflight->Add(1);
-      RecordJoin(req, p.kind, p.tenant);
-      p.service_local = p.service_local && req.service_local;
-      p.subscribers.push_back(std::move(req.cb));
-      return Admission::kJoinedPending;
-    }
-  }
-  // Cross-lane coverage (keeps WouldShare exact for slot-free callers):
-  //  - background demand covered by a pending PREFETCH SQE promotes it into
-  //    the background lane — demand must not wait out the unhurried
-  //    prefetch drain timer, and the lane's own timer now bounds it. The
-  //    budget charge moves with it (demand is never dropped, so the
-  //    transfer may transiently exceed the background budget).
-  //  - a prefetch run covered by a pending BACKGROUND SQE just subscribes:
-  //    that read flushes no later than the speculation would have.
-  {
-    Lane& other = lanes_[lane_idx == kPrefetchLane ? kBackgroundLane : kPrefetchLane];
-    for (size_t i = 0; i < other.pending.size(); ++i) {
-      PendingRead& q = other.pending[i];
+
+  // Pending SQEs, one section at a time, demand first. Foreground overlap
+  // upgrades low-priority work: background-tenant SQEs (real demand) before
+  // speculation. Background demand covered by a pending prefetch SQE
+  // promotes it before growing an SQE of its own lane.
+  static constexpr Kind kScanOrder[kNumKinds][kNumKinds] = {
+      {Kind::kDemand, Kind::kBackground, Kind::kPrefetch},
+      {Kind::kDemand, Kind::kPrefetch, Kind::kBackground},
+      {Kind::kDemand, Kind::kBackground, Kind::kPrefetch}};
+  for (const Kind section : kScanOrder[Index(kind)]) {
+    const size_t end = SectionEnd(section);
+    for (size_t i = end - SectionSize(section); i < end; ++i) {
       bool covered = false;
-      if (!Compatible(q, req.span_begin, req.span_end, req.first_block, req.last_block,
-                      req.sub_block, &covered) ||
-          !covered) {
+      if (!Compatible(pending_[i], req.span_begin, req.span_end, req.first_block,
+                      req.last_block, req.sub_block, &covered)) {
         continue;
       }
-      lane_singleflight->Add(1);
-      RecordJoin(req, q.kind, q.tenant);
-      if (req.kind == Kind::kBackground) {
-        PendingRead promoted = std::move(q);
-        other.pending.erase(other.pending.begin() + static_cast<std::ptrdiff_t>(i));
-        other.pending_bytes -= promoted.budget_bytes;
-        prefetch_promoted_->Add(1);
-        promoted.kind = Kind::kBackground;
-        promoted.budget_kind = Kind::kBackground;
-        lane.pending_bytes += promoted.budget_bytes;
-        promoted.service_local = promoted.service_local && req.service_local;
-        promoted.subscribers.push_back(std::move(req.cb));
-        lane.pending.push_back(std::move(promoted));
-        ArmLaneDrain(lane_idx);
-      } else {
-        q.service_local = q.service_local && req.service_local;
-        q.subscribers.push_back(std::move(req.cb));
-      }
-      return Admission::kJoinedPending;
+      // Growth is demand's right everywhere, a lane's only within the lane:
+      // a lane run growing a demand SQE would inflate a foreground read for
+      // low-priority bytes.
+      if (!covered && section != kind && kind != Kind::kDemand) continue;
+      return Join(req, i, section, covered);
     }
   }
-  // Merge within the lane (same cap/gap rules as demand merging). Growth
-  // is charged to the byte budget up front — an over-budget merge drops
-  // (prefetch) or parks (background) like an over-budget new SQE would.
-  for (size_t i = 0; i < lane.pending.size(); ++i) {
-    PendingRead& p = lane.pending[i];
-    bool covered = false;
-    if (!Compatible(p, req.span_begin, req.span_end, req.first_block, req.last_block,
-                    req.sub_block, &covered)) {
-      continue;
-    }
-    if (covered) {
-      lane_singleflight->Add(1);
-      RecordJoin(req, p.kind, p.tenant);
-      p.service_local = p.service_local && req.service_local;
-      p.subscribers.push_back(std::move(req.cb));
-      return Admission::kJoinedPending;
-    }
-    PendingRead grown = p;
-    grown.span_begin = std::min(p.span_begin, req.span_begin);
-    grown.span_end = std::max(p.span_end, req.span_end);
-    const Bytes delta = BusOf(grown) - BusOf(p);
-    if (lane.pending_bytes + lane.inflight_bytes + delta > policy.max_inflight_bytes) {
-      if (policy.droppable) {
-        prefetch_dropped_->Add(1);
-        if (obs_pf_dropped_ != nullptr) obs_pf_dropped_->Add(loop_->Now());
-        return Admission::kDropped;
-      }
-      background_parked_->Add(1);
-      if (obs_bg_parked_ != nullptr) obs_bg_parked_->Add(loop_->Now());
-      lane.parked.push_back(std::move(req));
-      return Admission::kNewRead;
-    }
-    p.span_begin = grown.span_begin;
-    p.span_end = grown.span_end;
-    p.first_block = std::min(p.first_block, req.first_block);
-    p.last_block = std::max(p.last_block, req.last_block);
-    p.rows += req.rows;
-    p.per_row_bus += req.per_row_bus;
-    p.service_local = p.service_local && req.service_local;
-    p.subscribers.push_back(std::move(req.cb));
-    p.budget_bytes += delta;
-    lane.pending_bytes += delta;
-    return Admission::kMergedPending;
-  }
+  if (kind == Kind::kDemand) return Append(req, 0);
 
   // Admission against the lane's byte budget — under pressure speculation
   // is dropped and background demand parks (FIFO), so neither can starve
   // foreground demand of ring slots or arena buffers.
-  const Bytes bus =
-      NvmeDevice::BusBytes(req.span_begin, req.span_end - req.span_begin, req.sub_block);
+  const Lane& lane = LaneOf(kind);
+  const LanePolicy policy = Policy(kind);
+  const Bytes bus = BusOf(req);
   if (lane.pending_bytes + lane.inflight_bytes + bus > policy.max_inflight_bytes ||
-      lane.pending.size() >= kMaxLaneSqes) {
-    if (policy.droppable) {
-      prefetch_dropped_->Add(1);
-      if (obs_pf_dropped_ != nullptr) obs_pf_dropped_->Add(loop_->Now());
-      return Admission::kDropped;
-    }
+      SectionSize(kind) >= kMaxLaneSqes) {
     // Same escape hatch as DrainParked: a run larger than the whole budget
     // must still make progress when the lane is otherwise idle — parking it
     // would strand it forever (no completion ever calls DrainParked).
     const bool lane_idle =
-        lane.pending.empty() && lane.inflight_bytes == 0 && lane.parked.empty();
-    if (!lane_idle) {
-      background_parked_->Add(1);
-      if (obs_bg_parked_ != nullptr) obs_bg_parked_->Add(loop_->Now());
-      lane.parked.push_back(std::move(req));
-      return Admission::kNewRead;
-    }
+        SectionSize(kind) == 0 && lane.inflight_bytes == 0 && lane.parked.empty();
+    if (policy.droppable || !lane_idle) return Refuse(req);
   }
-  return AdmitToLane(req, lane_idx, bus);
+  return Append(req, bus);
 }
 
-BatchScheduler::Admission BatchScheduler::AdmitToLane(ReadRequest& req, size_t lane_idx,
-                                                      Bytes bus) {
-  Lane& lane = lanes_[lane_idx];
-  PendingRead p;
+BatchScheduler::Admission BatchScheduler::Append(ReadRequest& req, Bytes budget) {
+  Read p;
   p.span_begin = req.span_begin;
   p.span_end = req.span_end;
   p.first_block = req.first_block;
@@ -417,41 +282,39 @@ BatchScheduler::Admission BatchScheduler::AdmitToLane(ReadRequest& req, size_t l
   p.sub_block = req.sub_block;
   p.kind = req.kind;
   p.tenant = req.tenant;
-  p.budget_bytes = bus;
+  p.budget_bytes = budget;
   p.budget_kind = req.kind;
   p.rows = req.rows;
   p.per_row_bus = req.per_row_bus;
   p.service_local = req.service_local;
   p.subscribers.push_back(std::move(req.cb));
-  lane.pending_bytes += bus;
-  lane.pending.push_back(std::move(p));
-
-  // No flush rights: ride the next demand doorbell, or the lane's own
-  // drain timer when no doorbell comes.
-  ArmLaneDrain(lane_idx);
+  pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(SectionEnd(req.kind)),
+                  std::move(p));
+  ++section_size_[Index(req.kind)];
+  if (req.kind == Kind::kDemand) {
+    MaybeFlushOrArm();
+  } else {
+    // No flush rights: ride the next demand doorbell, or the lane's own
+    // drain timer when no doorbell comes.
+    LaneOf(req.kind).pending_bytes += budget;
+    ArmLaneDrain(req.kind);
+  }
   return Admission::kNewRead;
 }
 
-bool BatchScheduler::TryJoinInFlight(ReadRequest& req) {
-  // The buffer covers [base, base + size): whole blocks in block mode, the
-  // DWORD-rounded span in sub-block mode. Any run inside that window can be
-  // served by this read's completion.
-  InFlightRead* read =
-      live_reads_.FindCovering(req.span_begin, req.span_end, req.sub_block);
-  if (read == nullptr) return false;
-  singleflight_hits_->Add(1);
-  if (obs_singleflight_ != nullptr) obs_singleflight_->Add(loop_->Now());
-  singleflight_bytes_saved_->Add(
-      NvmeDevice::BusBytes(req.span_begin, req.span_end - req.span_begin, req.sub_block));
-  // Demand catching up with speculation: the prefetch read proved useful
-  // before it even completed.
-  if (read->kind == Kind::kPrefetch) prefetch_promoted_->Add(1);
-  RecordJoin(req, read->kind, read->tenant);
-  read->subscribers.push_back(std::move(req.cb));
-  return true;
+BatchScheduler::Admission BatchScheduler::Refuse(ReadRequest& req) {
+  if (Policy(req.kind).droppable) {
+    prefetch_dropped_->Add(1);
+    if (obs_pf_dropped_ != nullptr) obs_pf_dropped_->Add(loop_->Now());
+    return Admission::kDropped;
+  }
+  background_parked_->Add(1);
+  if (obs_bg_parked_ != nullptr) obs_bg_parked_->Add(loop_->Now());
+  LaneOf(req.kind).parked.push_back(std::move(req));
+  return Admission::kNewRead;
 }
 
-bool BatchScheduler::Compatible(const PendingRead& p, Bytes begin, Bytes end,
+bool BatchScheduler::Compatible(const Read& p, Bytes begin, Bytes end,
                                 uint64_t first_block, uint64_t last_block,
                                 bool sub_block, bool* covered) const {
   if (p.sub_block != sub_block) return false;
@@ -482,92 +345,76 @@ bool BatchScheduler::Compatible(const PendingRead& p, Bytes begin, Bytes end,
   return first_block <= p.last_block + 1 && p.first_block <= last_block + 1;
 }
 
-bool BatchScheduler::TryAbsorbIntoPending(ReadRequest& req, Admission* admission) {
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    PendingRead& p = pending_[i];
-    bool covered = false;
-    if (!Compatible(p, req.span_begin, req.span_end, req.first_block, req.last_block,
-                    req.sub_block, &covered)) {
-      continue;
-    }
-    p.span_begin = std::min(p.span_begin, req.span_begin);
-    p.span_end = std::max(p.span_end, req.span_end);
-    p.first_block = std::min(p.first_block, req.first_block);
-    p.last_block = std::max(p.last_block, req.last_block);
-    p.rows += req.rows;
-    p.per_row_bus += req.per_row_bus;
-    if (covered) {
-      singleflight_hits_->Add(1);
-      if (obs_singleflight_ != nullptr) obs_singleflight_->Add(loop_->Now());
-      singleflight_bytes_saved_->Add(NvmeDevice::BusBytes(
-          req.span_begin, req.span_end - req.span_begin, req.sub_block));
-      RecordJoin(req, p.kind, p.tenant);
-      *admission = Admission::kJoinedPending;
-    } else {
-      cross_request_merges_->Add(1);
-      if (obs_merges_ != nullptr) obs_merges_->Add(loop_->Now());
-      *admission = Admission::kMergedPending;
-    }
-    p.service_local = p.service_local && req.service_local;
-    p.subscribers.push_back(std::move(req.cb));
-    if (!covered) FuseOverlappingPending(i);
-    return true;
+BatchScheduler::Admission BatchScheduler::Join(ReadRequest& req, size_t i, Kind section,
+                                               bool covered) {
+  const Kind kind = req.kind;
+  const bool promote = section > kind;
+  Admission admission = covered ? Admission::kJoinedPending : Admission::kMergedPending;
+  if (promote) {
+    // Promotion: the lower-priority SQE moves to the end of the run's own
+    // section (its priority, its flush triggers) instead of the run issuing
+    // a second read for overlapping bytes.
+    promoted_[Index(section)]->Add(1);
+    const size_t to = SectionEnd(kind);
+    std::rotate(pending_.begin() + static_cast<std::ptrdiff_t>(to),
+                pending_.begin() + static_cast<std::ptrdiff_t>(i),
+                pending_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+    --section_size_[Index(section)];
+    ++section_size_[Index(kind)];
+    i = to;
+    pending_[i].kind = kind;
   }
-  return false;
-}
-
-bool BatchScheduler::TryPromoteLane(ReadRequest& req, size_t lane_idx,
-                                    Admission* admission) {
-  Lane& lane = lanes_[lane_idx];
-  for (size_t i = 0; i < lane.pending.size(); ++i) {
-    PendingRead& q = lane.pending[i];
-    bool covered = false;
-    if (!Compatible(q, req.span_begin, req.span_end, req.first_block, req.last_block,
-                    req.sub_block, &covered)) {
-      continue;
+  Read& p = pending_[i];
+  if (promote && kind == Kind::kBackground) {
+    // Background demand must not wait out the unhurried prefetch drain
+    // timer: the budget charge moves with the SQE into the background lane
+    // (demand is never dropped, so the transfer may transiently exceed the
+    // background budget), and the lane's own timer now bounds it.
+    LaneOf(p.budget_kind).pending_bytes -= p.budget_bytes;
+    LaneOf(kind).pending_bytes += p.budget_bytes;
+    p.budget_kind = kind;
+  } else if (promote && !covered) {
+    // Admission-domain handoff: a span-growing promotion is re-admitted
+    // under the demand run's throttle slot — it returns kNewRead so the
+    // caller keeps that slot — and its budget bytes are released. A covered
+    // promotion stays charged to the lane byte budget (the demand run
+    // arrived slot-free via WouldShare and there is no other holder).
+    LaneOf(section).pending_bytes -= p.budget_bytes;
+    p.budget_bytes = 0;
+    p.budget_kind = Kind::kDemand;
+    admission = Admission::kNewRead;
+  } else if (kind != Kind::kDemand && !covered) {
+    // Growth within a lane is charged to its byte budget up front — an
+    // over-budget merge drops (prefetch) or parks (background) like an
+    // over-budget new SQE would.
+    const Bytes begin = std::min(p.span_begin, req.span_begin);
+    const Bytes end = std::max(p.span_end, req.span_end);
+    const Bytes delta = NvmeDevice::BusBytes(begin, end - begin, p.sub_block) - BusOf(p);
+    Lane& lane = LaneOf(kind);
+    if (lane.pending_bytes + lane.inflight_bytes + delta > Policy(kind).max_inflight_bytes) {
+      return Refuse(req);
     }
-    // Merged-read admission: the low-priority SQE moves to the demand batch
-    // (demand priority, demand flush triggers) instead of the demand run
-    // issuing a second read for overlapping bytes. Admission-domain
-    // handoff: a covered promotion stays charged to the lane byte budget
-    // (the demand run arrived slot-free via WouldShare and there is no
-    // other holder); a span-growing promotion is re-admitted under the
-    // demand run's throttle slot — it returns kNewRead so the caller keeps
-    // that slot — and its budget bytes are released.
-    PendingRead p = std::move(q);
-    lane.pending.erase(lane.pending.begin() + static_cast<std::ptrdiff_t>(i));
-    const Kind lane_kind = p.kind;
-    p.kind = Kind::kDemand;
-    p.span_begin = std::min(p.span_begin, req.span_begin);
-    p.span_end = std::max(p.span_end, req.span_end);
-    p.first_block = std::min(p.first_block, req.first_block);
-    p.last_block = std::max(p.last_block, req.last_block);
-    p.rows += req.rows;
-    p.per_row_bus += req.per_row_bus;
-    (lane_kind == Kind::kPrefetch ? prefetch_promoted_ : background_promoted_)->Add(1);
-    if (covered) {
-      singleflight_hits_->Add(1);
-      if (obs_singleflight_ != nullptr) obs_singleflight_->Add(loop_->Now());
-      singleflight_bytes_saved_->Add(NvmeDevice::BusBytes(
-          req.span_begin, req.span_end - req.span_begin, req.sub_block));
-      RecordJoin(req, lane_kind, p.tenant);
-      *admission = Admission::kJoinedPending;
-    } else {
-      lane.pending_bytes -= p.budget_bytes;
-      p.budget_bytes = 0;
-      p.budget_kind = Kind::kDemand;
-      cross_request_merges_->Add(1);
-      if (obs_merges_ != nullptr) obs_merges_->Add(loop_->Now());
-      *admission = Admission::kNewRead;
-    }
-    p.service_local = p.service_local && req.service_local;
-    p.subscribers.push_back(std::move(req.cb));
-    pending_.push_back(std::move(p));
-    FuseOverlappingPending(pending_.size() - 1);
-    MaybeFlushOrArm();
-    return true;
+    p.budget_bytes += delta;
+    lane.pending_bytes += delta;
   }
-  return false;
+  // A demand run widens the SQE even when covered; a lane run only when it
+  // grows an SQE of its own lane.
+  if (kind == Kind::kDemand || !covered) Widen(p, req);
+  if (covered) {
+    RecordJoin(req, p.tenant);
+  } else if (kind == Kind::kDemand) {
+    cross_request_merges_->Add(1);
+    if (obs_merges_ != nullptr) obs_merges_->Add(loop_->Now());
+  }
+  p.service_local = p.service_local && req.service_local;
+  p.subscribers.push_back(std::move(req.cb));
+  if (kind != Kind::kDemand) {
+    if (promote) ArmLaneDrain(kind);
+  } else if (promote || !covered) {
+    FuseOverlappingPending(i);
+    if (promote) MaybeFlushOrArm();
+  }
+  return admission;
 }
 
 void BatchScheduler::FuseOverlappingPending(size_t i) {
@@ -579,21 +426,16 @@ void BatchScheduler::FuseOverlappingPending(size_t i) {
   bool changed = true;
   while (changed) {
     changed = false;
-    for (size_t j = 0; j < pending_.size(); ++j) {
+    for (size_t j = 0; j < SectionSize(Kind::kDemand); ++j) {
       if (j == i) continue;
-      PendingRead& p = pending_[i];
-      PendingRead& q = pending_[j];
+      Read& p = pending_[i];
+      Read& q = pending_[j];
       bool covered = false;
       if (!Compatible(p, q.span_begin, q.span_end, q.first_block, q.last_block,
                       q.sub_block, &covered)) {
         continue;
       }
-      p.span_begin = std::min(p.span_begin, q.span_begin);
-      p.span_end = std::max(p.span_end, q.span_end);
-      p.first_block = std::min(p.first_block, q.first_block);
-      p.last_block = std::max(p.last_block, q.last_block);
-      p.rows += q.rows;
-      p.per_row_bus += q.per_row_bus;
+      Widen(p, q);
       if (q.budget_bytes > 0) {
         if (p.budget_bytes == 0 || p.budget_kind == q.budget_kind) {
           // Budget carries over to the fused read.
@@ -603,7 +445,7 @@ void BatchScheduler::FuseOverlappingPending(size_t i) {
           // Fusing two promoted SQEs whose budgets came from different
           // lanes: release q's charge — the fused read is admitted by p's
           // domain (its slot or budget) alone.
-          lanes_[LaneIndex(q.budget_kind)].pending_bytes -= q.budget_bytes;
+          LaneOf(q.budget_kind).pending_bytes -= q.budget_bytes;
         }
       }
       p.service_local = p.service_local && q.service_local;
@@ -611,6 +453,7 @@ void BatchScheduler::FuseOverlappingPending(size_t i) {
       cross_request_merges_->Add(1);
       if (obs_merges_ != nullptr) obs_merges_->Add(loop_->Now());
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(j));
+      --section_size_[Index(Kind::kDemand)];
       if (j < i) --i;
       changed = true;
       break;  // indices shifted; rescan
@@ -619,15 +462,11 @@ void BatchScheduler::FuseOverlappingPending(size_t i) {
 }
 
 void BatchScheduler::MaybeFlushOrArm() {
-  if (static_cast<int>(pending_.size()) >= config_.max_batch_sqes) {
+  if (static_cast<int>(SectionSize(Kind::kDemand)) >= config_.max_batch_sqes) {
     flush_size_->Add(1);
     Flush();
-  } else {
-    ArmFlush();
+    return;
   }
-}
-
-void BatchScheduler::ArmFlush() {
   if (flush_armed_) return;
   flush_armed_ = true;
   // Bypass mode: the delay-0 timer rings one doorbell for every run
@@ -643,67 +482,58 @@ void BatchScheduler::ArmFlush() {
   });
 }
 
-void BatchScheduler::ArmLaneDrain(size_t lane_idx) {
-  Lane& lane = lanes_[lane_idx];
-  const LanePolicy policy = Policy(lane_idx);
-  if (lane.drain_armed) return;
-  if (!policy.drains_despite_demand) {
-    // Prefetch: a demand flush is already due and will carry the lane.
-    if (flush_armed_) return;
-    lane.drain_armed = true;
-    const uint64_t generation = flush_generation_;
-    loop_->ScheduleAfter(policy.drain_delay, [this, lane_idx, generation] {
-      Lane& l = lanes_[lane_idx];
-      l.drain_armed = false;
-      if (l.pending.empty()) return;
-      // Demand arrived meanwhile: its own flush (armed or size-triggered)
-      // drains the lane; a prefetch timer must never ring the doorbell
-      // early for demand SQEs.
-      if (!pending_.empty()) return;
-      if (generation != flush_generation_) {
-        // A flush rang since arming and still left lane entries (doorbell
-        // was full); wait out another window.
-        ArmLaneDrain(lane_idx);
-        return;
-      }
-      flush_prefetch_->Add(1);
-      Flush();
-    });
-    return;
-  }
-  // Background: the timer fires even while foreground keeps the doorbell
-  // busy — this is the lane's starvation bound. Ringing early flushes the
-  // demand batch too, which only helps demand.
+void BatchScheduler::ArmLaneDrain(Kind lane_kind) {
+  Lane& lane = LaneOf(lane_kind);
+  const LanePolicy policy = Policy(lane_kind);
+  // Prefetch: a demand flush already due will carry the lane.
+  if (lane.drain_armed || (!policy.drains_despite_demand && flush_armed_)) return;
   lane.drain_armed = true;
-  loop_->ScheduleAfter(policy.drain_delay, [this, lane_idx] {
-    Lane& l = lanes_[lane_idx];
-    l.drain_armed = false;
-    if (l.pending.empty()) return;
-    flush_background_->Add(1);
+  const uint64_t generation = flush_generation_;
+  loop_->ScheduleAfter(policy.drain_delay, [this, lane_kind, generation] {
+    LaneOf(lane_kind).drain_armed = false;
+    if (SectionSize(lane_kind) == 0) return;
+    if (Policy(lane_kind).drains_despite_demand) {
+      // Background: the timer fires even while foreground keeps the
+      // doorbell busy — this is the lane's starvation bound. Ringing early
+      // flushes the demand batch too, which only helps demand. A doorbell
+      // too full for the whole lane re-arms this timer from Flush.
+      flush_background_->Add(1);
+      Flush();
+      return;
+    }
+    // Demand arrived meanwhile: its own flush (armed or size-triggered)
+    // drains the lane; a prefetch timer must never ring the doorbell early
+    // for demand SQEs.
+    if (SectionSize(Kind::kDemand) > 0) return;
+    if (generation != flush_generation_) {
+      // A flush rang since arming and still left lane entries (doorbell
+      // was full); wait out another window.
+      ArmLaneDrain(lane_kind);
+      return;
+    }
+    flush_prefetch_->Add(1);
     Flush();
-    if (!l.pending.empty()) ArmLaneDrain(lane_idx);  // doorbell was full
   });
 }
 
-void BatchScheduler::DrainParked(size_t lane_idx) {
-  Lane& lane = lanes_[lane_idx];
-  const LanePolicy policy = Policy(lane_idx);
+void BatchScheduler::DrainParked(Kind lane_kind) {
+  Lane& lane = LaneOf(lane_kind);
+  const LanePolicy policy = Policy(lane_kind);
   while (!lane.parked.empty()) {
     ReadRequest& req = lane.parked.front();
-    const Bytes bus = NvmeDevice::BusBytes(req.span_begin, req.span_end - req.span_begin,
-                                           req.sub_block);
+    const Bytes bus = BusOf(req);
     // Admit when the budget fits — or unconditionally when the lane is
     // otherwise idle, so a run larger than the whole budget still makes
     // progress instead of parking forever.
     const bool fits =
         lane.pending_bytes + lane.inflight_bytes + bus <= policy.max_inflight_bytes;
-    const bool lane_idle = lane.pending.empty() && lane.inflight_bytes == 0;
-    if ((!fits && !lane_idle) || lane.pending.size() >= kMaxLaneSqes) return;
+    const bool lane_idle = SectionSize(lane_kind) == 0 && lane.inflight_bytes == 0;
+    if ((!fits && !lane_idle) || SectionSize(lane_kind) >= kMaxLaneSqes) return;
     ReadRequest run = std::move(req);
     lane.parked.pop_front();
     // Parked runs re-enter as their own SQE (no join rescan): the caller
     // already accounted them as a new device read when they parked.
-    (void)AdmitToLane(run, lane_idx, bus);
+    (void)Append(run, bus);
   }
 }
 
@@ -711,31 +541,24 @@ void BatchScheduler::Flush() {
   ++flush_generation_;
   flush_armed_ = false;
 
-  // Swap the batch out first: completion callbacks scheduled below may
-  // re-enter Enqueue (retries) and must see a clean pending list. The
-  // low-priority lanes fill whatever doorbell room demand left — background
-  // (real demand) before prefetch (speculation).
-  std::vector<PendingRead> batch;
-  batch.swap(pending_);
-  for (Lane& lane : lanes_) {
-    while (!lane.pending.empty() &&
-           static_cast<int>(batch.size()) < config_.max_batch_sqes) {
-      batch.push_back(std::move(lane.pending.front()));
-      lane.pending.pop_front();
-    }
-  }
-  if (batch.empty()) return;
+  // The batch is a prefix of the pending set: every demand SQE, then the
+  // low-priority sections fill whatever doorbell room demand left —
+  // background (real demand) before prefetch (speculation).
+  const size_t demand = SectionSize(Kind::kDemand);
+  const size_t n = std::max(
+      demand, std::min(pending_.size(), static_cast<size_t>(config_.max_batch_sqes)));
+  const size_t background = std::min(SectionSize(Kind::kBackground), n - demand);
+  section_size_[Index(Kind::kDemand)] = 0;
+  section_size_[Index(Kind::kBackground)] -= background;
+  section_size_[Index(Kind::kPrefetch)] -= n - demand - background;
+  if (n == 0) return;
   flushes_->Add(1);
 
   std::vector<IoEngine::ReadOp> ops;
-  ops.reserve(batch.size());
-  for (PendingRead& p : batch) {
-    auto read = std::make_shared<InFlightRead>();
-    read->span_begin = p.span_begin;
-    read->span_end = p.span_end;
-    read->sub_block = p.sub_block;
-    read->kind = p.kind;
-    read->tenant = p.tenant;
+  ops.reserve(n);
+  for (size_t j = 0; j < n; ++j) {
+    auto read = std::make_shared<Read>(std::move(pending_[j]));
+    const Read& p = *read;
     // The device lands data at its alignment base: the first byte of the
     // first block (block mode) or the DWORD floor of the span (sub-block).
     read->base = p.sub_block ? (p.span_begin & ~(kDwordBytes - 1))
@@ -744,35 +567,26 @@ void BatchScheduler::Flush() {
     const Bytes bus = NvmeDevice::BusBytes(p.span_begin, length, p.sub_block);
     // Budget bytes (possibly carried by a promoted/fused SQE) move from
     // pending to in-flight and are released at completion.
-    read->budget_bytes = p.budget_bytes;
-    read->budget_kind = p.budget_kind;
     if (p.budget_bytes > 0) {
-      Lane& budget_lane = lanes_[LaneIndex(p.budget_kind)];
+      Lane& budget_lane = LaneOf(p.budget_kind);
       budget_lane.pending_bytes -= p.budget_bytes;
       budget_lane.inflight_bytes += p.budget_bytes;
     }
     read->buf = arena_->Acquire(bus);
     read->window_end = read->base + read->buf->size();
-    read->subscribers = std::move(p.subscribers);
     read->issued_at = loop_->Now();
     live_reads_.Insert(read, read->base, read->window_end, read->sub_block);
     ArmReadResponses(read);
+    reads_[Index(p.kind)]->Add(1);
     TenantIoShare& share = Share(p.tenant);
-    switch (p.kind) {
-      case Kind::kPrefetch:
-        prefetch_reads_->Add(1);
-        share.prefetch_bytes += bus;
-        break;
-      case Kind::kBackground:
-        background_reads_->Add(1);
-        share.background_reads += 1;
-        share.background_bytes += bus;
-        break;
-      case Kind::kDemand:
-        device_reads_->Add(1);
-        share.demand_reads += 1;
-        share.demand_bytes += bus;
-        break;
+    if (p.kind == Kind::kPrefetch) {
+      share.prefetch_bytes += bus;
+    } else if (p.kind == Kind::kBackground) {
+      share.background_reads += 1;
+      share.background_bytes += bus;
+    } else {
+      share.demand_reads += 1;
+      share.demand_bytes += bus;
     }
 
     IoEngine::ReadOp op;
@@ -788,19 +602,23 @@ void BatchScheduler::Flush() {
     };
     ops.push_back(std::move(op));
   }
+  // Cut the batch out of the pending set before the doorbell: completion
+  // callbacks may re-enter Enqueue (retries) and must see only what stays
+  // pending.
+  pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(n));
   engine_->SubmitBatch(ops);
-  if (obs_sqes_ != nullptr) obs_sqes_->Add(loop_->Now(), batch.size());
+  if (obs_sqes_ != nullptr) obs_sqes_->Add(loop_->Now(), n);
   if (obs_inflight_ != nullptr) {
     obs_inflight_->Set(loop_->Now(), static_cast<double>(live_reads_.size()));
   }
 
-  // Lane overflow (doorbell was full): drain on the background timers.
-  for (size_t lane = 0; lane < kNumLanes; ++lane) {
-    if (!lanes_[lane].pending.empty()) ArmLaneDrain(lane);
+  // Lane overflow (doorbell was full): drain on the lanes' own timers.
+  for (const Kind lane : {Kind::kBackground, Kind::kPrefetch}) {
+    if (SectionSize(lane) > 0) ArmLaneDrain(lane);
   }
 }
 
-void BatchScheduler::ArmReadResponses(const std::shared_ptr<InFlightRead>& read) {
+void BatchScheduler::ArmReadResponses(const std::shared_ptr<Read>& read) {
   if (config_.io_deadline > SimDuration(0)) {
     loop_->ScheduleAfter(config_.io_deadline, [this, read] { ExpireRead(read); });
   }
@@ -816,8 +634,8 @@ void BatchScheduler::ArmReadResponses(const std::shared_ptr<InFlightRead>& read)
   }
 }
 
-void BatchScheduler::SettleRead(const std::shared_ptr<InFlightRead>& read,
-                                const Status& status, const uint8_t* data) {
+void BatchScheduler::SettleRead(const std::shared_ptr<Read>& read,
+                                const Status& status, const uint8_t* data, bool replica_win) {
   // Unregister before delivering: a subscriber may re-enqueue (retry) and
   // must not join a read that has already settled. Every subscriber — N
   // cross-request waiters joined by single-flight included — hears the
@@ -826,7 +644,7 @@ void BatchScheduler::SettleRead(const std::shared_ptr<InFlightRead>& read,
   read->live = false;
   live_reads_.Erase(read.get(), read->base, read->window_end);
   if (read->budget_bytes > 0) {
-    lanes_[LaneIndex(read->budget_kind)].inflight_bytes -= read->budget_bytes;
+    LaneOf(read->budget_kind).inflight_bytes -= read->budget_bytes;
   }
   if (obs_spans_ != nullptr) {
     const char* span_name = read->kind == Kind::kPrefetch      ? "sqe.prefetch"
@@ -843,7 +661,7 @@ void BatchScheduler::SettleRead(const std::shared_ptr<InFlightRead>& read,
   // (CompleteRead's early return) and records nothing; a replica-served win
   // is excluded outright, since its latency describes the replica's device,
   // not the one this scheduler's hedge threshold watches.
-  if (status.ok() && read->kind == Kind::kDemand && !read->suppress_latency_sample) {
+  if (status.ok() && read->kind == Kind::kDemand && !replica_win) {
     demand_latency_.Record(loop_->Now() - read->issued_at);
     if (obs_read_lat_ != nullptr) {
       obs_read_lat_->Record(loop_->Now(), loop_->Now() - read->issued_at);
@@ -854,10 +672,10 @@ void BatchScheduler::SettleRead(const std::shared_ptr<InFlightRead>& read,
   }
   read->subscribers.clear();
   // Released budget may admit parked background demand.
-  DrainParked(kBackgroundLane);
+  DrainParked(Kind::kBackground);
 }
 
-void BatchScheduler::CompleteRead(const std::shared_ptr<InFlightRead>& read,
+void BatchScheduler::CompleteRead(const std::shared_ptr<Read>& read,
                                   Status status) {
   if (!read->live) {
     // The deadline expired or a hedge won while this read was at the
@@ -870,7 +688,7 @@ void BatchScheduler::CompleteRead(const std::shared_ptr<InFlightRead>& read,
   read->buf.reset();  // return the bounce buffer to the arena promptly
 }
 
-void BatchScheduler::ExpireRead(const std::shared_ptr<InFlightRead>& read) {
+void BatchScheduler::ExpireRead(const std::shared_ptr<Read>& read) {
   if (!read->live) return;  // completed (or hedge-settled) in time
   deadline_expired_->Add(1);
   if (obs_expired_ != nullptr) obs_expired_->Add(loop_->Now());
@@ -884,7 +702,7 @@ void BatchScheduler::ExpireRead(const std::shared_ptr<InFlightRead>& read) {
              nullptr);
 }
 
-void BatchScheduler::MaybeHedge(const std::shared_ptr<InFlightRead>& read) {
+void BatchScheduler::MaybeHedge(const std::shared_ptr<Read>& read) {
   if (read->hedged || !read->live) return;  // a hedge is racing, or settled
   read->hedged = true;
   hedges_issued_->Add(1);
@@ -915,24 +733,18 @@ void BatchScheduler::MaybeHedge(const std::shared_ptr<InFlightRead>& read) {
                      });
 }
 
-void BatchScheduler::CompleteHedge(const std::shared_ptr<InFlightRead>& read,
+void BatchScheduler::CompleteHedge(const std::shared_ptr<Read>& read,
                                    Status status) {
-  if (!read->live) {
-    read->hedge_buf.reset();  // the original won (or the deadline fired)
-    return;
-  }
-  if (!status.ok()) {
-    // A failed hedge must not fail the read: the original is still in
-    // flight and keeps its own deadline/retry story.
+  // The original won (or the deadline fired). A failed hedge must not fail
+  // the read: the original is still in flight and keeps its own
+  // deadline/retry story.
+  if (!read->live || !status.ok()) {
     read->hedge_buf.reset();
     return;
   }
   hedges_won_->Add(1);
-  if (read->hedge_on_replica) {
-    replica_hedge_wins_->Add(1);
-    read->suppress_latency_sample = true;
-  }
-  SettleRead(read, status, read->hedge_buf->data());
+  if (read->hedge_on_replica) replica_hedge_wins_->Add(1);
+  SettleRead(read, status, read->hedge_buf->data(), read->hedge_on_replica);
   read->hedge_buf.reset();
   // read->buf stays held for the original's late completion (see
   // CompleteRead's settled-read path).

@@ -40,7 +40,19 @@
 //    eventually run. Its drain timer (`background_flush_delay`) fires even
 //    while foreground demand keeps the doorbell busy, which bounds how long
 //    sustained foreground pressure can starve a background SQE. Foreground
-//    overlap promotes a pending background SQE exactly like a prefetch one.
+//    overlap promotes a pending background SQE exactly like a prefetch one,
+//    and a background run covered by a pending prefetch SQE promotes it
+//    into the background lane.
+//
+// One pending set holds every unflushed SQE, in three sections: demand (in
+// enqueue-or-promotion order), then background, then prefetch (each FIFO).
+// A flush takes a prefix of it: every demand SQE, plus lane SQEs up to the
+// doorbell's free room. Every run enters through one path — join a live
+// read, else ride or grow the first compatible pending SQE (demand first),
+// else become a new SQE at the end of its section. A run grows only an SQE
+// of its own kind, except that demand may grow any; a covered run rides an
+// SQE of its own or higher priority in place, and moves a lower-priority
+// one to the end of its own section (promotion).
 //
 // With `cross_request = false` (bypass, the io_batching ablation modes) the
 // scheduler never merges or single-flights across enqueues, and both
@@ -106,7 +118,6 @@ struct CrossRequestIoStats {
   uint64_t deadline_expired = 0;  ///< reads abandoned past the IO deadline
   uint64_t hedges_issued = 0;     ///< duplicate reads submitted for slow IOs
   uint64_t hedges_won = 0;        ///< hedges that delivered before the original
-  uint64_t replica_hedges = 0;    ///< hedges routed to a replica device
   /// Mean SQEs (all lanes) per ring doorbell (0 when no doorbell rang yet).
   [[nodiscard]] double BatchOccupancy() const {
     return flushes == 0 ? 0
@@ -284,21 +295,19 @@ class BatchScheduler {
   /// the doorbell's free room.
   void Flush();
 
-  [[nodiscard]] size_t pending_sqes() const { return pending_.size(); }
+  [[nodiscard]] size_t pending_sqes() const { return SectionSize(Kind::kDemand); }
   [[nodiscard]] size_t background_pending_sqes() const {
-    return lanes_[kBackgroundLane].pending.size();
+    return SectionSize(Kind::kBackground);
   }
   [[nodiscard]] size_t background_parked_runs() const {
-    return lanes_[kBackgroundLane].parked.size();
+    return LaneOf(Kind::kBackground).parked.size();
   }
   [[nodiscard]] Bytes background_budget_used() const {
-    return lanes_[kBackgroundLane].pending_bytes + lanes_[kBackgroundLane].inflight_bytes;
+    return LaneOf(Kind::kBackground).pending_bytes + LaneOf(Kind::kBackground).inflight_bytes;
   }
-  [[nodiscard]] size_t prefetch_pending_sqes() const {
-    return lanes_[kPrefetchLane].pending.size();
-  }
+  [[nodiscard]] size_t prefetch_pending_sqes() const { return SectionSize(Kind::kPrefetch); }
   [[nodiscard]] Bytes prefetch_budget_used() const {
-    return lanes_[kPrefetchLane].pending_bytes + lanes_[kPrefetchLane].inflight_bytes;
+    return LaneOf(Kind::kPrefetch).pending_bytes + LaneOf(Kind::kPrefetch).inflight_bytes;
   }
   [[nodiscard]] size_t in_flight_reads() const { return live_reads_.size(); }
   [[nodiscard]] const BatchSchedulerConfig& config() const { return config_; }
@@ -322,21 +331,26 @@ class BatchScheduler {
 
  private:
   using Kind = ReadRequest::Kind;
+  static constexpr size_t kNumKinds = 3;
 
-  /// An SQE accumulating in the unflushed batch (any lane).
-  struct PendingRead {
+  /// One SQE (any lane). It sits in the pending set, accumulating runs,
+  /// until a flush issues it. From then until it settles it is live:
+  /// indexed in `live_reads_`, where late arrivals whose span its window
+  /// covers find it and subscribe (single-flight on in-flight IO).
+  struct Read {
     Bytes span_begin = 0;
     Bytes span_end = 0;
     uint64_t first_block = 0;
     uint64_t last_block = 0;
     bool sub_block = false;
-    Kind kind = Kind::kDemand;
+    Kind kind = Kind::kDemand;  ///< its section while pending
     uint32_t tenant = 0;  ///< owner (first enqueuer) for fair-share billing
-    /// Bus bytes this SQE holds against its lane's byte budget. Every
-    /// device read is admitted by exactly one domain: a throttle slot on
-    /// the demand side, or these bytes on a low-priority lane. A
-    /// covered-promotion keeps its budget (no slot ever existed for it);
-    /// a merge-promotion transfers to the demand run's slot and zeroes it.
+    /// Bus bytes this SQE holds against its lane's byte budget, released to
+    /// the lane when the read settles. Every device read is admitted by
+    /// exactly one domain: a throttle slot on the demand side, or these
+    /// bytes on a low-priority lane. A covered-promotion keeps its budget
+    /// (no slot ever existed for it); a merge-promotion transfers to the
+    /// demand run's slot and zeroes it.
     Bytes budget_bytes = 0;
     /// Lane the budget is charged against (survives promotion to demand;
     /// kDemand means "no budget held").
@@ -347,37 +361,22 @@ class BatchScheduler {
     /// skip the host fabric only if NO subscriber needs the payload host-side.
     bool service_local = false;
     std::vector<Completion> subscribers;
-  };
 
-  /// A read submitted to the engine. Until it settles it is live: indexed
-  /// in `live_reads_`, where late arrivals whose span its window covers
-  /// find it and subscribe (single-flight on in-flight IO).
-  struct InFlightRead {
-    Bytes span_begin = 0;
-    Bytes span_end = 0;
+    // ---- Set when a flush issues the read ----
     Bytes base = 0;
     Bytes window_end = 0;  ///< base + buffer size: the device bytes it lands
-    bool sub_block = false;
-    Kind kind = Kind::kDemand;
-    uint32_t tenant = 0;
-    Bytes budget_bytes = 0;  ///< released to the lane when the read completes
-    Kind budget_kind = Kind::kDemand;
-    SimTime issued_at;       ///< doorbell time (deadline/hedge anchors)
+    SimTime issued_at;     ///< doorbell time (deadline/hedge anchors)
     /// Cleared when the read settles (completion, deadline or hedge win):
     /// its subscribers are served, so late device or hedge completions
     /// only release buffers, and no new run may join it.
     bool live = true;
     bool hedged = false;     ///< a duplicate submission is in flight
     bool hedge_on_replica = false;  ///< the duplicate went to a replica device
-    /// Set when a replica-served hedge wins: its latency reflects the OTHER
-    /// device and must not enter this scheduler's demand-p99 population.
-    bool suppress_latency_sample = false;
     std::shared_ptr<BufferArena::Buffer> buf;
     /// The hedge's own bounce buffer: the original device read may still
     /// land in `buf` (the device memcpy targets it at dispatch), so the
     /// duplicate needs separate backing.
     std::shared_ptr<BufferArena::Buffer> hedge_buf;
-    std::vector<Completion> subscribers;
   };
 
   /// Scheduling rights of one lane — the priority-lane table rows (demand
@@ -389,73 +388,77 @@ class BatchScheduler {
     bool drains_despite_demand = false;  ///< timer fires under demand pressure
   };
 
-  /// Queued state of one low-priority lane.
+  /// Queued state of one low-priority lane (its SQEs are a section of the
+  /// pending set).
   struct Lane {
-    std::deque<PendingRead> pending;  ///< SQEs waiting for doorbell room (FIFO)
-    std::deque<ReadRequest> parked;   ///< over-budget runs awaiting admission
+    std::deque<ReadRequest> parked;  ///< over-budget runs awaiting admission
     Bytes pending_bytes = 0;
     Bytes inflight_bytes = 0;
     bool drain_armed = false;
   };
 
-  static constexpr size_t kBackgroundLane = 0;
-  static constexpr size_t kPrefetchLane = 1;
-  static constexpr size_t kNumLanes = 2;
-  [[nodiscard]] static size_t LaneIndex(Kind kind) {
-    return static_cast<size_t>(kind) - 1;
-  }
+  [[nodiscard]] static size_t Index(Kind kind) { return static_cast<size_t>(kind); }
+  [[nodiscard]] Lane& LaneOf(Kind kind) { return lanes_[Index(kind) - 1]; }
+  [[nodiscard]] const Lane& LaneOf(Kind kind) const { return lanes_[Index(kind) - 1]; }
+  [[nodiscard]] size_t SectionSize(Kind kind) const { return section_size_[Index(kind)]; }
+  /// Index of the first pending SQE past `kind`'s section.
+  [[nodiscard]] size_t SectionEnd(Kind kind) const;
 
   /// Memory backstop on a lane's SQE count (the byte budget is the real
   /// admission control; this only bounds a degenerate many-tiny-spans lane).
   static constexpr size_t kMaxLaneSqes = 256;
 
-  [[nodiscard]] LanePolicy Policy(size_t lane) const;
+  [[nodiscard]] LanePolicy Policy(Kind lane) const;
 
   /// Whether [begin, end) (blocks [first_block, last_block]) can ride on
   /// pending read `p`: fully covered by what `p` will pull across the bus
   /// (`*covered` = true), or fusable under the cap/gap merge rules.
-  [[nodiscard]] bool Compatible(const PendingRead& p, Bytes begin, Bytes end,
+  [[nodiscard]] bool Compatible(const Read& p, Bytes begin, Bytes end,
                                 uint64_t first_block, uint64_t last_block,
                                 bool sub_block, bool* covered) const;
-  [[nodiscard]] Admission EnqueueDemand(ReadRequest& req);
-  [[nodiscard]] Admission EnqueueLane(ReadRequest& req, size_t lane);
-  /// Appends `req` to `lane` as a new SQE, charging its lane budget.
-  Admission AdmitToLane(ReadRequest& req, size_t lane, Bytes bus);
-  [[nodiscard]] bool TryAbsorbIntoPending(ReadRequest& req, Admission* admission);
-  [[nodiscard]] bool TryJoinInFlight(ReadRequest& req);
-  /// Demand-side probe of a low-priority lane: a compatible pending SQE is
-  /// moved into the demand batch (promotion) and the run rides it.
-  [[nodiscard]] bool TryPromoteLane(ReadRequest& req, size_t lane, Admission* admission);
-  /// After pending_[i] grew, fuses any other pending reads it now covers
-  /// or abuts, so one block never crosses the bus twice in one flush.
+  /// `req` rides (covered) or grows pending_[i], which sits in `section`;
+  /// an SQE of lower priority than `req` is promoted into `req`'s section.
+  [[nodiscard]] Admission Join(ReadRequest& req, size_t i, Kind section, bool covered);
+  /// Appends `req` to the end of its section as a new SQE holding `budget`
+  /// bus bytes of its lane's budget (0 for demand).
+  Admission Append(ReadRequest& req, Bytes budget);
+  /// Over-budget lane run: dropped (prefetch) or parked (background).
+  Admission Refuse(ReadRequest& req);
+  /// After pending_[i] grew, fuses any other pending demand reads it now
+  /// covers or abuts, so one block never crosses the bus twice in one flush.
   void FuseOverlappingPending(size_t i);
   /// Size-trigger / deadline arming after the demand batch grew.
   void MaybeFlushOrArm();
-  void ArmFlush();
-  void ArmLaneDrain(size_t lane);
+  void ArmLaneDrain(Kind lane);
   /// Re-admits parked background runs that now fit the lane budget.
-  void DrainParked(size_t lane);
-  void CompleteRead(const std::shared_ptr<InFlightRead>& read, Status status);
+  void DrainParked(Kind lane);
+  void CompleteRead(const std::shared_ptr<Read>& read, Status status);
   /// Deadline expiry: if `read` is still in flight, deliver
   /// kDeadlineExceeded to every subscriber exactly once and release its
   /// budget. Its buffer stays alive for the (possibly still coming) device
   /// memcpy; the late completion frees it.
-  void ExpireRead(const std::shared_ptr<InFlightRead>& read);
+  void ExpireRead(const std::shared_ptr<Read>& read);
   /// Hedge trigger: if `read` is still in flight and not yet hedged,
   /// submit a duplicate read into a fresh buffer.
-  void MaybeHedge(const std::shared_ptr<InFlightRead>& read);
-  void CompleteHedge(const std::shared_ptr<InFlightRead>& read, Status status);
+  void MaybeHedge(const std::shared_ptr<Read>& read);
+  void CompleteHedge(const std::shared_ptr<Read>& read, Status status);
   /// Arms the per-read deadline and (for demand reads, once the latency
   /// population suffices) the adaptive hedge timer. Called at flush.
-  void ArmReadResponses(const std::shared_ptr<InFlightRead>& read);
+  void ArmReadResponses(const std::shared_ptr<Read>& read);
   /// Marks `read` settled and unindexes it, delivers (status, data, base)
   /// to every subscriber exactly once, releases its budget, and re-admits
   /// parked background work. Shared tail of genuine completion / expiry /
-  /// hedge win.
-  void SettleRead(const std::shared_ptr<InFlightRead>& read, const Status& status,
-                  const uint8_t* data);
-  [[nodiscard]] Bytes BusOf(const PendingRead& p) const;
-  void RecordJoin(const ReadRequest& req, Kind owner_kind, uint32_t owner_tenant);
+  /// hedge win. A replica-served hedge win's latency reflects the OTHER
+  /// device and must not enter this scheduler's demand-p99 population.
+  void SettleRead(const std::shared_ptr<Read>& read, const Status& status,
+                  const uint8_t* data, bool replica_win = false);
+  /// Bus bytes of a run or pending SQE.
+  template <typename Span>
+  [[nodiscard]] static Bytes BusOf(const Span& s) {
+    return NvmeDevice::BusBytes(s.span_begin, s.span_end - s.span_begin, s.sub_block);
+  }
+  /// Counts `req` as served by an existing read that `owner_tenant` owns.
+  void RecordJoin(const ReadRequest& req, uint32_t owner_tenant);
   TenantIoShare& Share(uint32_t tenant);
 
   IoEngine* engine_;
@@ -463,10 +466,13 @@ class BatchScheduler {
   EventLoop* loop_;
   BatchSchedulerConfig config_;
 
-  std::vector<PendingRead> pending_;  ///< demand batch (full flush rights)
-  Lane lanes_[kNumLanes];
+  /// Every unflushed SQE: the demand section, then background, then
+  /// prefetch. `section_size_` holds each section's length, by Kind.
+  std::vector<Read> pending_;
+  size_t section_size_[kNumKinds] = {};
+  Lane lanes_[kNumKinds - 1];
   /// Live reads in issue order, indexed by the blocks their windows touch.
-  InFlightIndex<InFlightRead> live_reads_;
+  InFlightIndex<Read> live_reads_;
   /// Invalidates armed flush timers when the batch they were armed for has
   /// already been flushed by the size trigger.
   uint64_t flush_generation_ = 0;
@@ -475,26 +481,20 @@ class BatchScheduler {
   std::vector<TenantIoShare> tenant_shares_;
 
   StatsRegistry stats_;
-  Counter* enqueued_ = nullptr;
-  Counter* device_reads_ = nullptr;
+  // Per-kind counters, indexed by Kind (promoted_ has no demand entry).
+  Counter* enqueued_[kNumKinds] = {};
+  Counter* reads_[kNumKinds] = {};        ///< SQEs issued
+  Counter* singleflight_[kNumKinds] = {};  ///< runs served by an existing read
+  Counter* promoted_[kNumKinds] = {};      ///< lane SQEs upgraded by a higher lane
   Counter* cross_request_merges_ = nullptr;
-  Counter* singleflight_hits_ = nullptr;
   Counter* singleflight_bytes_saved_ = nullptr;
   Counter* flushes_ = nullptr;
   Counter* flush_deadline_ = nullptr;
   Counter* flush_size_ = nullptr;
   Counter* flush_prefetch_ = nullptr;
   Counter* flush_background_ = nullptr;
-  Counter* prefetch_enqueued_ = nullptr;
-  Counter* prefetch_reads_ = nullptr;
   Counter* prefetch_dropped_ = nullptr;
-  Counter* prefetch_promoted_ = nullptr;
-  Counter* prefetch_singleflight_ = nullptr;
-  Counter* background_enqueued_ = nullptr;
-  Counter* background_reads_ = nullptr;
   Counter* background_parked_ = nullptr;
-  Counter* background_promoted_ = nullptr;
-  Counter* background_singleflight_ = nullptr;
   Counter* cross_tenant_hits_ = nullptr;
   Counter* deadline_expired_ = nullptr;
   Counter* hedges_issued_ = nullptr;

@@ -113,7 +113,6 @@ Status HostSimulation::LoadModel(const ModelConfig& model) {
 
   auto report = ModelLoader::Load(model_, config_.loader, store_.get());
   if (!report.ok()) return report.status();
-  load_report_ = std::move(report).value();
 
   engine_ = std::make_unique<InferenceEngine>(store_.get(), model_, HostInferenceConfig(config_));
   workload_ = std::make_unique<QueryGenerator>(model_, config_.workload);

@@ -86,7 +86,6 @@ class HostSimulation {
   [[nodiscard]] QueryGenerator& workload() { return *workload_; }
   [[nodiscard]] EventLoop& loop() { return loop_; }
   [[nodiscard]] const HostSimConfig& config() const { return config_; }
-  [[nodiscard]] const LoadReport& load_report() const { return load_report_; }
 
   /// Observability (src/obs): non-null iff tuning.obs.enabled() at
   /// LoadModel. Metric names carry the "host0/" source prefix.
@@ -109,7 +108,6 @@ class HostSimulation {
   std::unique_ptr<SdmStore> store_;
   std::unique_ptr<InferenceEngine> engine_;
   std::unique_ptr<QueryGenerator> workload_;
-  LoadReport load_report_;
   ModelConfig model_;
   bool loaded_ = false;
 };

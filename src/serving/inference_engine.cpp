@@ -172,7 +172,6 @@ void InferenceEngine::FinishQuery(const std::shared_ptr<QueryState>& st) {
   loop_->ScheduleAfter(dense, [this, st, now] {
     (void)now;
     st->trace.total = loop_->Now() - st->arrival;
-    latency_.Record(st->trace.total);
     user_path_.Record(st->trace.user_path);
     item_path_.Record(st->trace.item_path);
     queries_->Add(1);
@@ -195,15 +194,6 @@ void InferenceEngine::FinishQuery(const std::shared_ptr<QueryState>& st) {
     st->cb(Status::Ok(), st->trace);
     AdmitFromQueue();
   });
-}
-
-SimDuration InferenceEngine::AvgCpuPerQuery() const {
-  const uint64_t q = queries_->value();
-  if (q == 0) return SimDuration(0);
-  // Operator-side CPU + dense CPU charged here; IO-engine CPU lives in the
-  // store's engines and is added by the host report.
-  uint64_t total = cpu_ns_->value() + static_cast<uint64_t>(lookup_engine_->cpu_time().nanos());
-  return SimDuration(static_cast<int64_t>(total / q));
 }
 
 }  // namespace sdm

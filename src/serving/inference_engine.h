@@ -78,17 +78,10 @@ class InferenceEngine {
   [[nodiscard]] int in_flight() const { return in_flight_; }
   [[nodiscard]] size_t queued() const { return admission_queue_.size(); }
 
-  [[nodiscard]] const Histogram& query_latency() const { return latency_; }
   [[nodiscard]] const Histogram& user_path_latency() const { return user_path_; }
   [[nodiscard]] const Histogram& item_path_latency() const { return item_path_; }
   [[nodiscard]] LookupEngine& lookups() { return *lookup_engine_; }
   [[nodiscard]] const StatsRegistry& stats() const { return stats_; }
-  /// Host-wide cross-request IO batching effectiveness (src/sched): how
-  /// often concurrent operators shared device reads and how full each ring
-  /// doorbell ran. Cumulative across runs, like the engine counters.
-  [[nodiscard]] CrossRequestIoStats cross_request_io() const {
-    return store_->cross_request_io_stats();
-  }
   /// Speculative-readahead effectiveness (src/prefetch): rows issued ahead
   /// of demand, how many demand later claimed, and the wasted bus bytes.
   /// Zeroes when tuning.enable_prefetch is off.
@@ -97,10 +90,6 @@ class InferenceEngine {
   }
   [[nodiscard]] const InferenceConfig& config() const { return config_; }
   [[nodiscard]] const ModelConfig& model() const { return model_; }
-
-  /// Mean host-CPU virtual time per completed query (operator + IO engine
-  /// CPU), the input to QPS-per-host capacity math (Eq. 5).
-  [[nodiscard]] SimDuration AvgCpuPerQuery() const;
 
  private:
   struct QueryState;
@@ -127,7 +116,6 @@ class InferenceEngine {
   };
   std::deque<PendingQuery> admission_queue_;
 
-  Histogram latency_;
   Histogram user_path_;
   Histogram item_path_;
   StatsRegistry stats_;

@@ -113,9 +113,6 @@ class SharedDeviceService {
   [[nodiscard]] TenantClass tenant_class(TenantId id) const {
     return tenants_[id].cls;
   }
-  [[nodiscard]] const std::string& tenant_name(TenantId id) const {
-    return tenants_[id].name;
-  }
 
   // ---- Table placement -----------------------------------------------------
 

@@ -294,6 +294,35 @@ TEST(BatchScheduler, SubBlockGapRuleBoundsCrossRequestMerges) {
   EXPECT_EQ(rig2.DeviceReads(), 1u);
 }
 
+TEST(BatchScheduler, CoveredDemandJoinWidensTheSqeButACoveredLaneJoinDoesNot) {
+  // Both runs sit in block 0, so one block crosses the bus either way. A
+  // covered demand run still widens the SQE's span and adds its rows, which
+  // the engine counts as a coalesced read; a covered background run only
+  // subscribes.
+  BatchSchedulerConfig cfg;
+  cfg.cross_request = true;
+  cfg.max_batch_delay = Micros(5);
+  for (const auto kind : {BatchScheduler::ReadRequest::Kind::kDemand,
+                          BatchScheduler::ReadRequest::Kind::kBackground}) {
+    const bool demand = kind == BatchScheduler::ReadRequest::Kind::kDemand;
+    SchedulerRig rig(cfg);
+    int ok = 0;
+    BatchScheduler::ReadRequest first = rig.Request(100, 200, &ok);
+    BatchScheduler::ReadRequest covered = rig.Request(300, 400, &ok);
+    first.kind = kind;
+    covered.kind = kind;
+    EXPECT_EQ(rig.sched->Enqueue(std::move(first)), BatchScheduler::Admission::kNewRead);
+    EXPECT_EQ(rig.sched->Enqueue(std::move(covered)), BatchScheduler::Admission::kJoinedPending);
+    rig.sched->Flush();
+    rig.loop.RunUntilIdle();
+    EXPECT_EQ(ok, 2);
+    EXPECT_EQ(rig.DeviceReads(), 1u);
+    EXPECT_EQ(rig.device->stats().CounterValue("useful_bytes"), demand ? 300u : 100u);
+    EXPECT_EQ(rig.engine->stats().CounterValue("coalesced_reads"), demand ? 1u : 0u);
+    EXPECT_EQ(rig.engine->stats().CounterValue("bytes_saved"), demand ? kBlockSize : 0u);
+  }
+}
+
 TEST(BatchScheduler, SubBlockLateArrivalJoinsWithinDwordWindow) {
   BatchSchedulerConfig cfg;
   cfg.cross_request = true;

@@ -83,10 +83,11 @@ TEST(HostSim, LoadsAndServes) {
 }
 
 TEST(HostSim, DefaultBackingCommitsOnlyTheLoadedModel) {
-  // Defaults: 2 SSDs x 256 MiB of SM backing plus 128 MiB of FM, all of it
-  // virtual until the load writes it. The bound's 32 MiB slack covers the
-  // row cache's bucket headers (~24 MiB), which TSan's shadow multiplies.
-  if (kThreadSanitizer) GTEST_SKIP() << "TSan shadow memory inflates written heap bytes";
+  // Defaults: 2 SSDs x 256 MiB of SM backing plus 128 MiB of FM, and a row
+  // cache whose bucket headers would take ~24 MiB if written up front — all
+  // of it virtual until the load (or the first cached row) writes it. The
+  // load measures ~0.5 MiB over the model's bytes, and ~6 MiB under TSan,
+  // whose shadow memory grows with every byte written.
   HostSimConfig cfg;
   cfg.host = MakeHwSS();
   const ModelConfig model = SmallModel();
@@ -96,7 +97,7 @@ TEST(HostSim, DefaultBackingCommitsOnlyTheLoadedModel) {
   ASSERT_GT(before, 0);
   HostSimulation sim(cfg);
   ASSERT_TRUE(sim.LoadModel(model).ok());
-  EXPECT_LT(ResidentBytes() - before, static_cast<int64_t>(model_bytes + 32 * kMiB));
+  EXPECT_LT(ResidentBytes() - before, static_cast<int64_t>(model_bytes + 12 * kMiB));
 }
 
 TEST(HostSim, HitRateRisesWithWarmth) {

@@ -246,6 +246,59 @@ TEST(BackgroundLane, CoveredByPendingPrefetchPromotesIntoBackgroundLane) {
   EXPECT_EQ(rig.sched->prefetch_budget_used(), 0u);
 }
 
+TEST(BackgroundLane, CoveringPrefetchSqeIsPromotedBeforeAMergeableBackgroundSqe) {
+  BatchSchedulerConfig cfg;
+  cfg.max_batch_delay = Micros(5);
+  SchedulerRig rig(cfg);
+  int ok = 0;
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(4 * kBlockSize, 4 * kBlockSize + 256, &ok, kBg)),
+            BatchScheduler::Admission::kNewRead);
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(5 * kBlockSize, 5 * kBlockSize + 256, &ok,
+                                           BatchScheduler::ReadRequest::Kind::kPrefetch)),
+            BatchScheduler::Admission::kNewRead);
+  // A background run in block 5 could grow the block-4 background SQE (the
+  // blocks abut), but the prefetch SQE already covers it: that SQE is
+  // promoted into the background lane, and the block-4 SQE stays as it was.
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(5 * kBlockSize + 512, 5 * kBlockSize + 600, &ok, kBg)),
+            BatchScheduler::Admission::kJoinedPending);
+  EXPECT_EQ(rig.sched->background_pending_sqes(), 2u);
+  EXPECT_EQ(rig.sched->prefetch_pending_sqes(), 0u);
+  EXPECT_EQ(rig.Counter("prefetch_promoted"), 1u);
+  EXPECT_EQ(rig.sched->background_budget_used(), 2 * kBlockSize);
+  EXPECT_EQ(rig.sched->prefetch_budget_used(), 0u);
+  rig.loop.RunUntilIdle();
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(rig.DeviceReads(), 2u);
+  EXPECT_EQ(rig.Counter("background_reads"), 2u);
+  EXPECT_EQ(rig.sched->background_budget_used(), 0u);
+}
+
+TEST(BackgroundLane, CoveringDemandRunLeavesThePromotedSqeChargedToTheLane) {
+  BatchSchedulerConfig cfg;
+  cfg.max_batch_delay = Micros(5);
+  cfg.background_flush_delay = Micros(100);
+  SchedulerRig rig(cfg);
+  int ok = 0;
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(2 * kBlockSize, 2 * kBlockSize + 256, &ok, kBg)),
+            BatchScheduler::Admission::kNewRead);
+  EXPECT_EQ(rig.sched->background_budget_used(), kBlockSize);
+  // The demand run rides the background SQE without a throttle slot of its
+  // own (WouldShare), so the promoted read stays admitted by the lane
+  // budget: its charge holds while it is pending and in flight.
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(2 * kBlockSize + 512, 2 * kBlockSize + 600, &ok)),
+            BatchScheduler::Admission::kJoinedPending);
+  EXPECT_EQ(rig.sched->pending_sqes(), 1u);
+  EXPECT_EQ(rig.sched->background_budget_used(), kBlockSize);
+  rig.sched->Flush();
+  ASSERT_EQ(rig.sched->in_flight_reads(), 1u);
+  EXPECT_EQ(rig.sched->background_budget_used(), kBlockSize);
+  EXPECT_EQ(rig.Counter("device_reads"), 1u);
+  EXPECT_EQ(rig.Counter("background_reads"), 0u);
+  rig.loop.RunUntilIdle();
+  EXPECT_EQ(ok, 2);
+  EXPECT_EQ(rig.sched->background_budget_used(), 0u);
+}
+
 TEST(BackgroundLane, RunLargerThanBudgetStillProgressesWhenLaneIdle) {
   BatchSchedulerConfig cfg;
   cfg.background_max_inflight_bytes = kBlockSize;  // smaller than the run
