@@ -8,7 +8,7 @@
 
 #include "bench_util.h"
 #include "dlrm/model_zoo.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 
 using namespace sdm;
 

@@ -15,7 +15,7 @@
 
 #include "bench_util.h"
 #include "dlrm/model_zoo.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 #include "trace/trace_gen.h"
 
 using namespace sdm;

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 
 namespace sdm::bench {
 

@@ -10,7 +10,7 @@
 #include "bench_util.h"
 #include "core/model_updater.h"
 #include "dlrm/model_zoo.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 
 using namespace sdm;
 

@@ -9,7 +9,7 @@
 
 #include "common/logging.h"
 #include "dlrm/model_zoo.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 #include "serving/power_model.h"
 
 using namespace sdm;

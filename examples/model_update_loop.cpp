@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "core/model_updater.h"
 #include "dlrm/model_zoo.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 
 using namespace sdm;
 

@@ -51,7 +51,7 @@ struct LookupEngine::RequestState {
   SimDuration cpu_post;  // after last IO
   int outstanding_ios = 0;
   bool io_phase_started = false;
-  Status first_error;
+  bool io_failed = false;  // some row's IO was shed or exhausted retries
   LookupTrace trace;
 
   /// Device this request's SM IOs go to — the table's primary unless the
@@ -129,8 +129,10 @@ LookupEngine::LookupEngine(SdmStore* store) : store_(store), loop_(store->loop()
   }
 }
 
-void LookupEngine::RecordObsCompletion(const RequestState& st) {
+void LookupEngine::Complete(RequestState& st, std::vector<float> pooled) {
   const SimTime now = loop_->Now();
+  st.trace.latency = now - st.start;
+  latency_.Record(st.trace.latency);
   if (obs_lookups_ != nullptr) {
     obs_lookups_->Add(now);
     obs_cache_rows_->Add(now, st.trace.rows_from_cache);
@@ -149,6 +151,7 @@ void LookupEngine::RecordObsCompletion(const RequestState& st) {
                   static_cast<size_t>(st.trace.device_reads));
     obs_spans_->Span(obs_track_, "lookup", st.start, now, args);
   }
+  st.cb(Status::Ok(), std::move(pooled), st.trace);
 }
 
 SimDuration LookupEngine::CopyCost(Bytes bytes) {
@@ -210,10 +213,7 @@ void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
       // (the entry may be evicted before the callback runs).
       loop_->ScheduleAfter(st->cpu_pre,
                            [this, st, out = std::vector<float>(*hit)]() mutable {
-                             st->trace.latency = loop_->Now() - st->start;
-                             latency_.Record(st->trace.latency);
-                             RecordObsCompletion(*st);
-                             st->cb(Status::Ok(), std::move(out), st->trace);
+                             Complete(*st, std::move(out));
                            });
       return;
     }
@@ -396,7 +396,7 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
         shed_lookups_->Add(1);
         if (obs_shed_ != nullptr) obs_shed_->Add(loop_->Now());
         for (auto& slot : st->slots) slot.needs_io = false;  // source stays kNone
-        st->first_error = UnavailableError("lookup shed: SM endpoint unhealthy");
+        st->io_failed = true;
         FinishRequest(st);
         return;
       }
@@ -595,7 +595,7 @@ BatchScheduler::Completion LookupEngine::MakeRunCompletion(
       // One failed device read fails every row it carried; only io_errors
       // is charged (not rows_from_sm).
       io_errors_->Add(1);
-      if (st->first_error.ok()) st->first_error = status;
+      st->io_failed = true;
     } else {
       if (run->repairing) {
         read_repairs_->Add(1);
@@ -645,15 +645,7 @@ BatchScheduler::Completion LookupEngine::MakeRunCompletion(
 }
 
 void LookupEngine::FinishRequest(const std::shared_ptr<RequestState>& st) {
-  if (!st->first_error.ok()) {
-    if (!store_->tuning().graceful_degradation) {
-      // Legacy fail-stop contract: the first exhausted-retry error fails
-      // the whole lookup.
-      cpu_ns_->Add(static_cast<uint64_t>((st->cpu_pre + st->cpu_post).nanos()));
-      st->trace.cpu_time = st->cpu_pre + st->cpu_post;
-      st->cb(st->first_error, {}, st->trace);
-      return;
-    }
+  if (st->io_failed) {
     // Graceful degradation: the failed rows' buffers were zero-initialized
     // and never written, so pooling proceeds and they contribute nothing —
     // an embedding query missing a few rows beats a failed query. The gap
@@ -757,10 +749,7 @@ void LookupEngine::FinishRequest(const std::shared_ptr<RequestState>& st) {
   // yet; either way the post-phase runs now.
   const SimDuration tail = st->io_phase_started ? st->cpu_post : total_cpu;
   loop_->ScheduleAfter(tail, [this, st, out = std::move(out)]() mutable {
-    st->trace.latency = loop_->Now() - st->start;
-    latency_.Record(st->trace.latency);
-    RecordObsCompletion(*st);
-    st->cb(Status::Ok(), std::move(out), st->trace);
+    Complete(*st, std::move(out));
   });
 }
 

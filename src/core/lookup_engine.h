@@ -77,7 +77,7 @@ struct LookupTrace {
   /// Bus bytes avoided versus issuing every missing row as its own read.
   Bytes io_bytes_saved = 0;
 
-  // ---- Graceful degradation (tuning.graceful_degradation) ----
+  // ---- Graceful degradation ----
   /// Rows whose IO exhausted retries (or was shed from a sick endpoint):
   /// they pooled as zero vectors instead of failing the query.
   uint32_t rows_failed = 0;
@@ -157,9 +157,10 @@ class LookupEngine {
   std::optional<SharedDeviceService::ReplicaRoute> RepairRoute(TableId table_id,
                                                                size_t failed_device);
   void FinishRequest(const std::shared_ptr<RequestState>& st);
-  /// Windowed metrics + (sampled) lookup span at request completion; called
-  /// from both completion tails once trace.latency is final.
-  void RecordObsCompletion(const RequestState& st);
+  /// Both completion tails (pooled-cache hit, FinishRequest): stamps and
+  /// records the latency, the windowed metrics and the (sampled) lookup
+  /// span, then calls back with `pooled`.
+  void Complete(RequestState& st, std::vector<float> pooled);
   /// Modeled CPU time of copying `bytes`.
   [[nodiscard]] static SimDuration CopyCost(Bytes bytes);
 

@@ -33,7 +33,7 @@ SdmStore::SdmStore(SdmStoreConfig config, EventLoop* loop)
     owned_service_ = std::make_unique<SharedDeviceService>(std::move(dcfg), loop_);
     device_service_ = owned_service_.get();
     if (device_service_->tenant_count() == 0) {
-      (void)device_service_->RegisterTenant("owner", config_.tenant_class);
+      (void)device_service_->RegisterTenant(config_.tenant_class);
     }
   }
 }

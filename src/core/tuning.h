@@ -162,10 +162,6 @@ struct TuningConfig {
   /// Completed demand reads observed before the adaptive hedge threshold
   /// arms (the p99 estimate needs a population).
   uint64_t hedge_min_samples = 64;
-  /// Lookups whose IOs exhaust retries complete Ok with zero-filled rows,
-  /// accounted as rows_failed/degraded in traces and reports. `false`
-  /// restores the legacy first-error contract (the query fails).
-  bool graceful_degradation = true;
   /// Score device/endpoint health from IO outcomes and shed lookups to
   /// degraded mode while an endpoint is sick (probing for recovery).
   bool enable_health_monitor = false;

@@ -20,8 +20,8 @@ FabricAttachedService::FabricAttachedService(FabricServiceConfig config, EventLo
   }
 }
 
-TenantId FabricAttachedService::AttachHost(std::string name, TenantClass cls) {
-  return service_.RegisterTenant(std::move(name), cls);
+TenantId FabricAttachedService::AttachHost(TenantClass cls) {
+  return service_.RegisterTenant(cls);
 }
 
 void FabricAttachedService::InstallFaultInjector(FaultInjector* injector) {

@@ -58,7 +58,7 @@ class FabricAttachedService {
   /// TenantId that scopes its throttle keys, scheduler attribution, and
   /// extent-dedup domain (hosts dedup against each OTHER, never against
   /// themselves — exactly the tenant rule).
-  TenantId AttachHost(std::string name, TenantClass cls = TenantClass::kForeground);
+  TenantId AttachHost(TenantClass cls = TenantClass::kForeground);
 
   [[nodiscard]] size_t host_count() const { return service_.tenant_count(); }
 

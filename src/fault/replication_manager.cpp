@@ -42,7 +42,7 @@ void ReplicationManager::set_obs(Observability* obs, const std::string& name) {
 
 TenantId ReplicationManager::BillingTenant() {
   if (!tenant_registered_) {
-    tenant_ = service_->RegisterTenant("replication", TenantClass::kBackground);
+    tenant_ = service_->RegisterTenant(TenantClass::kBackground);
     tenant_registered_ = true;
   }
   return tenant_;

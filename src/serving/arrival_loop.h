@@ -1,7 +1,7 @@
 // RunInterleavedArrivals — the one open-loop arrival driver behind every
-// serving run: HostSimulation::Run (one participant) and
-// ClusterSimulation::Run (one participant per host, private or shared
-// device stacks alike).
+// serving run: ClusterSimulation::Run, with one participant per host
+// (private or shared device stacks alike; a HostSimulation is the
+// one-participant case).
 //
 //   - each participant runs an independent Poisson process at `qps_each`
 //     for its own `queries`, seeded by its own arrival_seed, all

@@ -45,8 +45,9 @@ ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host
   fabric_ = std::make_unique<FabricAttachedService>(std::move(fcfg), &loop_);
 }
 
-uint64_t ClusterSimulation::StoreSeed(size_t i) const {
-  return base_config_.seed ^ Mix64(i + 0x7e0a);
+uint64_t ClusterSimulation::HostSalt(size_t i) const {
+  // A cluster of one is a HostSimulation, seeded as the config says.
+  return size() == 1 ? 0 : Mix64(i + 0x7e0a);
 }
 
 Status ClusterSimulation::LoadModel(const ModelConfig& model) {
@@ -69,11 +70,11 @@ Status ClusterSimulation::LoadModels(std::span<const HostRole> roles) {
     SdmStoreConfig scfg;
     scfg.fm_capacity = roles[i].fm_capacity;
     scfg.tuning = base_config_.tuning;
-    scfg.seed = StoreSeed(i);
+    scfg.seed = base_config_.seed ^ HostSalt(i);
     scfg.tenant_class = roles[i].cls;
     if (disaggregated()) {
       scfg.shared_device = &fabric_->device_service();
-      scfg.tenant_id = fabric_->AttachHost("host" + std::to_string(i), roles[i].cls);
+      scfg.tenant_id = fabric_->AttachHost(roles[i].cls);
     } else {
       scfg.sm_specs = base_config_.host.ssds;
       scfg.sm_backing_bytes.assign(scfg.sm_specs.size(), base_config_.sm_backing_per_device);
@@ -104,7 +105,7 @@ Status ClusterSimulation::LoadModels(std::span<const HostRole> roles) {
     h.engine = std::make_unique<InferenceEngine>(h.store.get(), roles[i].model,
                                                  HostInferenceConfig(base_config_));
     WorkloadConfig wcfg = base_config_.workload;
-    wcfg.seed = base_config_.workload.seed ^ Mix64(0x7e0a + i);
+    wcfg.seed = base_config_.workload.seed ^ HostSalt(i);
     h.workload = std::make_unique<QueryGenerator>(roles[i].model, wcfg);
   }
   return Status::Ok();
@@ -120,7 +121,8 @@ ClusterRunReport ClusterSimulation::Run(double total_qps, uint64_t num_queries) 
     Host& h = hosts_[i];
     metered.push_back(MeteredHost{h.store.get(), h.engine.get(), base_config_.host.cores()});
     const uint64_t arrival_seed =
-        disaggregated() ? base_config_.seed ^ Mix64(i + 1) ^ 0xa11e : StoreSeed(i) ^ 0xa11e;
+        disaggregated() ? base_config_.seed ^ Mix64(i + 1) ^ 0xa11e
+                        : base_config_.seed ^ HostSalt(i) ^ 0xa11e;
     participants.push_back(ArrivalParticipant{h.engine.get(), h.workload.get(), arrival_seed,
                                               num_queries / n + (i < num_queries % n ? 1 : 0)});
   }
@@ -155,6 +157,44 @@ std::string ClusterSimulation::ObsSloJson() {
   if (obs_ == nullptr) return "{}";
   obs_->Finalize();
   return obs_->SloJson();
+}
+
+HostSimulation::HostSimulation(const HostSimConfig& config)
+    : ClusterSimulation(1, config, RoutingPolicy::kLocal) {}
+
+HostRunReport HostSimulation::Run(double target_qps, uint64_t num_queries) {
+  ClusterRunReport report = ClusterSimulation::Run(target_qps, num_queries);
+  assert(report.hosts.size() == 1);  // LoadModel ran
+  return std::move(report.hosts.front().run);
+}
+
+void HostSimulation::Warmup(uint64_t n, double qps) {
+  (void)Run(qps, n);
+}
+
+double HostSimulation::FindMaxQps(SimDuration sla, bool use_p99, uint64_t queries_per_probe,
+                                  double qps_lo, double qps_hi) {
+  // A probe passes when the SLA percentile holds. Saturation shows up as a
+  // growing admission backlog inflating the percentile within the probe
+  // (the measured span includes queue drain), so latency alone is the
+  // signal; an explicit achieved-rate check would be biased by the drain
+  // tail at small probe sizes.
+  auto passes = [&](double qps) {
+    const HostRunReport r = Run(qps, queries_per_probe);
+    const SimDuration lat = use_p99 ? r.p99 : r.p95;
+    return lat <= sla;
+  };
+  if (!passes(qps_lo)) return 0;
+  if (passes(qps_hi)) return qps_hi;
+  for (int iter = 0; iter < 12; ++iter) {
+    const double mid = 0.5 * (qps_lo + qps_hi);
+    if (passes(mid)) {
+      qps_lo = mid;
+    } else {
+      qps_hi = mid;
+    }
+  }
+  return qps_lo;
 }
 
 }  // namespace sdm

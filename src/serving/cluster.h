@@ -5,13 +5,14 @@
 //   each host sees a stable user sub-population and higher per-host
 //   temporal locality than the global trace (paper Fig. 4c). Random
 //   routing is available as the baseline.
-// - ClusterSimulation is the one multi-host driver: N hosts on one
-//   EventLoop, each with its own model, FM share and TenantClass. Its SM
-//   is either a private device stack per host, or (DisaggregatedConfig)
-//   ONE FabricAttachedService every host attaches to, so cross-HOST
-//   single-flight of shared hot blocks is actually exercised. With zero
-//   fabric knobs the link is instant: that is §5.3's co-location of
-//   several models on one host's shared device stack.
+// - ClusterSimulation is the one serving driver: N hosts on one EventLoop,
+//   each with its own model, FM share and TenantClass (HostSimulation is
+//   a cluster of one host). Its SM is either a private device stack per
+//   host, or (DisaggregatedConfig) ONE FabricAttachedService every host
+//   attaches to, so cross-HOST single-flight of shared hot blocks is
+//   actually exercised. With zero fabric knobs the link is instant: that
+//   is §5.3's co-location of several models on one host's shared device
+//   stack.
 // - ScaleOutModel: analytic latency/power for the (Lui et al.) sharded
 //   alternative SDM competes against in §5.2.
 #pragma once
@@ -22,8 +23,10 @@
 #include <vector>
 
 #include "fabric/fabric_attached_service.h"
+#include "obs/observability.h"
 #include "serving/host.h"
 #include "serving/power_model.h"
+#include "serving/run_report.h"
 
 namespace sdm {
 
@@ -76,9 +79,10 @@ struct HostRole {
 /// arrival enters.
 ///
 /// Seeds: host i's store is seeded `seed ^ Mix64(i + 0x7e0a)` and its
-/// workload `workload.seed ^ Mix64(0x7e0a + i)`. Its arrivals are seeded
-/// like a HostSimulation of that store (`store seed ^ 0xa11e`) on a private
-/// stack, and `seed ^ Mix64(i + 1) ^ 0xa11e` on the shared one.
+/// workload `workload.seed ^ Mix64(0x7e0a + i)`, except in a cluster of one
+/// host (a HostSimulation), whose store and workload keep `seed` and
+/// `workload.seed`. Its arrivals are seeded `store seed ^ 0xa11e` on a
+/// private stack, and `seed ^ Mix64(i + 1) ^ 0xa11e` on the shared one.
 class ClusterSimulation {
  public:
   ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
@@ -114,7 +118,7 @@ class ClusterSimulation {
   [[nodiscard]] std::string ObsTraceJson();
   [[nodiscard]] std::string ObsSloJson();
 
- private:
+ protected:
   struct Host {
     std::string model_name;
     std::unique_ptr<SdmStore> store;
@@ -122,7 +126,13 @@ class ClusterSimulation {
     std::unique_ptr<QueryGenerator> workload;
   };
 
-  [[nodiscard]] uint64_t StoreSeed(size_t i) const;
+  /// Host i (after a load), and the loop every host runs on.
+  [[nodiscard]] Host& host(size_t i) { return hosts_[i]; }
+  [[nodiscard]] EventLoop& loop() { return loop_; }
+
+ private:
+  /// What host i's store and workload seeds are XORed with.
+  [[nodiscard]] uint64_t HostSalt(size_t i) const;
 
   HostSimConfig base_config_;
   StickyRouter router_;
@@ -130,6 +140,36 @@ class ClusterSimulation {
   std::unique_ptr<Observability> obs_;  ///< outlives the stacks
   std::unique_ptr<FabricAttachedService> fabric_;
   std::vector<Host> hosts_;
+};
+
+/// One serving host: a ClusterSimulation of one host with kLocal routing,
+/// seeded straight from the config (see the cluster's seeds above). On top
+/// of the cluster it adds the single-host surface Tables 8/9/10 size hosts
+/// with: Run returning the host's report, a warmup, a max-QPS search under
+/// an SLA, and accessors to the host's store, engine, workload and loop.
+class HostSimulation : public ClusterSimulation {
+ public:
+  explicit HostSimulation(const HostSimConfig& config);
+
+  /// Runs `num_queries` open-loop Poisson arrivals at `target_qps`
+  /// (virtual time) and reports. Callable repeatedly; histograms reset per
+  /// run, caches stay warm across runs (matching steady-state measurement
+  /// after a warmup run). LoadModel must have run.
+  [[nodiscard]] HostRunReport Run(double target_qps, uint64_t num_queries);
+
+  /// Convenience: warm the caches with `n` queries (no measurement).
+  void Warmup(uint64_t n, double qps = 1000.0);
+
+  /// Finds the highest QPS whose p-latency stays under `sla` (binary
+  /// search over Run; `use_p99` picks the percentile — §2.3's p95 vs p99).
+  [[nodiscard]] double FindMaxQps(SimDuration sla, bool use_p99, uint64_t queries_per_probe,
+                                  double qps_lo = 50, double qps_hi = 100000);
+
+  /// The host's stack (after a load).
+  [[nodiscard]] SdmStore& store() { return host_store(0); }
+  [[nodiscard]] InferenceEngine& engine() { return *host(0).engine; }
+  [[nodiscard]] QueryGenerator& workload() { return *host(0).workload; }
+  using ClusterSimulation::loop;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 #include "serving/host.h"
 
-#include <cassert>
-
 namespace sdm {
 
 HostSpec MakeHwL() {
@@ -88,98 +86,6 @@ InferenceConfig HostInferenceConfig(const HostSimConfig& config) {
     icfg.max_concurrent_queries = config.host.cores();
   }
   return icfg;
-}
-
-HostSimulation::HostSimulation(HostSimConfig config) : config_(std::move(config)) {}
-
-Status HostSimulation::LoadModel(const ModelConfig& model) {
-  if (loaded_) return FailedPreconditionError("model already loaded");
-  model_ = model;
-
-  SdmStoreConfig scfg;
-  scfg.fm_capacity = config_.fm_capacity;
-  for (const auto& ssd : config_.host.ssds) {
-    scfg.sm_specs.push_back(ssd);
-    scfg.sm_backing_bytes.push_back(config_.sm_backing_per_device);
-  }
-  scfg.tuning = config_.tuning;
-  scfg.seed = config_.seed;
-  if (config_.tuning.obs.enabled()) {
-    obs_ = std::make_unique<Observability>(config_.tuning.obs);
-    scfg.obs = obs_.get();
-    scfg.obs_prefix = "host0/";
-  }
-  store_ = std::make_unique<SdmStore>(scfg, &loop_);
-
-  auto report = ModelLoader::Load(model_, config_.loader, store_.get());
-  if (!report.ok()) return report.status();
-
-  engine_ = std::make_unique<InferenceEngine>(store_.get(), model_, HostInferenceConfig(config_));
-  workload_ = std::make_unique<QueryGenerator>(model_, config_.workload);
-  loaded_ = true;
-  return Status::Ok();
-}
-
-void HostSimulation::Warmup(uint64_t n, double qps) {
-  (void)Run(qps, n);
-}
-
-HostRunReport HostSimulation::Run(double target_qps, uint64_t num_queries) {
-  assert(loaded_);
-  assert(target_qps > 0);
-  // Caches stay warm across runs; the meter turns cumulative counters into
-  // this run's deltas.
-  const RunMeter meter({MeteredHost{store_.get(), engine_.get(), config_.host.cores()}},
-                       /*fabric=*/nullptr);
-  const ArrivalParticipant self{engine_.get(), workload_.get(), config_.seed ^ 0xa11e,
-                                num_queries};
-  const std::vector<ArrivalStats> stats = RunInterleavedArrivals(
-      loop_, std::span(&self, 1), target_qps, [](size_t source, const Query&) { return source; });
-  return meter.Finish(stats, target_qps).hosts.front().run;
-}
-
-std::string HostSimulation::ObsMetricsJson() {
-  if (obs_ == nullptr) return "{}";
-  obs_->Finalize();
-  return obs_->MetricsJson();
-}
-
-std::string HostSimulation::ObsTraceJson() {
-  if (obs_ == nullptr) return "{}";
-  obs_->Finalize();
-  return obs_->TraceJson();
-}
-
-std::string HostSimulation::ObsSloJson() {
-  if (obs_ == nullptr) return "{}";
-  obs_->Finalize();
-  return obs_->SloJson();
-}
-
-double HostSimulation::FindMaxQps(SimDuration sla, bool use_p99, uint64_t queries_per_probe,
-                                  double qps_lo, double qps_hi) {
-  assert(loaded_);
-  // A probe passes when the SLA percentile holds. Saturation shows up as a
-  // growing admission backlog inflating the percentile within the probe
-  // (the measured span includes queue drain), so latency alone is the
-  // signal; an explicit achieved-rate check would be biased by the drain
-  // tail at small probe sizes.
-  auto passes = [&](double qps) {
-    const HostRunReport r = Run(qps, queries_per_probe);
-    const SimDuration lat = use_p99 ? r.p99 : r.p95;
-    return lat <= sla;
-  };
-  if (!passes(qps_lo)) return 0;
-  if (passes(qps_hi)) return qps_hi;
-  for (int iter = 0; iter < 12; ++iter) {
-    const double mid = 0.5 * (qps_lo + qps_hi);
-    if (passes(mid)) {
-      qps_lo = mid;
-    } else {
-      qps_hi = mid;
-    }
-  }
-  return qps_lo;
 }
 
 }  // namespace sdm

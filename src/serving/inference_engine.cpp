@@ -57,8 +57,7 @@ void InferenceEngine::Submit(const Query& query, QueryCallback cb) {
   st->traced = obs_spans_ != nullptr &&
                (submit_seq_++ % obs_spans_->sample_every()) == 0;
   if (in_flight_ >= config_.max_concurrent_queries) {
-    admission_queue_.push_back(PendingQuery{std::move(st->query), std::move(st->cb),
-                                            st->arrival, st->traced});
+    admission_queue_.push_back(std::move(st));
     if (obs_queue_depth_ != nullptr) {
       obs_queue_depth_->Set(loop_->Now(),
                             static_cast<double>(admission_queue_.size()));
@@ -71,17 +70,12 @@ void InferenceEngine::Submit(const Query& query, QueryCallback cb) {
 
 void InferenceEngine::AdmitFromQueue() {
   if (admission_queue_.empty() || in_flight_ >= config_.max_concurrent_queries) return;
-  PendingQuery p = std::move(admission_queue_.front());
+  std::shared_ptr<QueryState> st = std::move(admission_queue_.front());
   admission_queue_.pop_front();
   if (obs_queue_depth_ != nullptr) {
     obs_queue_depth_->Set(loop_->Now(),
                           static_cast<double>(admission_queue_.size()));
   }
-  auto st = std::make_shared<QueryState>();
-  st->query = std::move(p.query);
-  st->cb = std::move(p.cb);
-  st->arrival = p.arrival;
-  st->traced = p.traced;
   ++in_flight_;
   Start(std::move(st));
 }
@@ -159,7 +153,6 @@ void InferenceEngine::OnOperatorDone(const std::shared_ptr<QueryState>& st, size
 }
 
 void InferenceEngine::FinishQuery(const std::shared_ptr<QueryState>& st) {
-  const SimTime now = loop_->Now();
   st->trace.user_path = st->user_path_end - st->start;
   st->trace.item_path = st->item_path_end - st->start;
 
@@ -169,8 +162,7 @@ void InferenceEngine::FinishQuery(const std::shared_ptr<QueryState>& st) {
   }
   st->trace.dense_time = dense;
 
-  loop_->ScheduleAfter(dense, [this, st, now] {
-    (void)now;
+  loop_->ScheduleAfter(dense, [this, st] {
     st->trace.total = loop_->Now() - st->arrival;
     user_path_.Record(st->trace.user_path);
     item_path_.Record(st->trace.item_path);

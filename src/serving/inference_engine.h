@@ -33,8 +33,8 @@ struct InferenceConfig {
   bool inter_op_parallelism = true;
 
   /// Admission limit: queries executing concurrently on the host.
-  /// <= 0 means "one per core" (HostSimulation fills it from the HostSpec);
-  /// direct InferenceEngine constructions must set it explicitly.
+  /// <= 0 means "one per core" (HostInferenceConfig fills it from the
+  /// HostSpec); direct InferenceEngine constructions must set it explicitly.
   int max_concurrent_queries = 0;
 
   /// Dense-side compute model (top+bottom MLP over the item batch).
@@ -108,13 +108,7 @@ class InferenceEngine {
   std::unique_ptr<LookupEngine> lookup_engine_;
 
   int in_flight_ = 0;
-  struct PendingQuery {
-    Query query;
-    QueryCallback cb;
-    SimTime arrival;
-    bool traced = false;  ///< sampled at Submit, before any queueing
-  };
-  std::deque<PendingQuery> admission_queue_;
+  std::deque<std::shared_ptr<QueryState>> admission_queue_;
 
   Histogram user_path_;
   Histogram item_path_;

@@ -5,8 +5,8 @@
 // each host, and the devices, IO engines, schedulers, replication manager
 // and fabric links of each device stack. A RunMeter snapshots all of them
 // when a run starts and turns the deltas into a ClusterRunReport when it
-// ends. HostSimulation::Run keeps its one host's `run`; ClusterSimulation::Run
-// keeps the whole report.
+// ends. ClusterSimulation::Run returns the whole report; HostSimulation::Run,
+// a cluster of one, returns that host's `run`.
 //
 // A host on a private stack owns that stack's counters, so its `run`
 // carries them (SM IOPS, read amplification, scheduler effectiveness, IO

@@ -187,9 +187,9 @@ void SharedDeviceService::InstallFaultInjector(FaultInjector* injector) {
   }
 }
 
-TenantId SharedDeviceService::RegisterTenant(std::string name, TenantClass cls) {
-  tenants_.push_back(Tenant{std::move(name), cls});
-  return static_cast<TenantId>(tenants_.size() - 1);
+TenantId SharedDeviceService::RegisterTenant(TenantClass cls) {
+  tenant_classes_.push_back(cls);
+  return static_cast<TenantId>(tenant_classes_.size() - 1);
 }
 
 Result<SharedDeviceService::Extent> SharedDeviceService::PlaceTable(

@@ -107,11 +107,11 @@ class SharedDeviceService {
 
   /// Registers one tenant shard; the returned id scopes its throttle keys,
   /// scheduler attribution, and extent-dedup domain.
-  TenantId RegisterTenant(std::string name, TenantClass cls);
+  TenantId RegisterTenant(TenantClass cls);
 
-  [[nodiscard]] size_t tenant_count() const { return tenants_.size(); }
+  [[nodiscard]] size_t tenant_count() const { return tenant_classes_.size(); }
   [[nodiscard]] TenantClass tenant_class(TenantId id) const {
-    return tenants_[id].cls;
+    return tenant_classes_[id];
   }
 
   // ---- Table placement -----------------------------------------------------
@@ -228,10 +228,6 @@ class SharedDeviceService {
   }
 
  private:
-  struct Tenant {
-    std::string name;
-    TenantClass cls = TenantClass::kForeground;
-  };
   /// Registry key of one placed table's content.
   struct ExtentKey {
     std::string name;
@@ -265,7 +261,7 @@ class SharedDeviceService {
   std::vector<std::unique_ptr<BatchScheduler>> schedulers_;
   TableThrottle throttle_;
   std::unique_ptr<HealthMonitor> health_;
-  std::vector<Tenant> tenants_;
+  std::vector<TenantClass> tenant_classes_;  ///< by TenantId
   std::vector<Bytes> sm_used_;  // per-device bump allocator
   std::map<ExtentKey, uint64_t> extents_;  ///< content -> extent id
   Bytes dedup_saved_ = 0;

@@ -10,7 +10,6 @@ IndexPermuter::IndexPermuter(uint64_t n, uint64_t seed) : n_(std::max<uint64_t>(
   // Smallest even-bit domain 2^(2h) >= n, h >= 1.
   half_bits_ = 1;
   while ((uint64_t{1} << (2 * half_bits_)) < n_) ++half_bits_;
-  domain_ = uint64_t{1} << (2 * half_bits_);
   uint64_t s = seed;
   for (auto& k : keys_) k = Mix64(s++);
 }

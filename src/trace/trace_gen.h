@@ -37,7 +37,6 @@ class IndexPermuter {
 
   uint64_t n_;
   int half_bits_;
-  uint64_t domain_;  // 2^(2*half_bits) >= n
   uint64_t keys_[4];
 };
 

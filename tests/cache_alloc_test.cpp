@@ -1,7 +1,8 @@
-// Heap-allocation budget of the memory-optimized row cache: once warm, its
+// Heap-allocation budgets. Once warm, the memory-optimized row cache's
 // lookups, inserts, overwrites, erases, residency probes and clears never
-// touch the heap. This binary replaces the global operator new/delete with
-// counting versions, so the check is on allocation counts, not timings.
+// touch the heap, and recording metrics or spans adds no allocation to a
+// simulated lookup. This binary replaces the global operator new/delete with
+// counting versions, so the checks are on allocation counts, not timings.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,10 @@
 
 #include "cache/memory_optimized_cache.h"
 #include "common/rng.h"
+#include "core/lookup_engine.h"
+#include "core/model_loader.h"
+#include "dlrm/model_zoo.h"
+#include "obs/observability.h"
 
 namespace {
 
@@ -118,6 +123,61 @@ TEST(CacheAllocations, WarmMemoryOptimizedCacheNeverAllocates) {
   EXPECT_GT(erased, 0u);
   EXPECT_GT(resident, 0u);
   EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+/// Heap allocations over `lookups` warm lookups of bench_micro's
+/// BM_SimulatedLookup rig: obs off (0), metrics (1), metrics + tracing (2).
+uint64_t SimulatedLookupAllocations(int obs_level, int lookups) {
+  EventLoop loop;
+  ObsConfig ocfg;
+  ocfg.enable_metrics = obs_level >= 1;
+  ocfg.enable_tracing = obs_level >= 2;
+  Observability obs(ocfg);
+  SdmStoreConfig cfg;
+  cfg.fm_capacity = 8 * kMiB;
+  cfg.sm_specs = {MakeOptaneSsdSpec()};
+  cfg.sm_backing_bytes = {16 * kMiB};
+  if (obs_level >= 1) {
+    cfg.obs = &obs;
+    cfg.obs_prefix = "host0/";
+  }
+  SdmStore store(cfg, &loop);
+  const ModelConfig model = MakeTinyUniformModel(16, 2, 1, 2000);
+  EXPECT_TRUE(ModelLoader::Load(model, {}, &store).ok());
+  LookupEngine engine(&store);
+  Rng rng(11);
+  int done = 0;
+  uint64_t before = 0;
+  for (int i = 0; i < 2'000 + lookups; ++i) {
+    if (i == 2'000) before = g_allocations.load();  // the first 2k warm up
+    LookupRequest req;
+    req.table = MakeTableId(0);
+    req.indices = {rng.NextBounded(2000), rng.NextBounded(2000), rng.NextBounded(2000)};
+    engine.Lookup(std::move(req),
+                  [&done](Status, std::vector<float>, const LookupTrace&) { ++done; });
+    loop.RunUntilIdle();
+  }
+  const uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(done, 2'000 + lookups);
+  return allocations;
+}
+
+TEST(LookupAllocations, ObservabilityAddsNoAllocationPerLookup) {
+  // The deterministic side of CI's obs-overhead gate: the timing gate
+  // compares the same rig's wall clock, this compares its heap traffic.
+  // Recording grows its window series geometrically (a handful of
+  // allocations per doubling of the run) but must add none per lookup: one
+  // per lookup would add kLookups. Measured: 121,541 allocations off and
+  // 121,550 with metrics or tracing, ~6.08 per lookup.
+  constexpr int kLookups = 20'000;
+  const uint64_t off = SimulatedLookupAllocations(0, kLookups);
+  EXPECT_GE(off, uint64_t{kLookups});  // the rig really counts
+  for (int level = 1; level <= 2; ++level) {
+    SCOPED_TRACE(testing::Message() << "obs level " << level);
+    const uint64_t on = SimulatedLookupAllocations(level, kLookups);
+    EXPECT_GE(on, off);
+    EXPECT_LT(on - off, uint64_t{kLookups / 1000});
+  }
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "core/lookup_engine.h"
 #include "core/model_loader.h"
 #include "dlrm/model_zoo.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 #include "trace/trace_gen.h"
 
 namespace sdm {

@@ -233,8 +233,8 @@ TEST(FabricService, AttachesHostsAndInstallsLinks) {
   for (size_t d = 0; d < service.device_service().device_count(); ++d) {
     EXPECT_EQ(service.device_service().io_engine(d).fabric_link(), &service.link(d));
   }
-  const TenantId a = service.AttachHost("host-a");
-  const TenantId b = service.AttachHost("host-b", TenantClass::kBackground);
+  const TenantId a = service.AttachHost();
+  const TenantId b = service.AttachHost(TenantClass::kBackground);
   EXPECT_NE(a, b);
   EXPECT_EQ(service.host_count(), 2u);
   EXPECT_EQ(service.device_service().tenant_class(b), TenantClass::kBackground);

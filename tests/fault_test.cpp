@@ -2,11 +2,9 @@
 // transient faults, and serving degrades gracefully instead of wedging.
 #include <gtest/gtest.h>
 
-#include "core/lookup_engine.h"
-#include "core/model_loader.h"
 #include "dlrm/model_zoo.h"
 #include "io/direct_reader.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 
 namespace sdm {
 namespace {
@@ -175,28 +173,6 @@ TEST(FaultInjection, ServingDegradesGracefully) {
   // With 5% per-IO error and one retry, nearly every query still completes.
   EXPECT_GT(r.queries_completed, 490u);
   EXPECT_GT(r.achieved_qps, 0.0);
-}
-
-TEST(FaultInjection, LookupReportsFirstErrorWhenRetriesExhausted) {
-  ModelConfig model = MakeTinyUniformModel(16, 1, 0, 2000);
-  EventLoop loop;
-  SdmStoreConfig cfg;
-  cfg.fm_capacity = 8 * kMiB;
-  cfg.sm_specs = {FaultyOptane(1.0)};  // every read fails, retries exhausted
-  cfg.sm_backing_bytes = {16 * kMiB};
-  cfg.tuning.graceful_degradation = false;  // legacy fail-stop contract
-  SdmStore store(cfg, &loop);
-  ASSERT_TRUE(ModelLoader::Load(model, {}, &store).ok());
-  LookupEngine engine(&store);
-  Status got;
-  LookupRequest req;
-  req.table = MakeTableId(0);
-  req.indices = {1, 2, 3};
-  engine.Lookup(std::move(req),
-                [&](Status s, std::vector<float>, const LookupTrace&) { got = s; });
-  loop.RunUntilIdle();
-  EXPECT_EQ(got.code(), StatusCode::kUnavailable);
-  EXPECT_GT(engine.stats().CounterValue("io_errors"), 0u);
 }
 
 }  // namespace

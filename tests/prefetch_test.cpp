@@ -20,7 +20,7 @@
 #include "prefetch/prefetch_predictor.h"
 #include "prefetch/prefetcher.h"
 #include "sched/batch_scheduler.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 
 namespace sdm {
 namespace {

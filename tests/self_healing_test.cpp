@@ -21,7 +21,7 @@
 #include "dlrm/model_zoo.h"
 #include "fault/fault_injector.h"
 #include "fault/replication_manager.h"
-#include "serving/host.h"
+#include "serving/cluster.h"
 
 namespace sdm {
 namespace {

@@ -224,6 +224,29 @@ TEST(HostSim, OptaneSustainsHigherQpsThanNandAtSla) {
   EXPECT_GT(optane_qps, 1.5 * nand_qps);
 }
 
+TEST(HostSim, OneHostClusterKeepsTheHostSeedsIsPinned) {
+  // Golden values captured from the standalone single-host driver that
+  // HostSimulation replaced: a cluster of one seeds its store with `seed`
+  // and its workload with `workload.seed`, so every single-host result
+  // stays as it was. A drifted seed rule moves the hit rate, IOPS and the
+  // metrics export.
+  HostSimConfig cfg = SmallHostConfig();
+  cfg.tuning.obs.enable_metrics = true;
+  HostSimulation sim(cfg);
+  ASSERT_TRUE(sim.LoadModel(SmallModel()).ok());
+  EXPECT_EQ(sim.Run(500, 400).Summary(),
+            "qps=540/500 p50=0.11ms p95=0.78ms p99=0.78ms hit=71.9% pooled=0.0% "
+            "iops=4791 amp=1.00 cpu/q=38us sf=2 xmerge=0 occ=3.6 pf=0 pfhit=0.0% "
+            "pfwaste=0KiB err=0 retry=0 ddl=0 hedge=0/0 deg=0 rowsf=0 shed=0 rot=0 "
+            "rrd=0 rep=0 xrep=0");
+  EXPECT_EQ(sim.Run(20'000, 400).Summary(),
+            "qps=21602/20000 p50=0.11ms p95=0.78ms p99=0.78ms hit=88.5% pooled=0.0% "
+            "iops=80844 amp=1.00 cpu/q=27us sf=1 xmerge=0 occ=2.4 pf=0 pfhit=0.0% "
+            "pfwaste=0KiB err=0 retry=0 ddl=0 hedge=0/0 deg=0 rowsf=0 shed=0 rot=0 "
+            "rrd=0 rep=0 xrep=0");
+  EXPECT_EQ(sim.ObsMetricsJson().size(), 131'856u);
+}
+
 // ---------------------------------------------------------------------------
 // Power model (Tables 8/9/10/11 arithmetic).
 // ---------------------------------------------------------------------------

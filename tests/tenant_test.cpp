@@ -383,7 +383,7 @@ struct SharedRig {
   }
 
   void AddTenant(TuningConfig tuning, TenantClass cls = TenantClass::kForeground) {
-    const TenantId id = service->RegisterTenant("t" + std::to_string(stores.size()), cls);
+    const TenantId id = service->RegisterTenant(cls);
     SdmStoreConfig cfg;
     cfg.fm_capacity = 2 * kMiB;
     cfg.tuning = std::move(tuning);
@@ -605,7 +605,7 @@ TEST(TenantTuning, AttachedStoreRejectsInconsistentKnobsAtLoad) {
   cfg.tuning = TenantTuning();
   cfg.tuning.io_batching = IoBatching::kPerRequest;  // inconsistent with sharing
   cfg.shared_device = &service;
-  cfg.tenant_id = service.RegisterTenant("bad", TenantClass::kForeground);
+  cfg.tenant_id = service.RegisterTenant(TenantClass::kForeground);
   SdmStore store(cfg, &loop);
   const ModelConfig model = MakeTinyUniformModel(32, 1, 1, 1000);
   auto report = ModelLoader::Load(model, LoaderOptions{}, &store);
