@@ -11,8 +11,9 @@
 //
 // Reports, for both paths: device reads per query, bus bytes per query,
 // IO-thread CPU, modeled IOPS/core (completed device IOs per IO-core
-// second), row fetches per IO-core second, and request latency. `--json`
-// emits the same numbers machine-readably for the perf trajectory.
+// second), row fetches per IO-core second, and request latency.
+// `--json=FILE` writes the same numbers machine-readably to FILE for the
+// perf trajectory.
 #include <cstdio>
 #include <cstdlib>
 #include <vector>

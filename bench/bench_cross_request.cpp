@@ -11,8 +11,8 @@
 //
 // Reports device reads per query, single-flight hits, cross-request
 // merges, SQEs per ring doorbell, and latency, for both paths across a
-// concurrency sweep. `--json` emits the same numbers for the perf
-// trajectory; the headline metric is the device-read reduction at C=8.
+// concurrency sweep. `--json=FILE` writes the same numbers to FILE for
+// the perf trajectory; the headline metric is the device-read reduction at C=8.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

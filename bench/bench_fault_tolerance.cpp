@@ -20,9 +20,9 @@
 //                    empty-plan injector — reports must be byte-identical
 //                    (the injector's hooks are provably inert when idle).
 //
-// `--json` emits availability_pct, degraded-row accounting, the rescued
-// fraction of would-be-zero-filled rows, the identity bit, and the p99
-// cut responses deliver vs the ablation; CI gates these against
+// `--json=FILE` writes availability_pct, degraded-row accounting, the
+// rescued fraction of would-be-zero-filled rows, the identity bit, and the
+// p99 cut responses deliver vs the ablation; CI gates these against
 // bench/baselines/fault.json.
 #include <algorithm>
 #include <cstdio>

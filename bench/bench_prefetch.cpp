@@ -12,7 +12,7 @@
 // the regime where the kNextBlock stride predictor (classic block-layer
 // readahead) wins and kHotSet has nothing to learn.
 //
-// `--json` emits the perf-trajectory metrics; the headline pair is
+// `--json=FILE` writes the perf-trajectory metrics; the headline pair is
 // `prefetch_hit_rate` and `p95_reduction_pct` at alpha = 1.0 (the
 // high-locality end of Fig. 4's user tables). CI gates the hit rate
 // against bench/baselines/prefetch.json.

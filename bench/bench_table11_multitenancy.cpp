@@ -15,7 +15,7 @@
 // A QoS-mix section adds background-class tenants and checks the
 // foreground p99 they are NOT allowed to destroy.
 //
-// Headline --json metrics (gated in CI against bench/baselines/
+// Headline --json=FILE metrics (gated in CI against bench/baselines/
 // multitenant.json):
 //   cN_read_reduction_x : isolated device reads / shared device reads
 //   fg_p99_ratio        : fg-only p99 / fg p99 with background tenants added

@@ -18,7 +18,7 @@
 // the local-SM baseline where every host runs a private stack and pays for
 // its hot set alone.
 //
-// Headline --json metrics (gated in CI against bench/baselines/
+// Headline --json=FILE metrics (gated in CI against bench/baselines/
 // scaleout.json):
 //   cross_host_read_reduction_x : local-SM device reads / disaggregated
 //                                 device reads at 4 hosts (fabric rtt 5us)

@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,14 +90,17 @@ struct QuietLogs {
 
 /// Machine-readable bench output for the BENCH_*.json perf trajectory.
 ///
-/// Construct from main's argc/argv; `--json` (stdout) or `--json=PATH`
-/// (file) enables it. Metrics accumulate and are emitted as one JSON
-/// object on Flush() or destruction:
+/// Construct from main's argc/argv; `--json=FILE` enables it. Metrics
+/// accumulate and are written to FILE as one JSON object on Flush() or
+/// destruction:
 ///
 ///   {"bench": "coalescing", "metrics": {"device_reads": 123, ...}}
 ///
 /// Without the flag every call is a no-op, so benches can report
-/// unconditionally and keep their human-readable tables as the default.
+/// unconditionally and keep their human-readable tables on stdout. A bare
+/// `--json` (which would mix the object into those tables) and a FILE that
+/// cannot be opened for writing both exit with status 2 before the bench
+/// runs.
 class JsonReporter {
  public:
   JsonReporter(int argc, char** argv, std::string bench_name)
@@ -104,10 +108,16 @@ class JsonReporter {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--json") {
-        enabled_ = true;
-      } else if (arg.rfind("--json=", 0) == 0) {
-        enabled_ = true;
-        path_ = arg.substr(7);
+        std::fprintf(stderr, "usage: %s [--json=FILE]\n", argv[0]);
+        std::exit(2);
+      }
+      if (arg.rfind("--json=", 0) == 0) {
+        const std::string path = arg.substr(7);
+        file_ = std::fopen(path.c_str(), "w");
+        if (file_ == nullptr) {
+          std::fprintf(stderr, "JsonReporter: cannot write %s\n", path.c_str());
+          std::exit(2);
+        }
       }
     }
   }
@@ -115,8 +125,6 @@ class JsonReporter {
   JsonReporter(const JsonReporter&) = delete;
   JsonReporter& operator=(const JsonReporter&) = delete;
   ~JsonReporter() { Flush(); }
-
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   void Metric(const std::string& name, double value) {
     char buf[64];
@@ -131,29 +139,21 @@ class JsonReporter {
   }
 
   void Flush() {
-    if (!enabled_ || flushed_) return;
-    flushed_ = true;
+    if (file_ == nullptr) return;
     std::string out = "{\"bench\": \"" + bench_name_ + "\", \"metrics\": {";
     for (size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
       out += "\"" + fields_[i].first + "\": " + fields_[i].second;
     }
     out += "}}\n";
-    if (path_.empty()) {
-      std::printf("%s", out.c_str());
-    } else if (std::FILE* f = std::fopen(path_.c_str(), "w")) {
-      std::fputs(out.c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "JsonReporter: cannot write %s\n", path_.c_str());
-    }
+    std::fputs(out.c_str(), file_);
+    std::fclose(file_);
+    file_ = nullptr;
   }
 
  private:
   std::string bench_name_;
-  bool enabled_ = false;
-  bool flushed_ = false;
-  std::string path_;
+  std::FILE* file_ = nullptr;
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 

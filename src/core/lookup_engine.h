@@ -1,23 +1,32 @@
 // LookupEngine — pooled embedding lookup over the SDM (paper Algorithm 1).
 //
-// One Lookup() call is one embedding-bag operator execution:
+// One Lookup() call is one embedding-bag operator execution. After the
+// pooled-cache probe (a hit ends the lookup), it runs three stages:
 //
-//   if len(indices) > LenThreshold and pooled cache hits -> done
-//   map indices through the pruning mapping tensor (if present)
-//   for each index: row cache probe; misses become throttled async SM IOs
-//   when every row is in FM: fused dequantize+pool; insert rows and the
-//   pooled output into their caches
+//  - Resolve (lookup_engine.cpp, Lookup): map each index through the
+//    pruning mapping tensor, dedup the bag, read FM-resident rows, probe
+//    the row cache and the block cache, credit prefetched rows, feed the
+//    predictor. Each slot ends with a source, or none when it needs IO.
+//  - Fetch (lookup_fetch.cpp): route the request (health shed, replica
+//    failover), plan its misses into runs (IoPlanner) and hand them to the
+//    device's BatchScheduler, which merges and single-flights reads across
+//    every concurrent lookup. Run completions scatter rows, fill the
+//    caches and own every retry, backoff and read-repair. A scattered slot's
+//    source becomes kSm.
+//  - Pool (lookup_engine.cpp, FinishRequest): one pass over the slots fans
+//    duplicates out from the slot that fetched their row, credits every
+//    slot once by its final source, and pools. This pass is the only
+//    writer of the per-source row counters (rows_pruned, rows_fm_read,
+//    rows_cache_hit, rows_block_hit, rows_sm_read, rows_failed,
+//    rows_deduped) and their LookupTrace fields; a slot with no source lost
+//    its IO and pools as zeros. Of the other row and read counters,
+//    Resolve writes only the prefetch credit (prefetch_hits) and Fetch the
+//    per-read ones (device_reads, singleflight_hits, io_bytes_saved,
+//    replica_reads, read_repairs, io_retries, io_errors).
 //
-// The engine orchestrates; the IO policy lives in src/sched. There is one
-// IO path: misses are planned into runs by IoPlanner (pure, per request;
-// a row straddling a block boundary is a two-block run like any other) and
-// handed to the device's BatchScheduler, which merges and single-flights
-// reads across every concurrent lookup before ringing the IoEngine
-// doorbell. This engine's run completions then scatter rows out of the
-// (possibly shared) read buffers, fill the caches, and own every retry,
-// backoff and read-repair. The tuning.io_batching ablations are
-// configurations of this path: kPerRow plans one run per row without
-// dedup, and both ablations run the scheduler in bypass.
+// The tuning.io_batching ablations are configurations of the one Fetch
+// path: kPerRow plans one run per row without dedup, and both ablations run
+// the scheduler in bypass.
 //
 // Timing: CPU phases run in virtual time before (probe/hash/map) and after
 // (dequant/pool/insert) the IO phase; IOs from one request proceed
@@ -124,38 +133,91 @@ class LookupEngine {
   [[nodiscard]] PoolingCostModel& cost_model() { return cost_; }
 
  private:
-  struct RequestState;
-  struct RunContext;
+  struct RequestState {
+    LookupRequest request;
+    LookupCallback cb;
+    SimTime start;
 
-  /// Routes the request (health shed / replica failover), plans its
+    /// One requested index, resolved in the mapped (physical) space.
+    struct Slot {
+      /// Where the slot's row came from; kNone until resolved, and still
+      /// kNone at Pool when its IO was shed or failed.
+      enum class Source : uint8_t { kNone, kPruned, kFmDirect, kCache, kBlockCache, kSm };
+      static constexpr size_t kSources = static_cast<size_t>(Source::kSm) + 1;
+
+      RowIndex physical_row = 0;
+      /// >= 0: this slot repeats slots[dup_of]'s physical row; its bytes are
+      /// fanned out from that slot at Pool.
+      int32_t dup_of = -1;
+      Source source = Source::kNone;
+    };
+    std::vector<Slot> slots;
+    std::vector<uint8_t> row_bytes;  // slots.size() * row_bytes contiguous
+    Bytes stored_row_bytes = 0;
+
+    SimDuration cpu_pre;   // before/at IO issue
+    SimDuration cpu_post;  // after last IO
+    int outstanding_ios = 0;
+    bool io_phase_started = false;
+    LookupTrace trace;
+  };
+
+  /// One planned run plus the submission context this engine needs when its
+  /// (possibly shared, possibly retried) device read completes.
+  struct RunContext {
+    PlannedRun run;
+    /// The run's read on `device`, shifted `shift` bytes from the primary's
+    /// address space (a whole number of blocks on a replica). Computed once
+    /// per route; read-repair re-routes a run.
+    BatchScheduler::ReadRequest read;
+    size_t device = 0;
+    int64_t shift = 0;
+    /// Bus bytes this run saves as its own SQE versus per-row reads —
+    /// request-level accounting; the scheduler recomputes SQE-level numbers
+    /// after cross-request merging.
+    Bytes bytes_saved = 0;
+    /// Whether this run fills the block cache with its blocks: set in
+    /// block-cache mode, cleared for single-flight joiners, which ride a read
+    /// whose owner already inserts those blocks.
+    bool insert_blocks = false;
+    /// Scheduler-aware throttling: only runs that became their own SQE
+    /// (Admission::kNewRead) keep holding a throttle slot until completion —
+    /// admission budgets *device reads after merging*.
+    bool holds_slot = true;
+    /// Transient-error re-reads left before the run fails or is repaired.
+    int attempts_left = 0;
+    /// Set when this run is being re-driven against a second copy after its
+    /// terminal failure (one repair attempt per run).
+    bool repairing = false;
+  };
+
+  /// Fetch: routes the request (health shed / replica failover), plans its
   /// misses into runs and submits each.
   void StartIoPhase(std::shared_ptr<RequestState> st);
-  /// Scheduler-aware throttle admission of one planned run: a run the
-  /// scheduler will share enqueues at once, any other waits for a throttle
+  /// Throttle admission of one run, and the one re-drive path (a retry after
+  /// backoff, or read-repair on a new route). A first attempt the scheduler
+  /// will share enqueues at once; every other attempt waits for a throttle
   /// slot first.
   void SubmitRun(const std::shared_ptr<RequestState>& st,
-                 const std::shared_ptr<RunContext>& run);
-  /// Enqueues one admitted run with the scheduler. Trace/counter accounting
+                 const std::shared_ptr<RunContext>& run, bool first_attempt);
+  /// Enqueues one admitted run with the scheduler. Per-read accounting
   /// happens only on the first attempt (retries must not double-count).
   /// `acquired_slot` says whether the caller holds a throttle slot for this
-  /// run — WouldShare runs skip the throttle entirely, and a slot-holding
-  /// run that ends up sharing releases its slot here (admission budgets
-  /// device reads after merging, not logical runs).
+  /// run; a slot-holding run that ends up sharing releases it here.
   void EnqueueRun(const std::shared_ptr<RequestState>& st,
-                  const std::shared_ptr<RunContext>& run, int attempts_left,
-                  bool first_attempt, bool acquired_slot);
-  /// Completion for one planned run: scatter rows out of the (possibly
-  /// shared) read buffer and fill caches; retry transient device errors
-  /// `attempts_left` more times, then re-drive the run once against the
-  /// extent's other copy before surfacing the failure.
+                  const std::shared_ptr<RunContext>& run, bool first_attempt,
+                  bool acquired_slot);
+  /// Completion for one run: scatter rows out of the (possibly shared) read
+  /// buffer and fill caches; retry transient device errors, then re-drive the
+  /// run once against the extent's other copy before surfacing the failure.
   BatchScheduler::Completion MakeRunCompletion(const std::shared_ptr<RequestState>& st,
-                                               const std::shared_ptr<RunContext>& run,
-                                               int attempts_left);
+                                               const std::shared_ptr<RunContext>& run);
   /// Where a terminally-failed read on `failed_device` can be re-driven: the
   /// extent's replica when the primary failed, the (healthy) primary when a
   /// replica read failed, nullopt when no second copy exists.
   std::optional<SharedDeviceService::ReplicaRoute> RepairRoute(TableId table_id,
                                                                size_t failed_device);
+  /// Pool: fan-out, per-source row accounting, dequantize and pool.
   void FinishRequest(const std::shared_ptr<RequestState>& st);
   /// Both completion tails (pooled-cache hit, FinishRequest): stamps and
   /// records the latency, the windowed metrics and the (sampled) lookup

@@ -155,8 +155,6 @@ Status SdmStore::FinishLoading() {
     pfcfg.strategy = tuning.prefetch_strategy;
     pfcfg.depth = tuning.prefetch_depth;
     pfcfg.min_confidence = tuning.prefetch_min_confidence;
-    pfcfg.max_coalesce_bytes = tuning.max_coalesce_bytes;
-    pfcfg.coalesce_gap_bytes = tuning.coalesce_gap_bytes;
     pfcfg.tenant = config_.tenant_id;
     std::vector<BatchScheduler*> scheds;
     scheds.reserve(device_service_->device_count());
@@ -177,12 +175,10 @@ Status SdmStore::FinishLoading() {
       Prefetcher::TableInfo info;
       info.id = t.id;
       info.table_offset = t.offset;
-      info.row_bytes = t.config.row_bytes();
       info.num_rows = t.config.num_rows;
       info.device = t.sm_device;
-      info.cache_enabled = t.cache_enabled;
-      info.block_mode = block_cache_ != nullptr && t.cache_enabled;
-      info.sub_block = !info.block_mode && device_service_->sub_block_reads(t.sm_device);
+      info.block_mode = block_cache_ != nullptr;
+      info.plan = planner_config(t, t.sm_device);
       prefetcher_->RegisterTable(info);
     }
   }
@@ -194,6 +190,17 @@ Status SdmStore::FinishLoading() {
                << AsMiB(sm_used_total_) << " MiB"
                << (attached() ? " (shared device)" : "");
   return Status::Ok();
+}
+
+PlannerConfig SdmStore::planner_config(const TableRuntime& table, size_t device) const {
+  PlannerConfig p;
+  p.row_bytes = table.config.row_bytes();
+  p.sub_block = !(block_cache_ != nullptr && table.cache_enabled) &&
+                device_service_->sub_block_reads(device);
+  p.merge = config_.tuning.io_batching != IoBatching::kPerRow;
+  p.max_coalesce_bytes = config_.tuning.max_coalesce_bytes;
+  p.coalesce_gap_bytes = config_.tuning.coalesce_gap_bytes;
+  return p;
 }
 
 void SdmStore::InvalidateRow(TableId table, RowIndex row) {

@@ -193,6 +193,10 @@ class SdmStore {
   [[nodiscard]] EventLoop* loop() { return loop_; }
   [[nodiscard]] const TuningConfig& tuning() const { return config_.tuning; }
   [[nodiscard]] const SdmStoreConfig& config() const { return config_; }
+  /// How `table`'s missing rows plan into reads on `device`: the one planner
+  /// config of demand lookups and the Prefetcher. The block-cache ablation
+  /// reads whole blocks, so it turns SGL off.
+  [[nodiscard]] PlannerConfig planner_config(const TableRuntime& table, size_t device) const;
 
   // ---- Observability (src/obs) ----
   [[nodiscard]] Observability* obs() const { return config_.obs; }

@@ -14,18 +14,19 @@ Prefetcher::Prefetcher(PrefetchConfig config, DualRowCache* row_cache,
       row_cache_(row_cache),
       block_cache_(block_cache),
       schedulers_(std::move(schedulers)) {
+  assert(row_cache_ != nullptr);
   assert(!schedulers_.empty());
   assert(config_.depth >= 1);
 }
 
 void Prefetcher::RegisterTable(const TableInfo& info) {
-  assert(info.row_bytes > 0);
+  assert(info.plan.row_bytes > 0);
   assert(info.device < schedulers_.size());
   TableState st;
   st.info = info;
   PredictorGeometry geometry;
   geometry.table_offset = info.table_offset;
-  geometry.row_bytes = info.row_bytes;
+  geometry.row_bytes = info.plan.row_bytes;
   geometry.num_rows = info.num_rows;
   st.predictor = MakePredictor(config_.strategy, geometry);
   tables_.insert_or_assign(info.id, std::move(st));
@@ -48,7 +49,7 @@ bool Prefetcher::ClaimHit(TableId table, RowIndex row) {
   if (it == tables_.end()) return false;
   if (it->second.unclaimed.erase(row) == 0) return false;
   ++stats_.rows_hit;
-  stats_.bytes_hit += it->second.info.row_bytes;
+  stats_.bytes_hit += it->second.info.plan.row_bytes;
   if (obs_rows_hit_ != nullptr) obs_rows_hit_->Add(obs_loop_->Now());
   return true;
 }
@@ -76,7 +77,7 @@ void Prefetcher::MaybeIssue(TableId table) {
   stats_.predictions += candidates.size();
   if (candidates.empty()) return;
 
-  const Bytes rb = st.info.row_bytes;
+  const Bytes rb = st.info.plan.row_bytes;
   std::vector<IoPlanner::Miss> misses;
   std::vector<RowIndex> rows;
   for (const PrefetchCandidate& c : candidates) {
@@ -84,13 +85,11 @@ void Prefetcher::MaybeIssue(TableId table) {
     if (c.confidence < config_.min_confidence) continue;
     if (c.row >= st.info.num_rows) continue;
     if (st.unclaimed.count(c.row) != 0) continue;  // already speculated
-    const RowKey key{table, c.row};
-    if (row_cache_ != nullptr && st.info.cache_enabled && row_cache_->Contains(key)) {
+    if (row_cache_->Contains(RowKey{table, c.row})) {
       continue;  // already resident; nothing to convert
     }
     const Bytes off = st.info.table_offset + c.row * rb;
-    if (st.info.block_mode && block_cache_ != nullptr &&
-        off / kBlockSize == (off + rb - 1) / kBlockSize &&
+    if (st.info.block_mode && off / kBlockSize == (off + rb - 1) / kBlockSize &&
         block_cache_->Contains(BlockCache::BlockKey{
             static_cast<uint32_t>(st.info.device), off / kBlockSize})) {
       continue;  // the block layer already covers this row
@@ -105,28 +104,15 @@ void Prefetcher::MaybeIssue(TableId table) {
 
 void Prefetcher::IssueRuns(TableState& st, std::vector<IoPlanner::Miss> misses,
                            const std::vector<RowIndex>& rows) {
-  PlannerConfig pcfg;
-  pcfg.row_bytes = st.info.row_bytes;
-  pcfg.sub_block = st.info.sub_block;
-  pcfg.max_coalesce_bytes = config_.max_coalesce_bytes;
-  pcfg.coalesce_gap_bytes = config_.coalesce_gap_bytes;
-
   BatchScheduler& scheduler = *schedulers_[st.info.device];
-  for (const PlannedRun& run : IoPlanner::Plan(std::move(misses), pcfg)) {
+  for (const PlannedRun& run : IoPlanner::Plan(std::move(misses), st.info.plan)) {
     std::vector<RowIndex> run_rows;
     run_rows.reserve(run.slot_indices.size());
     for (const uint32_t slot : run.slot_indices) run_rows.push_back(rows[slot]);
 
-    BatchScheduler::ReadRequest req;
-    req.span_begin = run.span_begin;
-    req.span_end = run.span_end;
-    req.first_block = run.first_block;
-    req.last_block = run.last_block;
-    req.sub_block = st.info.sub_block;
+    BatchScheduler::ReadRequest req = ReadForRun(run, st.info.plan.sub_block, /*shift=*/0);
     req.kind = BatchScheduler::ReadRequest::Kind::kPrefetch;
     req.tenant = config_.tenant;
-    req.rows = static_cast<uint32_t>(run_rows.size());
-    req.per_row_bus = run.per_row_bus;
 
     const TableInfo info = st.info;  // completion outlives the iteration
     auto* self = this;
@@ -145,25 +131,20 @@ void Prefetcher::IssueRuns(TableState& st, std::vector<IoPlanner::Miss> misses,
         for (const RowIndex r : run_rows) ts.unclaimed.erase(r);
         return;
       }
+      const Bytes rb = info.plan.row_bytes;
       for (const RowIndex r : run_rows) {
-        const Bytes off = info.table_offset + r * info.row_bytes;
-        if (self->row_cache_ != nullptr && info.cache_enabled) {
-          self->row_cache_->Insert(RowKey{info.id, r},
-                                   std::span<const uint8_t>(data + (off - base),
-                                                            info.row_bytes));
-        }
+        const Bytes off = info.table_offset + r * rb;
+        self->row_cache_->Insert(RowKey{info.id, r},
+                                 std::span<const uint8_t>(data + (off - base), rb));
       }
-      if (*insert_blocks && info.block_mode && self->block_cache_ != nullptr) {
-        const uint64_t blocks = last_block - first_block + 1;
-        self->block_cache_->InsertBlocks(
-            static_cast<uint32_t>(info.device), first_block,
-            std::span<const uint8_t>(data + (first_block * kBlockSize - base),
-                                     blocks * kBlockSize));
+      if (*insert_blocks && info.block_mode) {
+        (void)FillBlockCache(*self->block_cache_, static_cast<uint32_t>(info.device),
+                             first_block, last_block, data, base, /*shift=*/0);
       }
     };
 
     const Bytes bus = NvmeDevice::BusBytes(
-        run.span_begin, run.span_end - run.span_begin, st.info.sub_block);
+        run.span_begin, run.span_end - run.span_begin, st.info.plan.sub_block);
     const BatchScheduler::Admission admission = scheduler.Enqueue(std::move(req));
     if (admission == BatchScheduler::Admission::kDropped) {
       ++stats_.dropped_runs;

@@ -4,8 +4,10 @@
 // The LookupEngine feeds each SM-resident table's demand stream into a
 // per-table PrefetchPredictor; after a request's demand runs are enqueued,
 // MaybeIssue() turns the predictor's current candidates into planned runs
-// (via the same IoPlanner the demand path uses) and enqueues them as
-// Kind::kPrefetch ReadRequests. The scheduler gives those runs strictly
+// and enqueues them as Kind::kPrefetch ReadRequests. Planning, the
+// run-to-read translation and the block-cache fill are the demand path's
+// own: the same IoPlanner under the store's planner config, ReadForRun at
+// shift 0, and FillBlockCache. The scheduler gives those runs strictly
 // lower priority: they ride demand doorbells, are byte-budgeted
 // (`prefetch_max_inflight_bytes`), and are dropped under pressure. On
 // completion the prefetched rows fill the row cache (and block cache in
@@ -18,8 +20,8 @@
 //  - the prefetcher holds NO TableThrottle slots — the demand throttle
 //    budgets demand device reads; speculation is bounded by the scheduler's
 //    prefetch byte budget instead (two independent admission domains);
-//  - boundary-straddling rows (the planner's per-row fallback) are simply
-//    skipped: speculation never takes the un-coalesced path.
+//  - a boundary-straddling row is planned like any other, as a two-block
+//    run; the block-layer residency filter checks single-block rows only.
 //
 // Accounting: `bytes_issued` is bus bytes of prefetch SQEs this component
 // owns; a row counts as hit when a demand lookup first claims it from a
@@ -51,10 +53,6 @@ struct PrefetchConfig {
   /// for kHotSet is the row's share of recent traffic, so useful marginal
   /// rows sit at ~1/(ranks x harmonic) — keep this floor low.
   double min_confidence = 1e-5;
-  /// Planner knobs, mirrored from TuningConfig so speculative runs coalesce
-  /// exactly like demand runs.
-  Bytes max_coalesce_bytes = 64 * kKiB;
-  Bytes coalesce_gap_bytes = 512;
   /// Owning tenant stamped on every speculative request (shared-device
   /// fair-share attribution; 0 for single-tenant stores).
   uint32_t tenant = 0;
@@ -84,24 +82,23 @@ struct PrefetchStats {
 
 class Prefetcher {
  public:
-  /// Everything the prefetcher needs to know about one SM-resident table
-  /// (SdmStore registers these at FinishLoading).
+  /// Everything the prefetcher needs to know about one SM-resident,
+  /// row-cached table (SdmStore registers these at FinishLoading).
   struct TableInfo {
     TableId id{};
     Bytes table_offset = 0;  ///< device byte offset of row 0
-    Bytes row_bytes = 0;
     uint64_t num_rows = 0;
     size_t device = 0;
-    bool cache_enabled = true;
-    /// SGL sub-block reads (mirrors the demand path's mode for this table).
-    bool sub_block = false;
     /// Multi-level ablation: fill the block cache with whole blocks.
     bool block_mode = false;
+    /// The demand path's planner config for this table on `device` (row
+    /// bytes, SGL mode, coalescing caps).
+    PlannerConfig plan;
   };
 
-  /// `row_cache` may be null only if every registered table has
-  /// cache_enabled=false (nothing to fill); `block_cache` is null unless the
-  /// multi-level ablation is on. `schedulers` is indexed by device.
+  /// Every registered table fills `row_cache`, so it is never null;
+  /// `block_cache` is null unless the multi-level ablation is on.
+  /// `schedulers` is indexed by device.
   Prefetcher(PrefetchConfig config, DualRowCache* row_cache, BlockCache* block_cache,
              std::vector<BatchScheduler*> schedulers);
 

@@ -48,4 +48,27 @@ std::vector<PlannedRun> IoPlanner::Plan(std::vector<Miss> misses,
   return runs;
 }
 
+BatchScheduler::ReadRequest ReadForRun(const PlannedRun& run, bool sub_block, int64_t shift) {
+  BatchScheduler::ReadRequest req;
+  req.span_begin = static_cast<Bytes>(static_cast<int64_t>(run.span_begin) + shift);
+  req.span_end = static_cast<Bytes>(static_cast<int64_t>(run.span_end) + shift);
+  req.first_block = run.first_block + static_cast<uint64_t>(shift / kBlockSize);
+  req.last_block = run.last_block + static_cast<uint64_t>(shift / kBlockSize);
+  req.sub_block = sub_block;
+  req.rows = static_cast<uint32_t>(run.slot_indices.size());
+  req.per_row_bus = run.per_row_bus;
+  return req;
+}
+
+Bytes FillBlockCache(BlockCache& cache, uint32_t device, uint64_t first_block,
+                     uint64_t last_block, const uint8_t* data, Bytes base, int64_t shift) {
+  const Bytes bytes = (last_block - first_block + 1) * kBlockSize;
+  cache.InsertBlocks(device, first_block,
+                     std::span<const uint8_t>(
+                         data + (static_cast<int64_t>(first_block * kBlockSize) + shift -
+                                 static_cast<int64_t>(base)),
+                         bytes));
+  return bytes;
+}
+
 }  // namespace sdm

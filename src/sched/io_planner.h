@@ -19,13 +19,17 @@
 //  - with `merge` off every miss becomes its own run (the per-row ablation).
 //
 // Planning is per-request; cross-request combining of the planned runs is
-// the BatchScheduler's job.
+// the BatchScheduler's job. Demand lookups and the Prefetcher also share
+// the two steps around it: ReadForRun turns a run into the scheduler's
+// read, and FillBlockCache files a completed read's blocks.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "cache/block_cache.h"
 #include "common/types.h"
+#include "sched/batch_scheduler.h"
 
 namespace sdm {
 
@@ -67,5 +71,19 @@ class IoPlanner {
   [[nodiscard]] static std::vector<PlannedRun> Plan(std::vector<Miss> misses,
                                                     const PlannerConfig& config);
 };
+
+/// The scheduler read serving `run` on a device whose address space sits
+/// `shift` bytes from the run's own: 0 on the primary, a whole number of
+/// blocks on a replica. It carries the run's rows and per-row bus bytes;
+/// kind, tenant and completion are the caller's.
+[[nodiscard]] BatchScheduler::ReadRequest ReadForRun(const PlannedRun& run, bool sub_block,
+                                                     int64_t shift);
+
+/// Fills `cache` with blocks [first_block, last_block] out of a completed
+/// read (`data` and `base` as its Completion receives them, `shift` as given
+/// to ReadForRun). Keys stay in the run's own space on `device`, since a
+/// replica's bytes are content-identical. Returns the bytes copied.
+Bytes FillBlockCache(BlockCache& cache, uint32_t device, uint64_t first_block,
+                     uint64_t last_block, const uint8_t* data, Bytes base, int64_t shift);
 
 }  // namespace sdm

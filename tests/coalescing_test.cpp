@@ -1,14 +1,20 @@
 // Tests for the coalesced batch IO path: intra-request dedup, block
 // grouping / adjacent-block merging, the per-row ablation flag, batched SQE
-// submission, the buffer arena, and coalescing-counter accounting.
+// submission, the buffer arena, coalescing-counter accounting, and per-lookup
+// row conservation across every lookup configuration.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/lookup_engine.h"
 #include "core/model_loader.h"
 #include "core/sdm_store.h"
 #include "dlrm/model_zoo.h"
+#include "fault/fault_injector.h"
 #include "io/buffer_arena.h"
 
 namespace sdm {
@@ -412,6 +418,270 @@ TEST(Coalescing, StraddlingRowWithOneBlockResidentReadsTheDevice) {
   EXPECT_EQ(trace.device_reads, 1u);
   const auto ref = ReferencePooled(*ls, {spanning});
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
+}
+
+
+// ---------------------------------------------------------------------------
+// Row conservation: every requested row is credited to exactly one source.
+// ---------------------------------------------------------------------------
+
+/// Summed traces (and lookup counts) of one configuration's lookup mix.
+struct TraceTotals {
+  uint64_t lookups = 0, pooled_hits = 0, degraded = 0;
+  uint64_t requested = 0, pruned = 0, fm = 0, cache = 0, block = 0, sm = 0, failed = 0;
+  uint64_t deduped = 0, prefetch_hits = 0, device_reads = 0, singleflight_hits = 0;
+  uint64_t io_bytes_saved = 0, replica_reads = 0, read_repairs = 0;
+  int64_t latency_ns = 0, cpu_ns = 0;
+
+  void Add(const LookupTrace& t) {
+    ++lookups;
+    pooled_hits += t.pooled_cache_hit ? 1 : 0;
+    degraded += t.degraded ? 1 : 0;
+    requested += t.rows_requested;
+    pruned += t.rows_pruned_skipped;
+    fm += t.rows_from_fm_direct;
+    cache += t.rows_from_cache;
+    block += t.rows_from_block_cache;
+    sm += t.rows_from_sm;
+    failed += t.rows_failed;
+    deduped += t.rows_deduped;
+    prefetch_hits += t.rows_prefetch_hit;
+    device_reads += t.device_reads;
+    singleflight_hits += t.singleflight_hits;
+    io_bytes_saved += t.io_bytes_saved;
+    replica_reads += t.replica_reads;
+    read_repairs += t.read_repairs;
+    latency_ns += t.latency.nanos();
+    cpu_ns += t.cpu_time.nanos();
+  }
+
+  /// One line per field, so a golden mismatch names the field.
+  [[nodiscard]] std::string Dump() const {
+    const std::pair<const char*, uint64_t> fields[] = {
+        {"lookups", lookups},
+        {"pooled_hits", pooled_hits},
+        {"degraded", degraded},
+        {"requested", requested},
+        {"pruned", pruned},
+        {"fm", fm},
+        {"cache", cache},
+        {"block", block},
+        {"sm", sm},
+        {"failed", failed},
+        {"deduped", deduped},
+        {"prefetch_hits", prefetch_hits},
+        {"device_reads", device_reads},
+        {"singleflight_hits", singleflight_hits},
+        {"io_bytes_saved", io_bytes_saved},
+        {"replica_reads", replica_reads},
+        {"read_repairs", read_repairs},
+        {"latency_ns", static_cast<uint64_t>(latency_ns)},
+        {"cpu_ns", static_cast<uint64_t>(cpu_ns)},
+    };
+    std::string out;
+    for (const auto& [name, value] : fields) {
+      out += std::string(name) + " " + std::to_string(value) + "\n";
+    }
+    return out;
+  }
+};
+
+enum class Scenario { kPlain, kHealthShed, kReadRepair };
+
+struct ConservationConfig {
+  const char* name;
+  TuningConfig tuning;
+  LoaderOptions loader;
+  Scenario scenario = Scenario::kPlain;
+};
+
+/// Drives a fixed mix of lookups (bags over two SM user tables and the FM
+/// item table, four in flight at a time, hot rows, in-bag duplicates,
+/// out-of-domain indices and a repeated bag) through one configuration on
+/// two Optane devices.
+/// Checks conservation per lookup and counter = trace sum per engine.
+TraceTotals RunConservationMix(const ConservationConfig& c) {
+  EventLoop loop;
+  const ModelConfig model = MakeTinyUniformModel(16, 2, 1, 2000);
+  SdmStoreConfig cfg;
+  cfg.fm_capacity = 96 * kKiB;  // the FM item table leaves caches for half the SM rows
+  cfg.sm_specs = {MakeOptaneSsdSpec(), MakeOptaneSsdSpec()};
+  cfg.sm_backing_bytes = {16 * kMiB, 16 * kMiB};
+  cfg.tuning = c.tuning;
+  std::unique_ptr<FaultInjector> injector;  // outlives the store it is installed in
+  SdmStore store(cfg, &loop);
+  EXPECT_TRUE(ModelLoader::Load(model, c.loader, &store).ok());
+  SharedDeviceService& svc = store.device_service();
+
+  if (c.scenario == Scenario::kHealthShed) {
+    // Device 0 is condemned with no replica: its lookups shed until probe
+    // successes wash it healthy.
+    for (int i = 0; i < 32; ++i) svc.health().Record(0, false);
+  } else if (c.scenario == Scenario::kReadRepair) {
+    // Every device-0 read rots; a replica of each device-0 extent on
+    // device 1 repairs them after the retry fails too.
+    for (size_t t = 0; t < model.tables.size(); ++t) {
+      const TableRuntime& rt = store.table(MakeTableId(t));
+      if (rt.tier != MemoryTier::kSm || rt.sm_device != 0) continue;
+      const auto span = svc.ExtentInfoFor(rt.extent_id);
+      const auto loc = svc.AllocateReplica(rt.extent_id, /*target=*/1);
+      EXPECT_TRUE(span.has_value() && loc.ok());
+      EXPECT_TRUE(svc.device(1)
+                      .Write(loc.value().offset,
+                             svc.device(0).backing().subspan(span->offset, span->size))
+                      .ok());
+      svc.AddReplicaRoute(rt.extent_id, loc.value());
+    }
+    FaultPlan plan;
+    plan.BitRot(SimTime(0), SimTime(0) + Seconds(10'000), /*probability=*/1.0, /*device=*/0);
+    injector = std::make_unique<FaultInjector>(plan, &loop, /*seed=*/5);
+    svc.InstallFaultInjector(injector.get());
+  }
+
+  LookupEngine engine(&store);
+  TraceTotals totals;
+  Rng rng(42);
+  for (int batch = 0; batch < 150; ++batch) {
+    for (int q = 0; q < 4; ++q) {
+      LookupRequest req;
+      req.table = MakeTableId(rng.NextBounded(3));
+      const bool repeated = rng.NextBounded(8) == 0;  // a hit for the pooled cache
+      if (repeated) req.indices = {3, 1, 4, 1, 5, 9, 2, 6};
+      for (int i = 0; !repeated && i < 12; ++i) {
+        const uint64_t draw = rng.NextBounded(100);
+        req.indices.push_back(draw < 50   ? rng.NextBounded(48)     // hot rows
+                              : draw < 97 ? rng.NextBounded(2000)  // cold rows
+                                          : 2000 + draw);          // out of domain
+      }
+      engine.Lookup(std::move(req), [&](Status s, std::vector<float>, const LookupTrace& t) {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        totals.Add(t);
+        if (t.pooled_cache_hit) return;
+        EXPECT_EQ(t.rows_requested, t.rows_pruned_skipped + t.rows_from_fm_direct +
+                                        t.rows_from_cache + t.rows_from_block_cache +
+                                        t.rows_from_sm + t.rows_failed)
+            << c.name;
+        EXPECT_EQ(t.degraded, t.rows_failed > 0) << c.name;
+      });
+    }
+    loop.RunUntilIdle();
+  }
+
+  const StatsRegistry& st = engine.stats();
+  EXPECT_EQ(st.CounterValue("lookups"), totals.lookups) << c.name;
+  EXPECT_EQ(st.CounterValue("pooled_hits"), totals.pooled_hits) << c.name;
+  EXPECT_EQ(st.CounterValue("degraded_lookups"), totals.degraded) << c.name;
+  EXPECT_EQ(st.CounterValue("rows_pruned"), totals.pruned) << c.name;
+  EXPECT_EQ(st.CounterValue("rows_fm_read"), totals.fm) << c.name;
+  EXPECT_EQ(st.CounterValue("rows_cache_hit"), totals.cache) << c.name;
+  EXPECT_EQ(st.CounterValue("rows_block_hit"), totals.block) << c.name;
+  EXPECT_EQ(st.CounterValue("rows_sm_read"), totals.sm) << c.name;
+  EXPECT_EQ(st.CounterValue("rows_failed"), totals.failed) << c.name;
+  EXPECT_EQ(st.CounterValue("rows_deduped"), totals.deduped) << c.name;
+  EXPECT_EQ(st.CounterValue("prefetch_hits"), totals.prefetch_hits) << c.name;
+  EXPECT_EQ(st.CounterValue("device_reads"), totals.device_reads) << c.name;
+  EXPECT_EQ(st.CounterValue("singleflight_hits"), totals.singleflight_hits) << c.name;
+  EXPECT_EQ(st.CounterValue("io_bytes_saved"), totals.io_bytes_saved) << c.name;
+  EXPECT_EQ(st.CounterValue("replica_reads"), totals.replica_reads) << c.name;
+  EXPECT_EQ(st.CounterValue("read_repairs"), totals.read_repairs) << c.name;
+  EXPECT_EQ(st.CounterValue("cpu_ns"), static_cast<uint64_t>(totals.cpu_ns)) << c.name;
+  return totals;
+}
+
+std::vector<ConservationConfig> ConservationConfigs() {
+  std::vector<ConservationConfig> configs;
+  const auto add = [&configs](const char* name, auto edit) {
+    ConservationConfig c{name, BaseTuning(), LoaderOptions{}};
+    edit(c);
+    configs.push_back(c);
+  };
+  add("per_row", [](ConservationConfig& c) { c.tuning.io_batching = IoBatching::kPerRow; });
+  add("per_request",
+      [](ConservationConfig& c) { c.tuning.io_batching = IoBatching::kPerRequest; });
+  add("cross_request", [](ConservationConfig&) {});
+  add("block_cache", [](ConservationConfig& c) {
+    c.tuning.enable_block_cache = true;
+    c.tuning.block_cache_fraction = 0.5;
+  });
+  add("prefetch", [](ConservationConfig& c) { c.tuning.enable_prefetch = true; });
+  add("pruned_pooled", [](ConservationConfig& c) {
+    c.loader.prune_keep_fraction = 0.5;  // user tables keep half their rows
+    c.tuning.enable_pooled_cache = true;
+  });
+  add("health_shed", [](ConservationConfig& c) {
+    c.tuning.enable_health_monitor = true;
+    c.tuning.health_window = 32;
+    c.scenario = Scenario::kHealthShed;
+  });
+  add("read_repair", [](ConservationConfig& c) {
+    c.tuning.enable_checksums = true;
+    c.tuning.sub_block_reads = false;
+    c.scenario = Scenario::kReadRepair;
+  });
+  return configs;
+}
+
+TEST(RowConservation, EveryLookupCreditsEachRowOnceAndTotalsArePinned) {
+  // Golden totals, one line per field, for every configuration's mix.
+  const std::vector<std::pair<const char*, const char*>> golden = {
+      {"per_row",
+       "lookups 600\npooled_hits 0\ndegraded 0\nrequested 6872\n"
+       "pruned 162\nfm 2418\ncache 2351\nblock 0\nsm 1941\nfailed 0\n"
+       "deduped 0\nprefetch_hits 0\ndevice_reads 1941\n"
+       "singleflight_hits 0\nio_bytes_saved 0\nreplica_reads 0\n"
+       "read_repairs 0\nlatency_ns 5901185\ncpu_ns 1844171\n"},
+      {"per_request",
+       "lookups 600\npooled_hits 0\ndegraded 0\nrequested 6872\n"
+       "pruned 162\nfm 2418\ncache 2349\nblock 0\nsm 1943\nfailed 0\n"
+       "deduped 264\nprefetch_hits 0\ndevice_reads 1739\n"
+       "singleflight_hits 0\nio_bytes_saved 0\nreplica_reads 0\n"
+       "read_repairs 0\nlatency_ns 6141088\ncpu_ns 1807739\n"},
+      {"cross_request",
+       "lookups 600\npooled_hits 0\ndegraded 0\nrequested 6872\n"
+       "pruned 162\nfm 2418\ncache 2347\nblock 0\nsm 1945\nfailed 0\n"
+       "deduped 264\nprefetch_hits 0\ndevice_reads 1727\n"
+       "singleflight_hits 13\nio_bytes_saved 456\nreplica_reads 0\n"
+       "read_repairs 0\nlatency_ns 6243091\ncpu_ns 1807991\n"},
+      {"block_cache",
+       "lookups 600\npooled_hits 0\ndegraded 0\nrequested 6872\n"
+       "pruned 162\nfm 2418\ncache 1844\nblock 684\nsm 1764\n"
+       "failed 0\ndeduped 264\nprefetch_hits 0\ndevice_reads 740\n"
+       "singleflight_hits 133\nio_bytes_saved 2732032\n"
+       "replica_reads 0\nread_repairs 0\nlatency_ns 58552758\n"
+       "cpu_ns 2653136\n"},
+      {"prefetch",
+       "lookups 600\npooled_hits 0\ndegraded 0\nrequested 6872\n"
+       "pruned 162\nfm 2418\ncache 2323\nblock 0\nsm 1969\nfailed 0\n"
+       "deduped 264\nprefetch_hits 298\ndevice_reads 1627\n"
+       "singleflight_hits 110\nio_bytes_saved 3264\nreplica_reads 0\n"
+       "read_repairs 0\nlatency_ns 6259401\ncpu_ns 1812275\n"},
+      {"pruned_pooled",
+       "lookups 600\npooled_hits 75\ndegraded 0\nrequested 6872\n"
+       "pruned 2202\nfm 2258\ncache 869\nblock 0\nsm 943\nfailed 0\n"
+       "deduped 128\nprefetch_hits 0\ndevice_reads 854\n"
+       "singleflight_hits 9\nio_bytes_saved 264\nreplica_reads 0\n"
+       "read_repairs 0\nlatency_ns 4921840\ncpu_ns 1012924\n"},
+      {"health_shed",
+       "lookups 600\npooled_hits 0\ndegraded 45\nrequested 6872\n"
+       "pruned 162\nfm 2418\ncache 2160\nblock 0\nsm 1695\n"
+       "failed 437\ndeduped 264\nprefetch_hits 0\ndevice_reads 1502\n"
+       "singleflight_hits 8\nio_bytes_saved 216\nreplica_reads 0\n"
+       "read_repairs 0\nlatency_ns 5609789\ncpu_ns 1745747\n"},
+      {"read_repair",
+       "lookups 600\npooled_hits 0\ndegraded 0\nrequested 6872\n"
+       "pruned 162\nfm 2418\ncache 2354\nblock 0\nsm 1938\nfailed 0\n"
+       "deduped 264\nprefetch_hits 0\ndevice_reads 900\n"
+       "singleflight_hits 137\nio_bytes_saved 2285568\n"
+       "replica_reads 0\nread_repairs 476\nlatency_ns 139527906\n"
+       "cpu_ns 1806479\n"},
+  };
+  const std::vector<ConservationConfig> configs = ConservationConfigs();
+  ASSERT_EQ(configs.size(), golden.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const TraceTotals totals = RunConservationMix(configs[i]);
+    ASSERT_STREQ(configs[i].name, golden[i].first);
+    EXPECT_EQ(totals.Dump(), golden[i].second) << configs[i].name;
+  }
 }
 
 }  // namespace
