@@ -244,6 +244,68 @@ void BM_FeistelPermute(benchmark::State& state) {
 }
 BENCHMARK(BM_FeistelPermute);
 
+/// Table 8's M1-mini: 12 user tables of 30k x 120 (pooling factor 10) and
+/// 6 item tables of 2k x 120 (pooling factor 4), item batch 10.
+ModelConfig M1MiniModel() {
+  ModelConfig model;
+  model.name = "m1-mini";
+  model.item_batch_size = 10;
+  for (int i = 0; i < 18; ++i) {
+    TableConfig t;
+    t.name = (i < 12 ? "user." : "item.") + std::to_string(i);
+    t.role = i < 12 ? TableRole::kUser : TableRole::kItem;
+    t.dim = 120;
+    t.num_rows = i < 12 ? 30'000 : 2'000;
+    t.avg_pooling_factor = i < 12 ? 10 : 4;
+    model.tables.push_back(t);
+  }
+  return model;
+}
+
+/// ns per M1-mini query: 12 sticky user tables and 6 item tables, Zipf
+/// skews drawn as the end-to-end benchmark draws them, 1,500 users, 2%
+/// churn. Most draws land on memoised ranks, so this times the sampler,
+/// the memo and the sticky-set bookkeeping.
+void BM_QueryGeneratorNext(benchmark::State& state) {
+  ModelConfig model = M1MiniModel();
+  Rng alphas(0x81);
+  for (size_t i = 0; i < model.tables.size(); ++i) {
+    model.tables[i].zipf_alpha =
+        i < 12 ? alphas.NextDouble(0.65, 0.9) : alphas.NextDouble(0.9, 1.15);
+  }
+  WorkloadConfig w;
+  w.num_users = 1500;
+  w.user_index_churn = 0.02;
+  w.seed = 8;
+  QueryGenerator gen(model, w);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.Next());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QueryGeneratorNext);
+
+/// Steady-state hold model: `depth` events stay queued, and each iteration
+/// runs the earliest one, whose callback schedules a successor 1-1,000 ns
+/// later. Every pop and push sifts through a heap `depth` deep.
+void BM_EventLoopHold(benchmark::State& state) {
+  struct Hold {
+    EventLoop* loop;
+    Rng* rng;
+    void operator()() const {
+      loop->ScheduleAfter(SimDuration(1 + static_cast<int64_t>(rng->NextBounded(1000))), *this);
+    }
+  };
+  EventLoop loop;
+  Rng rng(11);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    loop.ScheduleAfter(SimDuration(static_cast<int64_t>(rng.NextBounded(1000))), Hold{&loop, &rng});
+  }
+  for (auto _ : state) loop.RunOne();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLoopHold)->Arg(64)->Arg(4096);
+
 void BM_EventLoopScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
     EventLoop loop;
@@ -441,18 +503,7 @@ void BM_HostLoad(benchmark::State& state) {
   cfg.fm_capacity = 28 * kMiB;
   cfg.sm_backing_per_device = 64 * kMiB;
   cfg.workload.num_users = 1500;
-  ModelConfig model;
-  model.name = "m1-mini";
-  model.item_batch_size = 10;
-  for (int i = 0; i < 18; ++i) {
-    TableConfig t;
-    t.name = (i < 12 ? "user." : "item.") + std::to_string(i);
-    t.role = i < 12 ? TableRole::kUser : TableRole::kItem;
-    t.dim = 120;
-    t.num_rows = i < 12 ? 30'000 : 2'000;
-    t.avg_pooling_factor = i < 12 ? 10 : 4;
-    model.tables.push_back(t);
-  }
+  const ModelConfig model = M1MiniModel();
   for (auto _ : state) {
     auto sim = std::make_unique<HostSimulation>(cfg);
     if (!sim->LoadModel(model).ok()) {

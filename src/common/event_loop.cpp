@@ -1,5 +1,6 @@
 #include "common/event_loop.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -11,8 +12,17 @@ void EventLoop::ScheduleAt(SimTime at, Callback fn) {
   // than corrupting the clock. This happens legitimately when a zero-latency
   // model rounds down.
   if (at < now_) at = now_;
-  heap_.push_back(Event{at, next_seq_++, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Key{at, next_seq_++, slot});
 }
 
 void EventLoop::ScheduleAfter(SimDuration delay, Callback fn) {
@@ -20,14 +30,34 @@ void EventLoop::ScheduleAfter(SimDuration delay, Callback fn) {
   ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventLoop::Event EventLoop::PopEarliest() {
-  // pop_heap moves the earliest event to the back, where — unlike
-  // std::priority_queue::top() — it is mutable and can be MOVED out instead
-  // of copying the std::function (one heap allocation per event saved).
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
+void EventLoop::SiftUp(size_t hole, Key key) {
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 4;
+    if (!Earlier(key, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
+}
+
+void EventLoop::SiftDown(size_t hole, Key key) {
+  // Bottom-up: walk the hole down the path of earliest children to a leaf
+  // without comparing against `key`, then sift `key` up from there. `key`
+  // is the heap's last element and usually belongs near the bottom, so
+  // this saves a comparison per level over stopping on the way down.
+  const size_t n = heap_.size();
+  for (;;) {
+    const size_t first = 4 * hole + 1;
+    if (first >= n) break;
+    size_t best = first;
+    const size_t end = std::min(first + 4, n);
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Earlier(heap_[c], heap_[best])) best = c;
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  SiftUp(hole, key);
 }
 
 uint64_t EventLoop::RunUntilIdle() {
@@ -48,11 +78,20 @@ uint64_t EventLoop::RunUntil(SimTime deadline) {
 
 bool EventLoop::RunOne() {
   if (heap_.empty()) return false;
-  Event ev = PopEarliest();
-  assert(ev.at >= now_);
-  now_ = ev.at;
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0, last);
+  // Move the callback out and free its slot before invoking it: the
+  // callback may schedule events, which can reuse the slot or reallocate
+  // `slots_`. `fn` dies when RunOne returns, so its captures are released
+  // before the next event runs.
+  Callback fn = std::move(slots_[top.slot]);
+  free_slots_.push_back(top.slot);
+  assert(top.at >= now_);
+  now_ = top.at;
   ++events_run_;
-  ev.fn();
+  fn();
   return true;
 }
 

@@ -10,16 +10,16 @@
 // correctness. A whole cluster — every host and the shared device stack —
 // runs on one loop.
 //
-// The event queue is a binary heap over a plain vector (the exact
-// make/push/pop_heap algorithm std::priority_queue specifies, so ordering is
-// bit-for-bit identical to the previous std::priority_queue implementation)
-// rather than std::priority_queue itself, because top() is const there and
-// dequeuing had to COPY the event's std::function — one heap allocation per
-// event on the hottest loop in the codebase. pop_heap moves the top to the
-// back of the vector, where it can be moved out legally.
+// Events are ordered by (time, sequence number). Sequence numbers are
+// unique, so this is a strict total order: at every step exactly one pending
+// event is the earliest, and any correct priority queue pops the same event
+// sequence, with equal-time events in scheduling (FIFO) order. The queue is
+// therefore free to be an indexed 4-ary heap of 24-byte keys (time, seq,
+// slot) whose callbacks live apart in a free-listed slot array: sifting
+// moves small keys instead of std::functions, and a 4-ary heap is half as
+// deep as a binary one.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -49,9 +49,10 @@ class EventLoop {
   /// Runs events until the queue is empty. Returns the number of events run.
   uint64_t RunUntilIdle();
 
-  /// Runs events with time <= deadline; leaves later events queued. Virtual
-  /// time ends at min(deadline, last event time processed... ) — precisely,
-  /// Now() advances to each processed event and finally to `deadline`.
+  /// Runs every event with time <= deadline, including those scheduled
+  /// meanwhile, and leaves later events queued. Now() advances to each event
+  /// as it runs, then to `deadline` if it is still earlier. Returns the
+  /// number of events run.
   uint64_t RunUntil(SimTime deadline);
 
   /// Runs exactly one event if any is pending. Returns whether one ran.
@@ -63,25 +64,32 @@ class EventLoop {
   [[nodiscard]] uint64_t events_run() const { return events_run_; }
 
  private:
-  struct Event {
+  /// A pending event: when it runs, its FIFO tie-break and the index of its
+  /// callback in `slots_`.
+  struct Key {
     SimTime at;
-    uint64_t seq;  // FIFO tie-break for equal timestamps
-    Callback fn;
+    uint64_t seq;
+    uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  /// (at, seq) as one 128-bit number. `at` is never negative (ScheduleAt
+  /// clamps it to Now() >= 0), so this orders by time, then FIFO, and
+  /// compiles to a branch-free compare.
+  static unsigned __int128 Order(const Key& k) {
+    return (static_cast<unsigned __int128>(k.at.nanos()) << 64) | k.seq;
+  }
+  static bool Earlier(const Key& a, const Key& b) { return Order(a) < Order(b); }
 
-  /// Moves the earliest event out of the heap. Pre: !heap_.empty().
-  [[nodiscard]] Event PopEarliest();
+  /// Places `key` at index `hole` or above, moving later parents down.
+  void SiftUp(size_t hole, Key key);
+  /// Refills the hole at index `hole` with `key`, moving earlier children up.
+  void SiftDown(size_t hole, Key key);
 
   SimTime now_{0};
   uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
-  std::vector<Event> heap_;  // binary heap ordered by Later
+  std::vector<Key> heap_;            // 4-ary min-heap by Earlier; children of i: 4i+1..4i+4
+  std::vector<Callback> slots_;      // pending callbacks, indexed by Key::slot
+  std::vector<uint32_t> free_slots_; // empty entries of slots_, reused last-freed first
 };
 
 }  // namespace sdm

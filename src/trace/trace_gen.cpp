@@ -6,7 +6,9 @@
 
 namespace sdm {
 
-IndexPermuter::IndexPermuter(uint64_t n, uint64_t seed) : n_(std::max<uint64_t>(n, 1)) {
+IndexPermuter::IndexPermuter(uint64_t n, uint64_t seed)
+    : n_(std::max<uint64_t>(n, 1)),
+      memo_ranks_(n_ <= UINT32_MAX ? std::min(n_, kMemoRanks) : 0) {
   // Smallest even-bit domain 2^(2h) >= n, h >= 1.
   half_bits_ = 1;
   while ((uint64_t{1} << (2 * half_bits_)) < n_) ++half_bits_;
@@ -27,13 +29,21 @@ uint64_t IndexPermuter::FeistelOnce(uint64_t x) const {
   return (left << half_bits_) | right;
 }
 
-uint64_t IndexPermuter::Permute(uint64_t x) const {
-  assert(x < n_);
+uint64_t IndexPermuter::CycleWalk(uint64_t x) const {
   if (n_ == 1) return 0;
   // Cycle-walk until we land back inside [0, n).
   uint64_t y = FeistelOnce(x);
   while (y >= n_) y = FeistelOnce(y);
   return y;
+}
+
+uint64_t IndexPermuter::Permute(uint64_t x) const {
+  assert(x < n_);
+  if (x >= memo_ranks_) return CycleWalk(x);
+  if (memo_ == nullptr) memo_ = std::make_unique<ZeroedBuffer>(memo_ranks_ * sizeof(uint32_t));
+  uint32_t& slot = reinterpret_cast<uint32_t*>(memo_->data())[x];
+  if (slot == 0) slot = static_cast<uint32_t>(CycleWalk(x) + 1);
+  return slot - 1;
 }
 
 TableAccessStream::TableAccessStream(const TableConfig& config, uint64_t seed)

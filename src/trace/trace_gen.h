@@ -15,18 +15,34 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "common/zeroed_buffer.h"
 #include "embedding/table_config.h"
 
 namespace sdm {
 
 /// Bijective pseudo-random permutation of [0, n) (4-round Feistel with
 /// cycle-walking). Used to decouple popularity rank from index value.
+///
+/// Zipf draws land mostly on the lowest ranks (for alpha = 1 and n = 124k
+/// the top 4,096 ranks carry ~72% of the mass), so Permute memoises ranks
+/// below min(n, kMemoRanks). A memo slot holds its rank's image + 1 as a
+/// uint32, and 0 means not yet computed, so a hit returns exactly what the
+/// cycle walk returned the first time. (A domain of 2^32 rows or more has
+/// images that do not fit, and is not memoised.) The memo is created on the
+/// first memoisable draw as a ZeroedBuffer, whose pages commit only as
+/// ranks in them are first drawn: a permuter that is never drawn from
+/// costs nothing. The memo is a cache, so Permute stays const, but one
+/// permuter must not be drawn from by two threads at once.
 class IndexPermuter {
  public:
+  /// Ranks memoised (at most 16 KiB of slots per permuter).
+  static constexpr uint64_t kMemoRanks = 4096;
+
   IndexPermuter(uint64_t n, uint64_t seed);
 
   [[nodiscard]] uint64_t Permute(uint64_t x) const;
@@ -34,10 +50,14 @@ class IndexPermuter {
 
  private:
   [[nodiscard]] uint64_t FeistelOnce(uint64_t x) const;
+  /// The permutation itself: Feistel rounds, cycle-walked back into [0, n).
+  [[nodiscard]] uint64_t CycleWalk(uint64_t x) const;
 
   uint64_t n_;
+  uint64_t memo_ranks_;  ///< min(n, kMemoRanks), or 0 when n >= 2^32
   int half_bits_;
   uint64_t keys_[4];
+  mutable std::unique_ptr<ZeroedBuffer> memo_;  ///< memo_ranks_ uint32 slots
 };
 
 /// Zipf-popular index stream for one table.

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 #include <unordered_set>
 
 #include "dlrm/model_zoo.h"
+#include "reference_index_permuter.h"
 #include "trace/locality.h"
 #include "trace/trace_gen.h"
 
@@ -55,6 +58,27 @@ TEST(Permuter, ScattersNeighbours) {
   }
   EXPECT_LT(adjacent, 10);
 }
+
+// The memo keeps ranks below kMemoRanks; each size sits below, at or just
+// past that edge, or spans many memo pages. Every rank is drawn twice, cold
+// and then as a memo hit, and both must equal the un-memoised permuter.
+class PermuterMemo : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
+
+TEST_P(PermuterMemo, MatchesTheUnmemoisedPermuterColdAndHot) {
+  const auto [n, seed] = GetParam();
+  const IndexPermuter perm(n, seed);
+  const ReferenceIndexPermuter reference(n, seed);
+  for (uint64_t x = 0; x < n; ++x) {
+    const uint64_t want = reference.Permute(x);
+    ASSERT_EQ(perm.Permute(x), want) << "cold, rank " << x;
+    ASSERT_EQ(perm.Permute(x), want) << "hot, rank " << x;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, PermuterMemo,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 4095, 4096, 4097, 30'000, 65'536, 65'537),
+                       ::testing::Values(1, 17, 0xdecafbad)));
 
 // ---------------------------------------------------------------------------
 // TableAccessStream.
@@ -215,6 +239,74 @@ TEST(QueryGen, InferenceEvalStillStartsWithTheRoutedUser) {
   // The routed user's own sticky set leads the batch.
   ASSERT_GE(batched.size(), base.size());
   for (size_t i = 0; i < base.size(); ++i) EXPECT_EQ(batched[i], base[i]);
+}
+
+// The first 10^4 queries of three workload shapes, pinned by digest: the
+// M1-mini and M2-mini models and the replicated model of the 16-host
+// disaggregated cluster, with the user populations, churn and seeds the
+// end-to-end benchmark gives them. Any change to what the generator draws
+// (sampler, permutation, memo, stickiness) moves a digest.
+// Row width does not change what is drawn, so the shapes leave it default.
+ModelConfig MiniModel(uint64_t alpha_seed, size_t user_tables, uint64_t user_rows,
+                      double user_pf, size_t item_tables, uint64_t item_rows, int item_batch) {
+  ModelConfig model;
+  model.item_batch_size = item_batch;
+  Rng rng(alpha_seed);
+  for (size_t i = 0; i < user_tables + item_tables; ++i) {
+    const bool user = i < user_tables;
+    TableConfig t;
+    t.name = (user ? "user." : "item.") + std::to_string(i);
+    t.role = user ? TableRole::kUser : TableRole::kItem;
+    t.num_rows = user ? user_rows : item_rows;
+    t.avg_pooling_factor = user ? user_pf : 4;
+    t.zipf_alpha = user ? rng.NextDouble(0.65, 0.9) : rng.NextDouble(0.9, 1.15);
+    model.tables.push_back(t);
+  }
+  return model;
+}
+
+/// FNV-1a over each query's user, per-table index count and indices.
+uint64_t DigestOfFirstQueries(const ModelConfig& model, uint64_t users, double churn,
+                              uint64_t seed) {
+  WorkloadConfig w;
+  w.num_users = users;
+  w.user_index_churn = churn;
+  w.seed = seed;
+  QueryGenerator gen(model, w);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (int q = 0; q < 10'000; ++q) {
+    const Query query = gen.Next();
+    mix(query.user);
+    for (const auto& indices : query.indices) {
+      mix(indices.size());
+      for (const RowIndex idx : indices) mix(idx);
+    }
+  }
+  return h;
+}
+
+TEST(QueryGen, FirstQueriesOfM1ShapeArePinned) {
+  const ModelConfig m1 = MiniModel(0x81, 12, 30'000, 10, 6, 2'000, 10);
+  EXPECT_EQ(DigestOfFirstQueries(m1, 1500, 0.02, 8), 0x6a80c3358529f7f8ULL);
+}
+
+TEST(QueryGen, FirstQueriesOfM2ShapeArePinned) {
+  const ModelConfig m2 = MiniModel(0x92, 30, 25'000, 8, 15, 3'000, 30);
+  EXPECT_EQ(DigestOfFirstQueries(m2, 6000, 0.05, 9), 0xc143b26eb60d33f8ULL);
+}
+
+TEST(QueryGen, FirstQueriesOfDisagg16ShapeArePinned) {
+  ModelConfig model = MakeTinyUniformModel(64, 3, 1, 40'000);
+  model.tables.back().num_rows = 4'000;
+  for (auto& t : model.tables) {
+    if (t.role == TableRole::kUser) t.zipf_alpha = 1.1;
+  }
+  EXPECT_EQ(DigestOfFirstQueries(model, 2000, WorkloadConfig{}.user_index_churn, 11),
+            0x4172ec537590070aULL);
 }
 
 // ---------------------------------------------------------------------------
