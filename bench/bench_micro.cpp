@@ -19,6 +19,7 @@
 #include "io/io_engine.h"
 #include "obs/observability.h"
 #include "sched/batch_scheduler.h"
+#include "sched/in_flight_index.h"
 #include "embedding/embedding_table.h"
 #include "serving/cluster.h"
 #include "serving/host.h"
@@ -410,6 +411,41 @@ void BM_SchedulerJoinInFlight(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerJoinInFlight)->Arg(16)->Arg(256)->Arg(2048);
+
+/// arg 0: live reads. The scheduler's single-flight index at a fixed depth:
+/// each iteration looks up a span inside a random live read's window,
+/// erases the oldest read and inserts it again with a new window. Windows
+/// are 1-4 blocks at random block bases in a space 4x the depth, so blocks
+/// are shared. The reads are reused, so no allocation is timed.
+void BM_InFlightIndexChurn(benchmark::State& state) {
+  struct Window {
+    Bytes base = 0;
+    Bytes end = 0;
+  };
+  const auto depth = static_cast<size_t>(state.range(0));
+  Rng rng(5);
+  InFlightIndex<Window> index;
+  std::vector<std::shared_ptr<Window>> live;  // a ring, oldest at `next`
+  auto insert = [&](const std::shared_ptr<Window>& w) {
+    w->base = rng.NextBounded(4 * depth) * kBlockSize;
+    w->end = w->base + (1 + rng.NextBounded(4)) * kBlockSize;
+    index.Insert(w, w->base, w->end, /*sub_block=*/false);
+  };
+  for (size_t i = 0; i < depth; ++i) {
+    live.push_back(std::make_shared<Window>());
+    insert(live.back());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const Window& w = *live[rng.NextBounded(depth)];
+    benchmark::DoNotOptimize(index.FindCovering(w.base + 100, w.base + 200, false));
+    index.Erase(live[next].get(), live[next]->base, live[next]->end);
+    insert(live[next]);
+    next = (next + 1) % depth;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InFlightIndexChurn)->Arg(64)->Arg(1024);
 
 // ---------------------------------------------------------------------------
 // End-to-end simulated lookup (wall-clock cost of the simulator itself).

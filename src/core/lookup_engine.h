@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/histogram.h"
@@ -133,6 +134,46 @@ class LookupEngine {
   [[nodiscard]] PoolingCostModel& cost_model() { return cost_; }
 
  private:
+  struct RequestState;
+
+  /// One planned run plus the submission context this engine needs when its
+  /// (possibly shared, possibly retried) device read completes.
+  struct RunContext {
+    RequestState* st = nullptr;  ///< the request this run belongs to
+    /// Its rows are st->run_slots[run.first_miss, run.end_miss).
+    PlannedRun run;
+    /// The run is read on `device`, shifted `shift` bytes from the primary's
+    /// address space (a whole number of blocks on a replica); read-repair
+    /// re-routes it.
+    size_t device = 0;
+    int64_t shift = 0;
+    bool sub_block = false;
+    /// Bus bytes this run saves as its own SQE versus per-row reads —
+    /// request-level accounting; the scheduler recomputes SQE-level numbers
+    /// after cross-request merging.
+    Bytes bytes_saved = 0;
+    /// Whether this run fills the block cache with its blocks: set in
+    /// block-cache mode, cleared for single-flight joiners, which ride a read
+    /// whose owner already inserts those blocks.
+    bool insert_blocks = false;
+    /// Scheduler-aware throttling: only runs that became their own SQE
+    /// (Admission::kNewRead) keep holding a throttle slot until completion —
+    /// admission budgets *device reads after merging*.
+    bool holds_slot = true;
+    /// True until the run's first enqueue; every later one (a retry or a
+    /// read-repair re-drive) is the same logical read.
+    bool first_attempt = true;
+    /// Transient-error re-reads left before the run fails or is repaired.
+    int attempts_left = 0;
+    /// Set when this run is being re-driven against a second copy after its
+    /// terminal failure (one repair attempt per run).
+    bool repairing = false;
+  };
+
+  /// One lookup in progress. States come from the engine's free list and
+  /// go back to it once the lookup's callback has returned, which is after
+  /// its last run completion: a retry, backoff event or read-repair keeps
+  /// a run, and so its request, outstanding.
   struct RequestState {
     LookupRequest request;
     LookupCallback cb;
@@ -154,6 +195,10 @@ class LookupEngine {
     std::vector<Slot> slots;
     std::vector<uint8_t> row_bytes;  // slots.size() * row_bytes contiguous
     Bytes stored_row_bytes = 0;
+    /// The slot of every row the IO phase reads, in device-offset order, so
+    /// each run's rows are one range of it. Keeps its capacity across reuse.
+    std::vector<uint32_t> run_slots;
+    std::vector<float> pooled;  ///< handed to the callback
 
     SimDuration cpu_pre;   // before/at IO issue
     SimDuration cpu_post;  // after last IO
@@ -162,67 +207,51 @@ class LookupEngine {
     LookupTrace trace;
   };
 
-  /// One planned run plus the submission context this engine needs when its
-  /// (possibly shared, possibly retried) device read completes.
-  struct RunContext {
-    PlannedRun run;
-    /// The run's read on `device`, shifted `shift` bytes from the primary's
-    /// address space (a whole number of blocks on a replica). Computed once
-    /// per route; read-repair re-routes a run.
-    BatchScheduler::ReadRequest read;
-    size_t device = 0;
-    int64_t shift = 0;
-    /// Bus bytes this run saves as its own SQE versus per-row reads —
-    /// request-level accounting; the scheduler recomputes SQE-level numbers
-    /// after cross-request merging.
-    Bytes bytes_saved = 0;
-    /// Whether this run fills the block cache with its blocks: set in
-    /// block-cache mode, cleared for single-flight joiners, which ride a read
-    /// whose owner already inserts those blocks.
-    bool insert_blocks = false;
-    /// Scheduler-aware throttling: only runs that became their own SQE
-    /// (Admission::kNewRead) keep holding a throttle slot until completion —
-    /// admission budgets *device reads after merging*.
-    bool holds_slot = true;
-    /// Transient-error re-reads left before the run fails or is repaired.
-    int attempts_left = 0;
-    /// Set when this run is being re-driven against a second copy after its
-    /// terminal failure (one repair attempt per run).
-    bool repairing = false;
-  };
+  /// libstdc++'s std::function stores a callable inline, with no heap
+  /// allocation, when it is trivially copyable and at most two pointers
+  /// wide. Every closure on the lookup path goes through here, so one that
+  /// grows past that fails to compile instead of allocating per run.
+  template <typename F>
+  static F Inline(F f) {
+    static_assert(sizeof(F) <= 2 * sizeof(void*), "closure too wide for inline storage");
+    static_assert(std::is_trivially_copyable_v<F>, "closure must be trivially copyable");
+    return f;
+  }
 
+  /// A cleared request state off the free list (a new one when it is empty).
+  RequestState* AcquireRequest();
+  /// Returns `st` to the free list; it must have no outstanding run.
+  void ReleaseRequest(RequestState* st);
+  /// A fresh run context from the run slab (see runs_).
+  RunContext* AcquireRun();
   /// Fetch: routes the request (health shed / replica failover), plans its
   /// misses into runs and submits each.
-  void StartIoPhase(std::shared_ptr<RequestState> st);
+  void StartIoPhase(RequestState* st);
   /// Throttle admission of one run, and the one re-drive path (a retry after
   /// backoff, or read-repair on a new route). A first attempt the scheduler
   /// will share enqueues at once; every other attempt waits for a throttle
   /// slot first.
-  void SubmitRun(const std::shared_ptr<RequestState>& st,
-                 const std::shared_ptr<RunContext>& run, bool first_attempt);
+  void SubmitRun(RunContext* run);
   /// Enqueues one admitted run with the scheduler. Per-read accounting
   /// happens only on the first attempt (retries must not double-count).
   /// `acquired_slot` says whether the caller holds a throttle slot for this
   /// run; a slot-holding run that ends up sharing releases it here.
-  void EnqueueRun(const std::shared_ptr<RequestState>& st,
-                  const std::shared_ptr<RunContext>& run, bool first_attempt,
-                  bool acquired_slot);
+  void EnqueueRun(RunContext* run, bool acquired_slot);
   /// Completion for one run: scatter rows out of the (possibly shared) read
   /// buffer and fill caches; retry transient device errors, then re-drive the
   /// run once against the extent's other copy before surfacing the failure.
-  BatchScheduler::Completion MakeRunCompletion(const std::shared_ptr<RequestState>& st,
-                                               const std::shared_ptr<RunContext>& run);
+  void CompleteRun(RunContext* run, const Status& status, const uint8_t* data, Bytes base);
   /// Where a terminally-failed read on `failed_device` can be re-driven: the
   /// extent's replica when the primary failed, the (healthy) primary when a
   /// replica read failed, nullopt when no second copy exists.
   std::optional<SharedDeviceService::ReplicaRoute> RepairRoute(TableId table_id,
                                                                size_t failed_device);
   /// Pool: fan-out, per-source row accounting, dequantize and pool.
-  void FinishRequest(const std::shared_ptr<RequestState>& st);
+  void FinishRequest(RequestState* st);
   /// Both completion tails (pooled-cache hit, FinishRequest): stamps and
   /// records the latency, the windowed metrics and the (sampled) lookup
-  /// span, then calls back with `pooled`.
-  void Complete(RequestState& st, std::vector<float> pooled);
+  /// span, calls back with st->pooled, and releases `st`.
+  void Complete(RequestState* st);
   /// Modeled CPU time of copying `bytes`.
   [[nodiscard]] static SimDuration CopyCost(Bytes bytes);
 
@@ -252,6 +281,20 @@ class LookupEngine {
   EventLoop* loop_;
   PoolingCostModel cost_;
   BagDedup dedup_;
+  /// Every request state made; the free ones are also in free_states_.
+  std::vector<std::unique_ptr<RequestState>> states_;
+  std::vector<RequestState*> free_states_;
+  /// The run slab, an object cache in the manner of Bonwick's slab
+  /// allocator: run contexts are carved from fixed chunks that never move,
+  /// and a run whose completion will not run again goes back on the free
+  /// list. Run completions point into the chunks, and memory tracks the
+  /// engine's peak of concurrent runs.
+  static constexpr size_t kRunsPerChunk = 64;
+  std::vector<std::unique_ptr<RunContext[]>> run_chunks_;
+  std::vector<RunContext*> free_runs_;
+  /// Planner scratch, cleared (not reallocated) by every IO phase.
+  std::vector<IoPlanner::Miss> misses_;
+  std::vector<PlannedRun> planned_;
   Histogram latency_;
   StatsRegistry stats_;
   Counter* lookups_ = nullptr;

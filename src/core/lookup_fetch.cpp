@@ -17,7 +17,7 @@ constexpr int kReadRetries = 1;
 
 }  // namespace
 
-void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
+void LookupEngine::StartIoPhase(RequestState* st) {
   st->io_phase_started = true;
   const TableRuntime& table = store_->table(st->request.table);
   SharedDeviceService& svc = store_->device_service();
@@ -52,28 +52,30 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
   // adjacent-run merging live in the planner); batching across concurrent
   // requests is the scheduler's job.
   const PlannerConfig pcfg = store_->planner_config(table, device);
-  std::vector<IoPlanner::Miss> misses;
+  misses_.clear();
   for (uint32_t i = 0; i < st->slots.size(); ++i) {
     const auto& slot = st->slots[i];
     if (slot.source != RequestState::Slot::Source::kNone || slot.dup_of >= 0) continue;
-    misses.push_back(IoPlanner::Miss{i, table.offset + slot.physical_row * pcfg.row_bytes});
+    misses_.push_back(IoPlanner::Miss{i, table.offset + slot.physical_row * pcfg.row_bytes});
   }
-  std::vector<PlannedRun> runs = IoPlanner::Plan(std::move(misses), pcfg);
+  IoPlanner::Plan(misses_, pcfg, &planned_);
+  for (const IoPlanner::Miss& m : misses_) st->run_slots.push_back(m.slot);
 
-  st->outstanding_ios = static_cast<int>(runs.size());
-  for (PlannedRun& planned : runs) {
-    auto run = std::make_shared<RunContext>();
-    run->run = std::move(planned);
-    run->read = ReadForRun(run->run, pcfg.sub_block, shift);
+  st->outstanding_ios = static_cast<int>(planned_.size());
+  for (const PlannedRun& planned : planned_) {
+    RunContext* run = AcquireRun();
+    run->st = st;
+    run->run = planned;
     run->device = device;
     run->shift = shift;
-    const Bytes bus = NvmeDevice::BusBytes(run->run.span_begin,
-                                           run->run.span_end - run->run.span_begin,
-                                           pcfg.sub_block);
-    run->bytes_saved = run->run.per_row_bus > bus ? run->run.per_row_bus - bus : 0;
+    run->sub_block = pcfg.sub_block;
+    const Bytes bus =
+        NvmeDevice::BusBytes(planned.span_begin, planned.span_end - planned.span_begin,
+                             pcfg.sub_block);
+    run->bytes_saved = planned.per_row_bus > bus ? planned.per_row_bus - bus : 0;
     run->insert_blocks = store_->block_cache() != nullptr && table.cache_enabled;
     run->attempts_left = kReadRetries;
-    SubmitRun(st, run, /*first_attempt=*/true);
+    SubmitRun(run);
   }
 
   // Demand runs are enqueued (holding whatever batch is forming); now let
@@ -84,8 +86,7 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
   }
 }
 
-void LookupEngine::SubmitRun(const std::shared_ptr<RequestState>& st,
-                             const std::shared_ptr<RunContext>& run, bool first_attempt) {
+void LookupEngine::SubmitRun(RunContext* run) {
   // Scheduler-aware throttle admission: the per-table budget (§4.1) counts
   // device reads *after* merging. A first attempt the scheduler will join
   // or merge adds no device read, so it enqueues immediately without a slot
@@ -95,33 +96,35 @@ void LookupEngine::SubmitRun(const std::shared_ptr<RequestState>& st,
   // EnqueueRun releases the slot on the spot). In the bypass modes nothing
   // is shared, so every run takes a slot, and the scheduler's delay-0 flush
   // timer rings one doorbell per virtual instant.
-  const BatchScheduler::ReadRequest& r = run->read;
-  if (first_attempt && store_->scheduler(run->device)
-                           .WouldShare(r.span_begin, r.span_end, r.first_block,
-                                       r.last_block, r.sub_block)) {
-    EnqueueRun(st, run, first_attempt, /*acquired_slot=*/false);
+  const BatchScheduler::ReadRequest r = ReadForRun(run->run, run->sub_block, run->shift);
+  if (run->first_attempt && store_->scheduler(run->device)
+                                .WouldShare(r.span_begin, r.span_end, r.first_block,
+                                            r.last_block, r.sub_block)) {
+    EnqueueRun(run, /*acquired_slot=*/false);
     return;
   }
-  store_->AcquireIoSlot(st->request.table, [this, st, run, first_attempt] {
-    EnqueueRun(st, run, first_attempt, /*acquired_slot=*/true);
-  });
+  store_->AcquireIoSlot(run->st->request.table,
+                        Inline([this, run] { EnqueueRun(run, /*acquired_slot=*/true); }));
 }
 
-void LookupEngine::EnqueueRun(const std::shared_ptr<RequestState>& st,
-                              const std::shared_ptr<RunContext>& run, bool first_attempt,
-                              bool acquired_slot) {
+void LookupEngine::EnqueueRun(RunContext* run, bool acquired_slot) {
+  RequestState* st = run->st;
+  const bool first_attempt = run->first_attempt;
+  run->first_attempt = false;
   // QoS lane + fair-share identity: a background-class tenant's demand
   // rides the scheduler's byte-budgeted background lane (src/tenant).
   // Coalescing counters count only on the first attempt; a retry is the
   // same logical read.
-  BatchScheduler::ReadRequest req = run->read;
+  BatchScheduler::ReadRequest req = ReadForRun(run->run, run->sub_block, run->shift);
   req.kind = store_->demand_kind();
   req.tenant = store_->tenant_id();
   if (!first_attempt) {
     req.rows = 0;
     req.per_row_bus = 0;
   }
-  req.cb = MakeRunCompletion(st, run);
+  req.cb = Inline([this, run](Status status, const uint8_t* data, Bytes base) {
+    CompleteRun(run, status, data, base);
+  });
 
   const BatchScheduler::Admission admission =
       store_->scheduler(run->device).Enqueue(std::move(req));
@@ -165,80 +168,81 @@ std::optional<SharedDeviceService::ReplicaRoute> LookupEngine::RepairRoute(
   return std::nullopt;
 }
 
-BatchScheduler::Completion LookupEngine::MakeRunCompletion(
-    const std::shared_ptr<RequestState>& st, const std::shared_ptr<RunContext>& run) {
-  return [this, st, run](Status status, const uint8_t* data, Bytes base) {
-    if (run->holds_slot) store_->ReleaseIoSlot(st->request.table);
-    store_->device_service().health().Record(run->device, status.ok());
-    if (!status.ok()) {
-      // Transient (device-side) errors are retried after an exponential
-      // backoff; invalid requests surface immediately.
-      if (IsTransientError(status.code()) && run->attempts_left > 0) {
-        io_retries_->Add(1);
-        const int attempt_index = kReadRetries - run->attempts_left--;
-        const SimDuration backoff = SimDuration(
-            store_->tuning().retry_backoff_base.nanos() << std::min(attempt_index, 30));
-        auto redrive = [this, st, run] { SubmitRun(st, run, /*first_attempt=*/false); };
-        if (backoff > SimDuration(0)) {
-          loop_->ScheduleAfter(backoff, std::move(redrive));
-        } else {
-          redrive();
-        }
+void LookupEngine::CompleteRun(RunContext* run, const Status& status, const uint8_t* data,
+                               Bytes base) {
+  RequestState* st = run->st;
+  if (run->holds_slot) store_->ReleaseIoSlot(st->request.table);
+  store_->device_service().health().Record(run->device, status.ok());
+  if (!status.ok()) {
+    // Transient (device-side) errors are retried after an exponential
+    // backoff; invalid requests surface immediately.
+    if (IsTransientError(status.code()) && run->attempts_left > 0) {
+      io_retries_->Add(1);
+      const int attempt_index = kReadRetries - run->attempts_left--;
+      const SimDuration backoff = SimDuration(
+          store_->tuning().retry_backoff_base.nanos() << std::min(attempt_index, 30));
+      auto redrive = Inline([this, run] { SubmitRun(run); });
+      if (backoff > SimDuration(0)) {
+        loop_->ScheduleAfter(backoff, redrive);
+      } else {
+        redrive();
+      }
+      return;
+    }
+    // Read-repair: one re-drive of the terminally-failed run against the
+    // extent's replica (or back to a recovered primary when the replica
+    // was the one failing). The run's rows would otherwise pool as zeros
+    // — bit rot and exhausted retries both land here.
+    if (!run->repairing) {
+      if (const auto route = RepairRoute(st->request.table, run->device)) {
+        run->repairing = true;
+        run->device = route->device;
+        run->shift = route->shift;
+        run->attempts_left = kReadRetries;
+        SubmitRun(run);
         return;
       }
-      // Read-repair: one re-drive of the terminally-failed run against the
-      // extent's replica (or back to a recovered primary when the replica
-      // was the one failing). The run's rows would otherwise pool as zeros
-      // — bit rot and exhausted retries both land here.
-      if (!run->repairing) {
-        if (const auto route = RepairRoute(st->request.table, run->device)) {
-          run->repairing = true;
-          run->read = ReadForRun(run->run, run->read.sub_block, route->shift);
-          run->device = route->device;
-          run->shift = route->shift;
-          run->attempts_left = kReadRetries;
-          SubmitRun(st, run, /*first_attempt=*/false);
-          return;
-        }
-      }
-      // One failed device read fails every row it carried: they keep no
-      // source, and only io_errors is charged here.
-      io_errors_->Add(1);
-    } else {
-      if (run->repairing) {
-        read_repairs_->Add(1);
-        ++st->trace.read_repairs;
-      }
-      const TableRuntime& t = store_->table(st->request.table);
-      DualRowCache* cache = store_->row_cache();
-      const bool fill_rows = cache != nullptr && t.cache_enabled;
-      // `base` is in the serving device's space; row offsets are primary-
-      // space, so the scatter applies the run's shift.
-      const Bytes rb = st->stored_row_bytes;
-      for (const uint32_t i : run->run.slot_indices) {
-        auto& slot = st->slots[i];
-        const Bytes off = t.offset + slot.physical_row * rb;
-        const std::span<uint8_t> dest(st->row_bytes.data() + i * rb, rb);
-        std::memcpy(dest.data(),
-                    data + (static_cast<int64_t>(off) + run->shift - static_cast<int64_t>(base)),
-                    rb);
-        slot.source = RequestState::Slot::Source::kSm;
-        if (fill_rows) {
-          cache->Insert(RowKey{st->request.table, slot.physical_row}, dest);
-          st->cpu_post += cache->RouteCpuCost(st->request.table);
-        }
-      }
-      st->cpu_post += CopyCost(run->run.slot_indices.size() * rb);
-      if (run->insert_blocks) {
-        // The shared buffer holds whole blocks: fill the block layer with
-        // this run's slice of them (joiners skip this; the owner inserts).
-        st->cpu_post += CopyCost(FillBlockCache(
-            *store_->block_cache(), static_cast<uint32_t>(t.sm_device), run->run.first_block,
-            run->run.last_block, data, base, run->shift));
+    }
+    // One failed device read fails every row it carried: they keep no
+    // source, and only io_errors is charged here.
+    io_errors_->Add(1);
+  } else {
+    if (run->repairing) {
+      read_repairs_->Add(1);
+      ++st->trace.read_repairs;
+    }
+    const TableRuntime& t = store_->table(st->request.table);
+    DualRowCache* cache = store_->row_cache();
+    const bool fill_rows = cache != nullptr && t.cache_enabled;
+    // `base` is in the serving device's space; row offsets are primary-
+    // space, so the scatter applies the run's shift.
+    const Bytes rb = st->stored_row_bytes;
+    for (uint32_t k = run->run.first_miss; k < run->run.end_miss; ++k) {
+      const uint32_t i = st->run_slots[k];
+      auto& slot = st->slots[i];
+      const Bytes off = t.offset + slot.physical_row * rb;
+      const std::span<uint8_t> dest(st->row_bytes.data() + i * rb, rb);
+      std::memcpy(dest.data(),
+                  data + (static_cast<int64_t>(off) + run->shift - static_cast<int64_t>(base)),
+                  rb);
+      slot.source = RequestState::Slot::Source::kSm;
+      if (fill_rows) {
+        cache->Insert(RowKey{st->request.table, slot.physical_row}, dest);
+        st->cpu_post += cache->RouteCpuCost(st->request.table);
       }
     }
-    if (--st->outstanding_ios == 0) FinishRequest(st);
-  };
+    st->cpu_post += CopyCost(run->run.rows() * rb);
+    if (run->insert_blocks) {
+      // The shared buffer holds whole blocks: fill the block layer with
+      // this run's slice of them (joiners skip this; the owner inserts).
+      st->cpu_post += CopyCost(FillBlockCache(
+          *store_->block_cache(), static_cast<uint32_t>(t.sm_device), run->run.first_block,
+          run->run.last_block, data, base, run->shift));
+    }
+  }
+  // The run is done: its completion will not run again.
+  free_runs_.push_back(run);
+  if (--st->outstanding_ios == 0) FinishRequest(st);
 }
 
 }  // namespace sdm

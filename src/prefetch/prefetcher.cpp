@@ -105,10 +105,14 @@ void Prefetcher::MaybeIssue(TableId table) {
 void Prefetcher::IssueRuns(TableState& st, std::vector<IoPlanner::Miss> misses,
                            const std::vector<RowIndex>& rows) {
   BatchScheduler& scheduler = *schedulers_[st.info.device];
-  for (const PlannedRun& run : IoPlanner::Plan(std::move(misses), st.info.plan)) {
+  std::vector<PlannedRun> runs;
+  IoPlanner::Plan(misses, st.info.plan, &runs);
+  for (const PlannedRun& run : runs) {
     std::vector<RowIndex> run_rows;
-    run_rows.reserve(run.slot_indices.size());
-    for (const uint32_t slot : run.slot_indices) run_rows.push_back(rows[slot]);
+    run_rows.reserve(run.rows());
+    for (uint32_t k = run.first_miss; k < run.end_miss; ++k) {
+      run_rows.push_back(rows[misses[k].slot]);
+    }
 
     BatchScheduler::ReadRequest req = ReadForRun(run, st.info.plan.sub_block, /*shift=*/0);
     req.kind = BatchScheduler::ReadRequest::Kind::kPrefetch;

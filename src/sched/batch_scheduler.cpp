@@ -83,17 +83,6 @@ constexpr uint64_t TenantIoShare::*kTenantShareFields[] = {
     &TenantIoShare::prefetch_bytes,    &TenantIoShare::singleflight_hits,
     &TenantIoShare::cross_tenant_hits, &TenantIoShare::cross_tenant_bytes_saved};
 
-/// Grows pending SQE `p` to cover run (or SQE) `r` too.
-template <typename Run, typename Pending>
-void Widen(Pending& p, const Run& r) {
-  p.span_begin = std::min(p.span_begin, r.span_begin);
-  p.span_end = std::max(p.span_end, r.span_end);
-  p.first_block = std::min(p.first_block, r.first_block);
-  p.last_block = std::max(p.last_block, r.last_block);
-  p.rows += r.rows;
-  p.per_row_bus += r.per_row_bus;
-}
-
 }  // namespace
 
 CrossRequestIoStats CrossRequestIoStats::Since(const CrossRequestIoStats& base) const {
@@ -178,10 +167,53 @@ void BatchScheduler::RecordJoin(const ReadRequest& req, uint32_t owner_tenant) {
   }
 }
 
+template <typename Span>
+void BatchScheduler::Widen(Read& p, const Span& r) {
+  if (r.first_block < p.first_block) CountPending(r.first_block, p.first_block - 1, +1);
+  if (r.last_block > p.last_block) CountPending(p.last_block + 1, r.last_block, +1);
+  p.span_begin = std::min(p.span_begin, r.span_begin);
+  p.span_end = std::max(p.span_end, r.span_end);
+  p.first_block = std::min(p.first_block, r.first_block);
+  p.last_block = std::max(p.last_block, r.last_block);
+  p.rows += r.rows;
+  p.per_row_bus += r.per_row_bus;
+}
+
+void BatchScheduler::CountPending(uint64_t first_block, uint64_t last_block, int delta) {
+  for (uint64_t b = first_block; b <= last_block; ++b) {
+    if (delta > 0) {
+      ++pending_blocks_.FindOrInsert(b);
+    } else if (uint32_t* count = pending_blocks_.Find(b); --*count == 0) {
+      pending_blocks_.Erase(b);
+    }
+  }
+}
+
+bool BatchScheduler::PendingNear(Bytes begin, Bytes end, uint64_t first_block,
+                                 uint64_t last_block, bool sub_block) const {
+  // Compatible needs a pending SQE's blocks to meet [first_block - 1,
+  // last_block + 1] (block mode), or its span to come within
+  // coalesce_gap_bytes of [begin, end) (sub-block mode).
+  uint64_t lo = first_block == 0 ? 0 : first_block - 1;
+  uint64_t hi = last_block + 1;
+  if (sub_block) {
+    const Bytes reach = config_.coalesce_gap_bytes + 1;
+    lo = std::min(lo, (begin > reach ? begin - reach : 0) / kBlockSize);
+    hi = std::max(hi, (end + config_.coalesce_gap_bytes) / kBlockSize);
+  }
+  // Probing a window wider than the pending set costs more than the scan.
+  if (hi - lo + 1 > pending_.size()) return true;
+  for (uint64_t b = lo; b <= hi; ++b) {
+    if (pending_blocks_.Find(b) != nullptr) return true;
+  }
+  return false;
+}
+
 bool BatchScheduler::WouldShare(Bytes span_begin, Bytes span_end, uint64_t first_block,
                                 uint64_t last_block, bool sub_block) const {
   if (!config_.cross_request) return false;
   if (live_reads_.FindCovering(span_begin, span_end, sub_block) != nullptr) return true;
+  if (!PendingNear(span_begin, span_end, first_block, last_block, sub_block)) return false;
   // Only full coverage counts as sharing here. A span-GROWING merge still
   // adds media occupancy (service time scales with bus bytes), so it must
   // queue for an outstanding-IO slot like any other device work — letting
@@ -196,6 +228,10 @@ bool BatchScheduler::WouldShare(Bytes span_begin, Bytes span_end, uint64_t first
 }
 
 BatchScheduler::Admission BatchScheduler::Enqueue(ReadRequest req) {
+  // PendingNear and the pending-block counts read a run's blocks for its span.
+  assert(req.span_begin < req.span_end);
+  assert(req.first_block == req.span_begin / kBlockSize);
+  assert(req.last_block == (req.span_end - 1) / kBlockSize);
   if (!config_.cross_request) {
     // Bypass-mode parity: the ablation baselines gain no speculation side
     // channel, so the prefetch lane is inert without cross-request
@@ -238,19 +274,23 @@ BatchScheduler::Admission BatchScheduler::Enqueue(ReadRequest req) {
       {Kind::kDemand, Kind::kBackground, Kind::kPrefetch},
       {Kind::kDemand, Kind::kPrefetch, Kind::kBackground},
       {Kind::kDemand, Kind::kBackground, Kind::kPrefetch}};
-  for (const Kind section : kScanOrder[Index(kind)]) {
-    const size_t end = SectionEnd(section);
-    for (size_t i = end - SectionSize(section); i < end; ++i) {
-      bool covered = false;
-      if (!Compatible(pending_[i], req.span_begin, req.span_end, req.first_block,
-                      req.last_block, req.sub_block, &covered)) {
-        continue;
+  // The prefilter skips only scans that would find no compatible SQE.
+  if (PendingNear(req.span_begin, req.span_end, req.first_block, req.last_block,
+                  req.sub_block)) {
+    for (const Kind section : kScanOrder[Index(kind)]) {
+      const size_t end = SectionEnd(section);
+      for (size_t i = end - SectionSize(section); i < end; ++i) {
+        bool covered = false;
+        if (!Compatible(pending_[i], req.span_begin, req.span_end, req.first_block,
+                        req.last_block, req.sub_block, &covered)) {
+          continue;
+        }
+        // Growth is demand's right everywhere, a lane's only within the
+        // lane: a lane run growing a demand SQE would inflate a foreground
+        // read for low-priority bytes.
+        if (!covered && section != kind && kind != Kind::kDemand) continue;
+        return Join(req, i, section, covered);
       }
-      // Growth is demand's right everywhere, a lane's only within the lane:
-      // a lane run growing a demand SQE would inflate a foreground read for
-      // low-priority bytes.
-      if (!covered && section != kind && kind != Kind::kDemand) continue;
-      return Join(req, i, section, covered);
     }
   }
   if (kind == Kind::kDemand) return Append(req, 0);
@@ -287,7 +327,10 @@ BatchScheduler::Admission BatchScheduler::Append(ReadRequest& req, Bytes budget)
   p.rows = req.rows;
   p.per_row_bus = req.per_row_bus;
   p.service_local = req.service_local;
+  // Room for a few riders up front: joins then do not regrow the list.
+  p.subscribers.reserve(kReservedSubscribers);
   p.subscribers.push_back(std::move(req.cb));
+  CountPending(p.first_block, p.last_block, +1);
   pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(SectionEnd(req.kind)),
                   std::move(p));
   ++section_size_[Index(req.kind)];
@@ -450,6 +493,7 @@ void BatchScheduler::FuseOverlappingPending(size_t i) {
       }
       p.service_local = p.service_local && q.service_local;
       for (Completion& cb : q.subscribers) p.subscribers.push_back(std::move(cb));
+      CountPending(q.first_block, q.last_block, -1);
       cross_request_merges_->Add(1);
       if (obs_merges_ != nullptr) obs_merges_->Add(loop_->Now());
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(j));
@@ -557,6 +601,7 @@ void BatchScheduler::Flush() {
   std::vector<IoEngine::ReadOp> ops;
   ops.reserve(n);
   for (size_t j = 0; j < n; ++j) {
+    CountPending(pending_[j].first_block, pending_[j].last_block, -1);
     auto read = std::make_shared<Read>(std::move(pending_[j]));
     const Read& p = *read;
     // The device lands data at its alignment base: the first byte of the

@@ -54,6 +54,18 @@
 // SQE of its own or higher priority in place, and moves a lower-priority
 // one to the end of its own section (promotion).
 //
+// Pending-set prefilter: a flat table (BlockTable) counts, per block, the
+// pending SQEs whose block range touches it. WouldShare and Enqueue scan
+// the pending set only when some pending SQE touches the run's
+// neighbourhood — blocks first_block - 1 .. last_block + 1, widened in
+// sub-block mode to the bytes within coalesce_gap_bytes of the span.
+// The skip is exact: Compatible holds only for an SQE that covers the run
+// (it shares the run's first block), fuses with it in block mode (their
+// block ranges overlap or abut), or lies within the gap in sub-block mode,
+// and every such SQE touches that window. It relies on a run's and an SQE's
+// block range being the blocks of its span, which Enqueue asserts and
+// Widen keeps.
+//
 // With `cross_request = false` (bypass, the io_batching ablation modes) the
 // scheduler never merges or single-flights across enqueues, and both
 // low-priority lanes are INERT (their enqueues assert/drop); a delay-0
@@ -407,6 +419,9 @@ class BatchScheduler {
   /// Memory backstop on a lane's SQE count (the byte budget is the real
   /// admission control; this only bounds a degenerate many-tiny-spans lane).
   static constexpr size_t kMaxLaneSqes = 256;
+  /// Subscriber slots a new SQE reserves: its owner and up to three riders
+  /// join without regrowing the list.
+  static constexpr size_t kReservedSubscribers = 4;
 
   [[nodiscard]] LanePolicy Policy(Kind lane) const;
 
@@ -452,6 +467,18 @@ class BatchScheduler {
   /// device and must not enter this scheduler's demand-p99 population.
   void SettleRead(const std::shared_ptr<Read>& read, const Status& status,
                   const uint8_t* data, bool replica_win = false);
+  /// Grows pending SQE `p` to cover run (or SQE) `r` too, counting the
+  /// blocks it gains in the prefilter.
+  template <typename Span>
+  void Widen(Read& p, const Span& r);
+  /// Adds `delta` (+1 or -1) to the pending-SQE count of every block in
+  /// [first_block, last_block].
+  void CountPending(uint64_t first_block, uint64_t last_block, int delta);
+  /// False only when no pending SQE can be Compatible with the run (see the
+  /// file header); true also when the window is wider than the pending set,
+  /// which is then cheaper to scan than to probe.
+  [[nodiscard]] bool PendingNear(Bytes begin, Bytes end, uint64_t first_block,
+                                 uint64_t last_block, bool sub_block) const;
   /// Bus bytes of a run or pending SQE.
   template <typename Span>
   [[nodiscard]] static Bytes BusOf(const Span& s) {
@@ -470,6 +497,9 @@ class BatchScheduler {
   /// prefetch. `section_size_` holds each section's length, by Kind.
   std::vector<Read> pending_;
   size_t section_size_[kNumKinds] = {};
+  /// Per block, how many pending SQEs' block ranges touch it (the
+  /// prefilter); blocks no pending SQE touches have no entry.
+  BlockTable<uint32_t> pending_blocks_;
   Lane lanes_[kNumKinds - 1];
   /// Live reads in issue order, indexed by the blocks their windows touch.
   InFlightIndex<Read> live_reads_;

@@ -6,14 +6,16 @@
 
 namespace sdm {
 
-std::vector<PlannedRun> IoPlanner::Plan(std::vector<Miss> misses,
-                                        const PlannerConfig& config) {
+void IoPlanner::Plan(std::vector<Miss>& misses, const PlannerConfig& config,
+                     std::vector<PlannedRun>* out) {
   std::sort(misses.begin(), misses.end(),
             [](const Miss& a, const Miss& b) { return a.offset < b.offset; });
 
   const Bytes rb = config.row_bytes;
-  std::vector<PlannedRun> runs;
-  for (const Miss& m : misses) {
+  std::vector<PlannedRun>& runs = *out;
+  runs.clear();
+  for (uint32_t k = 0; k < misses.size(); ++k) {
+    const Miss& m = misses[k];
     const uint64_t block = m.offset / kBlockSize;
     const uint64_t last = (m.offset + rb - 1) / kBlockSize;
     const Bytes end = m.offset + rb;
@@ -31,7 +33,7 @@ std::vector<PlannedRun> IoPlanner::Plan(std::vector<Miss> misses,
           (last - r.first_block + 1) * kBlockSize <= config.max_coalesce_bytes) {
         r.last_block = last;
         r.span_end = end;
-        r.slot_indices.push_back(m.slot);
+        r.end_miss = k + 1;
         r.per_row_bus += solo_bus;
         continue;
       }
@@ -41,11 +43,11 @@ std::vector<PlannedRun> IoPlanner::Plan(std::vector<Miss> misses,
     r.last_block = last;
     r.span_begin = m.offset;
     r.span_end = end;
-    r.slot_indices = {m.slot};
+    r.first_miss = k;
+    r.end_miss = k + 1;
     r.per_row_bus = solo_bus;
-    runs.push_back(std::move(r));
+    runs.push_back(r);
   }
-  return runs;
 }
 
 BatchScheduler::ReadRequest ReadForRun(const PlannedRun& run, bool sub_block, int64_t shift) {
@@ -55,7 +57,7 @@ BatchScheduler::ReadRequest ReadForRun(const PlannedRun& run, bool sub_block, in
   req.first_block = run.first_block + static_cast<uint64_t>(shift / kBlockSize);
   req.last_block = run.last_block + static_cast<uint64_t>(shift / kBlockSize);
   req.sub_block = sub_block;
-  req.rows = static_cast<uint32_t>(run.slot_indices.size());
+  req.rows = run.rows();
   req.per_row_bus = run.per_row_bus;
   return req;
 }

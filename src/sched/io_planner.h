@@ -40,11 +40,14 @@ struct PlannedRun {
   uint64_t last_block = 0;
   Bytes span_begin = 0;  ///< device offset of the first useful byte
   Bytes span_end = 0;    ///< one past the last useful byte
-  /// Caller-defined handles (LookupEngine: request slot indices) of the
-  /// rows this run carries, in device-offset order.
-  std::vector<uint32_t> slot_indices;
+  /// The rows this run carries: misses [first_miss, end_miss) of the array
+  /// Plan sorted, in device-offset order.
+  uint32_t first_miss = 0;
+  uint32_t end_miss = 0;
   /// Bus bytes the per-row path would have moved for these rows.
   Bytes per_row_bus = 0;
+
+  [[nodiscard]] uint32_t rows() const { return end_miss - first_miss; }
 };
 
 struct PlannerConfig {
@@ -67,9 +70,11 @@ class IoPlanner {
   };
 
   /// Pure function of (misses, config); `misses` may arrive in any order.
-  /// Runs come out in device-offset order.
-  [[nodiscard]] static std::vector<PlannedRun> Plan(std::vector<Miss> misses,
-                                                    const PlannerConfig& config);
+  /// Sorts `misses` by device offset in place, so each run's rows are one
+  /// contiguous range of it, and replaces `*runs` with the runs in
+  /// device-offset order. Both vectors keep their capacity across calls.
+  static void Plan(std::vector<Miss>& misses, const PlannerConfig& config,
+                   std::vector<PlannedRun>* runs);
 };
 
 /// The scheduler read serving `run` on a device whose address space sits

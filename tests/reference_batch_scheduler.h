@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "device/nvme_device.h"
+#include "reference_in_flight_index.h"
 #include "sched/batch_scheduler.h"
 
 namespace sdm {
@@ -300,7 +301,7 @@ class ReferenceBatchScheduler {
   std::vector<PendingRead> pending_;  ///< demand batch (full flush rights)
   Lane lanes_[kNumLanes];
   /// Live reads in issue order, indexed by the blocks their windows touch.
-  InFlightIndex<InFlightRead> live_reads_;
+  ReferenceInFlightIndex<InFlightRead> live_reads_;
   /// Invalidates armed flush timers when the batch they were armed for has
   /// already been flushed by the size trigger.
   uint64_t flush_generation_ = 0;

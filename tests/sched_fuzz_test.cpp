@@ -1,18 +1,22 @@
 // Differential fuzzer for BatchScheduler.
 //
 // Two rigs — each an EventLoop, an NvmeDevice with a FaultInjector, an
-// IoEngine and a BufferArena over the same device image — run the same
-// seeded operation sequence. One drives the BatchScheduler in src/sched,
-// the other the two-list scheduler it replaced, kept verbatim in
-// tests/reference_batch_scheduler.h. After every operation the rigs must
+// IoEngine, a healthy replica device and engine, and a BufferArena over the
+// same device image — run the same seeded operation sequence. One drives
+// the BatchScheduler in src/sched, the other the two-list scheduler it
+// replaced, kept verbatim in tests/reference_batch_scheduler.h with the
+// unordered_map block index of tests/reference_in_flight_index.h, so the
+// flat index is checked too. After every operation the rigs must
 // agree on each admission, each subscriber callback (id, status, virtual
 // time, and the bytes of its span), the stats snapshot and every
 // counter, each tenant's fair-share ledger, every pending, parked, budget
-// and in-flight accessor, and the engine, device and arena counters.
+// and in-flight accessor, and the engine, device and arena counters (the
+// replica's included).
 //
 // Each seed runs a series of episodes; each episode draws a scheduler
 // config (cross-request on or off, batch size and delay, merge cap and gap,
-// lane budgets of 1-4 blocks so runs drop and park, IO deadlines, hedging),
+// lane budgets of 1-4 blocks so runs drop and park, IO deadlines, hedging,
+// and whether hedges of even-block spans go to the replica),
 // an engine queue depth, a fault plan with an error burst, a fail-slow
 // window and a stall, and how often steps flush or run the loop. Block and
 // sub-block runs start in the first 6, 16 or 64 blocks of a 64-block
@@ -27,6 +31,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +48,9 @@ constexpr uint64_t kDeviceBlocks = 64;
 constexpr Bytes kDeviceBytes = kDeviceBlocks * kBlockSize;
 constexpr int kEpisodesPerSeed = 50;
 constexpr int kStepsPerEpisode = 2000;
+/// Where the replica device holds the primary's bytes (a whole number of
+/// blocks, as a placed extent replica is).
+constexpr int64_t kReplicaShift = 4 * static_cast<int64_t>(kBlockSize);
 
 using Kind = BatchScheduler::ReadRequest::Kind;
 
@@ -57,6 +65,9 @@ struct Episode {
   /// flushes and loop runs let more SQEs pile up in every section.
   uint64_t flush_pct = 10;
   uint64_t run_pct = 15;
+  /// With hedging on: hedges of spans starting in an even block go to a
+  /// healthy replica device (at kReplicaShift) instead of the primary.
+  bool replica = false;
 };
 
 /// One operation, drawn once and applied to both rigs.
@@ -137,6 +148,7 @@ Episode DrawEpisode(Rng& rng) {
   ep.faults.FailSlow(sb, se, rng.NextDouble(3, 40));
   const auto [tb, te] = window(20, 300);
   ep.faults.Stall(tb, te);
+  ep.replica = c.hedge_latency_factor > 0 && rng.NextBounded(2) == 0;
   return ep;
 }
 
@@ -183,11 +195,24 @@ struct Rig {
       : device(MakeOptaneSsdSpec(), kDeviceBytes, &loop, seed),
         injector(ep.faults, &loop, seed ^ 0xfa17),
         engine(&device, &loop, ep.engine),
+        replica_device(MakeOptaneSsdSpec(), kDeviceBytes + kReplicaShift, &loop, seed ^ 0x4e91),
+        replica_engine(&replica_device, &loop, ep.engine),
         sched(&engine, &arena, &loop, ep.sched),
         image(&image_bytes) {
     device.set_fault_injector(&injector, 0);
     EXPECT_TRUE(device.Write(0, image_bytes).ok());
-    const StatsRegistry* const registries[] = {&sched.stats(), &engine.stats(), &device.stats()};
+    EXPECT_TRUE(replica_device.Write(kReplicaShift, image_bytes).ok());
+    if (ep.replica) {
+      sched.set_replica_peer([this](Bytes begin, Bytes) {
+        using Peer = typename Scheduler::ReplicaPeer;
+        return (begin / kBlockSize) % 2 == 0
+                   ? std::optional<Peer>(Peer{&replica_engine, kReplicaShift})
+                   : std::nullopt;
+      });
+    }
+    const StatsRegistry* const registries[] = {&sched.stats(), &engine.stats(), &device.stats(),
+                                               &replica_engine.stats(),
+                                               &replica_device.stats()};
     for (const StatsRegistry* r : registries) {
       for (const auto& [name, value] : r->Counters()) {
         counter_names.push_back(name);
@@ -255,6 +280,8 @@ struct Rig {
   NvmeDevice device;
   FaultInjector injector;
   IoEngine engine;
+  NvmeDevice replica_device;  ///< healthy: no fault injector
+  IoEngine replica_engine;
   BufferArena arena;
   Scheduler sched;
   const std::vector<uint8_t>* image;  ///< the device's bytes, for checking deliveries
@@ -306,6 +333,8 @@ std::string Diff(const A& ref, const B& live, size_t* checked) {
   SDM_FUZZ_SAME(sched.tenant_span());
   SDM_FUZZ_SAME(engine.outstanding());
   SDM_FUZZ_SAME(engine.queued());
+  SDM_FUZZ_SAME(replica_engine.outstanding());
+  SDM_FUZZ_SAME(replica_engine.queued());
   SDM_FUZZ_SAME(arena.stats().acquires);
   SDM_FUZZ_SAME(arena.stats().allocations);
   SDM_FUZZ_SAME(arena.pooled_buffers());
@@ -329,6 +358,7 @@ TEST_P(SchedFuzz, MatchesTheTwoListSchedulerOpByOp) {
   uint64_t steps = 0;
   CrossRequestIoStats seen;  // what the live scheduler did, over all episodes
   uint64_t lane_joins = 0;
+  uint64_t replica_wins = 0;
   for (int e = 0; e < kEpisodesPerSeed; ++e) {
     const Episode ep = DrawEpisode(rng);
     std::vector<uint8_t> image(kDeviceBytes);
@@ -385,14 +415,20 @@ TEST_P(SchedFuzz, MatchesTheTwoListSchedulerOpByOp) {
     seen += live.sched.Snapshot();
     lane_joins += live.sched.stats().CounterValue("background_singleflight") +
                   live.sched.stats().CounterValue("prefetch_singleflight");
+    replica_wins += live.sched.stats().CounterValue("replica_hedge_wins");
   }
   EXPECT_GE(steps, 100'000u);
   // Every path the comparison is meant to cover was taken.
   for (const uint64_t count : Fields(seen)) EXPECT_GT(count, 0u);
   EXPECT_GT(lane_joins, 0u);
+  // A replica-served hedge settled its read (and unindexed it) first.
+  EXPECT_GT(replica_wins, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedFuzz, ::testing::Values(1, 2, 3));
+// More seeds than a tier-1 run can afford. Disabled, so ctest skips them;
+// run them with --gtest_also_run_disabled_tests (CI does, under ASan).
+INSTANTIATE_TEST_SUITE_P(DISABLED_LongSeeds, SchedFuzz, ::testing::Range<uint64_t>(4, 20));
 
 }  // namespace
 }  // namespace sdm

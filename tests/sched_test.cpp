@@ -6,6 +6,7 @@
 // three io_batching modes (per-row, per-request, cross-request).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -33,17 +34,35 @@ PlannerConfig BlockPlanner(Bytes row_bytes = 24) {
   return c;
 }
 
+/// A planned run with the slot handles of its rows, read out of the miss
+/// array Plan sorted.
+struct SlotRun : PlannedRun {
+  std::vector<uint32_t> slot_indices;
+};
+
+std::vector<SlotRun> PlanRuns(std::vector<IoPlanner::Miss> misses, const PlannerConfig& cfg) {
+  std::vector<PlannedRun> planned;
+  IoPlanner::Plan(misses, cfg, &planned);
+  std::vector<SlotRun> runs;
+  for (const PlannedRun& p : planned) {
+    SlotRun r{p, {}};
+    for (uint32_t k = p.first_miss; k < p.end_miss; ++k) r.slot_indices.push_back(misses[k].slot);
+    runs.push_back(r);
+  }
+  return runs;
+}
+
 TEST(IoPlanner, EmptyInputPlansNothing) {
-  const std::vector<PlannedRun> runs = IoPlanner::Plan({}, BlockPlanner());
+  const std::vector<SlotRun> runs = PlanRuns({}, BlockPlanner());
   EXPECT_TRUE(runs.empty());
 }
 
 TEST(IoPlanner, SameBlockMissesFormOneRun) {
   // Three 24B rows inside block 0.
-  const std::vector<PlannedRun> runs =
-      IoPlanner::Plan({{0, 24}, {1, 240}, {2, 2400}}, BlockPlanner());
+  const std::vector<SlotRun> runs =
+      PlanRuns({{0, 24}, {1, 240}, {2, 2400}}, BlockPlanner());
   ASSERT_EQ(runs.size(), 1u);
-  const PlannedRun& r = runs[0];
+  const SlotRun& r = runs[0];
   EXPECT_EQ(r.first_block, 0u);
   EXPECT_EQ(r.last_block, 0u);
   EXPECT_EQ(r.span_begin, 24u);
@@ -54,8 +73,8 @@ TEST(IoPlanner, SameBlockMissesFormOneRun) {
 }
 
 TEST(IoPlanner, UnsortedMissesAreSortedByOffset) {
-  const std::vector<PlannedRun> runs =
-      IoPlanner::Plan({{7, 2400}, {3, 24}, {5, 240}}, BlockPlanner());
+  const std::vector<SlotRun> runs =
+      PlanRuns({{7, 2400}, {3, 24}, {5, 240}}, BlockPlanner());
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].slot_indices, (std::vector<uint32_t>{3, 5, 7}));
 }
@@ -65,7 +84,7 @@ TEST(IoPlanner, AdjacentBlocksMergeUpToCap) {
   cfg.max_coalesce_bytes = 2 * kBlockSize;
   // One aligned row per block in blocks 0,1,2: the cap allows two blocks per
   // run, so blocks 0+1 merge and block 2 starts a new run.
-  const std::vector<PlannedRun> runs = IoPlanner::Plan(
+  const std::vector<SlotRun> runs = PlanRuns(
       {{0, 0}, {1, kBlockSize}, {2, 2 * kBlockSize}}, cfg);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].first_block, 0u);
@@ -74,8 +93,8 @@ TEST(IoPlanner, AdjacentBlocksMergeUpToCap) {
 }
 
 TEST(IoPlanner, NonAdjacentBlocksDoNotMerge) {
-  const std::vector<PlannedRun> runs =
-      IoPlanner::Plan({{0, 0}, {1, 2 * kBlockSize}}, BlockPlanner(/*row_bytes=*/64));
+  const std::vector<SlotRun> runs =
+      PlanRuns({{0, 0}, {1, 2 * kBlockSize}}, BlockPlanner(/*row_bytes=*/64));
   EXPECT_EQ(runs.size(), 2u);
 }
 
@@ -86,20 +105,20 @@ TEST(IoPlanner, SubBlockGapBoundSplitsScatteredRows) {
   cfg.coalesce_gap_bytes = 64;
   // Same block, but 1000B of dead gap between the rows: a merge would drag
   // the gap across the bus, so the planner splits.
-  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 0}, {1, 1024}}, cfg);
+  const std::vector<SlotRun> runs = PlanRuns({{0, 0}, {1, 1024}}, cfg);
   EXPECT_EQ(runs.size(), 2u);
 
   cfg.coalesce_gap_bytes = 2048;  // now the gap is acceptable
-  const std::vector<PlannedRun> merged = IoPlanner::Plan({{0, 0}, {1, 1024}}, cfg);
+  const std::vector<SlotRun> merged = PlanRuns({{0, 0}, {1, 1024}}, cfg);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].span_end, 1048u);
 }
 
 TEST(IoPlanner, LoneStraddlingRowIsOneTwoBlockRun) {
   // A 24B row at 4088 straddles blocks 0 and 1.
-  const std::vector<PlannedRun> runs = IoPlanner::Plan({{5, 4088}}, BlockPlanner());
+  const std::vector<SlotRun> runs = PlanRuns({{5, 4088}}, BlockPlanner());
   ASSERT_EQ(runs.size(), 1u);
-  const PlannedRun& r = runs[0];
+  const SlotRun& r = runs[0];
   EXPECT_EQ(r.first_block, 0u);
   EXPECT_EQ(r.last_block, 1u);
   EXPECT_EQ(r.span_begin, 4088u);
@@ -111,7 +130,7 @@ TEST(IoPlanner, LoneStraddlingRowIsOneTwoBlockRun) {
 TEST(IoPlanner, StraddlingRowMergesWithSameAndNextBlockNeighbours) {
   // Block 0 row, then a 0|1 straddler (same block as the run's last), a
   // block 1 row, and a 1|2 straddler: one run over blocks 0..2.
-  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 100}, {1, 4088}, {2, 4200}, {3, 8184}},
+  const std::vector<SlotRun> runs = PlanRuns({{0, 100}, {1, 4088}, {2, 4200}, {3, 8184}},
                                       BlockPlanner());
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].first_block, 0u);
@@ -120,7 +139,7 @@ TEST(IoPlanner, StraddlingRowMergesWithSameAndNextBlockNeighbours) {
   EXPECT_EQ(runs[0].slot_indices, (std::vector<uint32_t>{0, 1, 2, 3}));
 
   // A straddler starting in the block after the run's last joins it too.
-  const std::vector<PlannedRun> next = IoPlanner::Plan({{0, 100}, {1, 8184}}, BlockPlanner());
+  const std::vector<SlotRun> next = PlanRuns({{0, 100}, {1, 8184}}, BlockPlanner());
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].first_block, 0u);
   EXPECT_EQ(next[0].last_block, 2u);
@@ -131,7 +150,7 @@ TEST(IoPlanner, StraddlingRowOverTheCapIsKeptWholeAndSplitsNeighbours) {
   cfg.max_coalesce_bytes = kBlockSize;
   // The straddler alone spans two blocks, over the one-block cap: it is
   // still emitted as its own run, and neither neighbour may join it.
-  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 100}, {1, 4088}, {2, 4200}}, cfg);
+  const std::vector<SlotRun> runs = PlanRuns({{0, 100}, {1, 4088}, {2, 4200}}, cfg);
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_EQ(runs[0].slot_indices, (std::vector<uint32_t>{0}));
   EXPECT_EQ(runs[1].first_block, 0u);
@@ -145,9 +164,9 @@ TEST(IoPlanner, MergeOffPlansOneRunPerMiss) {
   PlannerConfig cfg = BlockPlanner();
   cfg.merge = false;
   // Same-block rows and a duplicate offset: every miss keeps its own run.
-  const std::vector<PlannedRun> runs = IoPlanner::Plan({{0, 24}, {1, 240}, {2, 240}}, cfg);
+  const std::vector<SlotRun> runs = PlanRuns({{0, 24}, {1, 240}, {2, 240}}, cfg);
   ASSERT_EQ(runs.size(), 3u);
-  for (const PlannedRun& r : runs) {
+  for (const SlotRun& r : runs) {
     EXPECT_EQ(r.slot_indices.size(), 1u);
     EXPECT_EQ(r.per_row_bus, kBlockSize);
   }
@@ -292,6 +311,67 @@ TEST(BatchScheduler, SubBlockGapRuleBoundsCrossRequestMerges) {
   rig2.loop.RunUntilIdle();
   EXPECT_EQ(ok2, 3);
   EXPECT_EQ(rig2.DeviceReads(), 1u);
+}
+
+TEST(BatchScheduler, PrefilterReachesASubBlockGapIntoTheBlockAfterNext) {
+  // A run ending on a block boundary fuses with a pending sub-block SQE a
+  // whole gap (4 KiB) later, which starts two blocks past the run's last.
+  // Four far-away fillers make the pending set larger than the prefilter's
+  // window, so the prefilter, not the scan, decides whether to look.
+  BatchSchedulerConfig cfg;
+  cfg.cross_request = true;
+  cfg.max_batch_delay = Micros(5);
+  cfg.coalesce_gap_bytes = kBlockSize;
+  SchedulerRig rig(cfg);
+  int ok = 0;
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(3 * kBlockSize, 3 * kBlockSize + 64, &ok,
+                                           /*sub_block=*/true)),
+            BatchScheduler::Admission::kNewRead);
+  for (const uint64_t block : {9u, 11u, 13u, 15u}) {
+    EXPECT_EQ(rig.sched->Enqueue(rig.Request(block * kBlockSize, block * kBlockSize + 24, &ok,
+                                             /*sub_block=*/true)),
+              BatchScheduler::Admission::kNewRead);
+  }
+  EXPECT_FALSE(rig.sched->WouldShare(kBlockSize + 100, 2 * kBlockSize, 1, 1,
+                                     /*sub_block=*/true));
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(kBlockSize + 100, 2 * kBlockSize, &ok,
+                                           /*sub_block=*/true)),
+            BatchScheduler::Admission::kMergedPending);
+  EXPECT_EQ(rig.sched->pending_sqes(), 5u);
+  rig.loop.RunUntilIdle();
+  EXPECT_EQ(ok, 6);
+  EXPECT_EQ(rig.DeviceReads(), 5u);
+}
+
+TEST(BatchScheduler, WouldShareSaysCoveredWhileEnqueueGrowsAnEarlierSqe) {
+  // Current behaviour, pinned on purpose: the FOUND note in CHANGES.md on
+  // the WouldShare/Enqueue disagreement. WouldShare finds the covering SQE
+  // B, but Enqueue scans demand in order and grows the earlier SQE A,
+  // which merely abuts the run; A and B then exceed the merge cap together
+  // and stay apart. Both blocks 3 cross the bus. Mending it flips the
+  // admission to kJoinedPending and the bus bytes to 6 blocks.
+  BatchSchedulerConfig cfg;
+  cfg.cross_request = true;
+  cfg.max_batch_delay = Micros(5);
+  cfg.max_coalesce_bytes = 4 * kBlockSize;
+  SchedulerRig rig(cfg);
+  int ok = 0;
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(100, 2 * kBlockSize + 200, &ok)),
+            BatchScheduler::Admission::kNewRead);  // A = blocks [0..2]
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(3 * kBlockSize + 100, 5 * kBlockSize + 200, &ok)),
+            BatchScheduler::Admission::kNewRead);  // B = blocks [3..5]
+  const Bytes begin = 3 * kBlockSize + 300;
+  const Bytes end = 3 * kBlockSize + 400;
+  EXPECT_TRUE(rig.sched->WouldShare(begin, end, 3, 3, /*sub_block=*/false));
+  EXPECT_EQ(rig.sched->Enqueue(rig.Request(begin, end, &ok)),
+            BatchScheduler::Admission::kMergedPending);  // A grows to [0..3]
+  EXPECT_EQ(rig.sched->pending_sqes(), 2u);
+  rig.loop.RunUntilIdle();
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(rig.DeviceReads(), 2u);
+  EXPECT_EQ(rig.sched->stats().CounterValue("cross_request_merges"), 1u);
+  EXPECT_EQ(rig.sched->stats().CounterValue("singleflight_hits"), 0u);
+  EXPECT_EQ(rig.sched->tenant_share(0).demand_bytes, 7 * kBlockSize);
 }
 
 TEST(BatchScheduler, CoveredDemandJoinWidensTheSqeButACoveredLaneJoinDoesNot) {
@@ -755,61 +835,114 @@ const IndexedRead* FirstCoveringScan(
   return nullptr;
 }
 
-TEST(InFlightIndex, MatchesAFirstMatchScanInIssueOrder) {
-  constexpr uint64_t kSpaceBlocks = 64;  // small, so windows overlap heavily
-  constexpr size_t kMaxLive = 128;
-  constexpr int kSteps = 100'000;
-  for (const uint64_t seed : {1u, 2u, 3u}) {
-    Rng rng(seed);
-    InFlightIndex<IndexedRead> index;
-    std::vector<std::shared_ptr<IndexedRead>> live;  // issue order
-    uint64_t shadowed = 0;
-    for (int step = 0; step < kSteps; ++step) {
-      if (live.empty() || (live.size() < kMaxLive && rng.NextBounded(2) == 0)) {
-        // Block windows: block base, 1-16 whole blocks. Sub-block windows:
-        // DWORD base and size, up to 16 blocks.
-        auto r = std::make_shared<IndexedRead>();
-        r->sub_block = rng.NextBounded(2) == 1;
-        if (r->sub_block) {
-          const Bytes dwords = kSpaceBlocks * kBlockSize / kDwordBytes;
-          r->base = rng.NextBounded(dwords) * kDwordBytes;
-          const Bytes max_dwords =
-              rng.NextBounded(2) == 0 ? 64 : 16 * kBlockSize / kDwordBytes;
-          r->end = r->base + (1 + rng.NextBounded(max_dwords)) * kDwordBytes;
-        } else {
-          r->base = rng.NextBounded(kSpaceBlocks) * kBlockSize;
-          r->end = r->base + (1 + rng.NextBounded(16)) * kBlockSize;
-        }
-        index.Insert(r, r->base, r->end, r->sub_block);
-        live.push_back(std::move(r));
-      } else {
-        const size_t victim = rng.NextBounded(live.size());
-        index.Erase(live[victim].get(), live[victim]->base, live[victim]->end);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      }
-      ASSERT_EQ(index.size(), live.size());
+/// One shape of index workload: where windows start and how many reads
+/// stay live.
+struct IndexShape {
+  const char* name;
+  uint64_t space_blocks;  ///< windows start in blocks [0, space_blocks)
+  size_t max_live;
+  int steps;
+  /// Steps per phase; phases alternate between filling and draining.
+  int phase_steps;
+  /// Windows start only on blocks whose probes all begin at one slot of a
+  /// 4096-slot table (and so of every smaller one).
+  bool colliding = false;
+};
 
-      // One span anywhere (mostly misses) and one inside a live window
-      // (a guaranteed candidate, often covered by several reads).
-      const bool sub_block = rng.NextBounded(2) == 1;
-      const Bytes begin = rng.NextBounded((kSpaceBlocks + 16) * kBlockSize);
-      const Bytes end = begin + 1 + rng.NextBounded(2 * kBlockSize);
-      ASSERT_EQ(index.FindCovering(begin, end, sub_block),
-                FirstCoveringScan(live, begin, end, sub_block))
-          << "seed " << seed << " step " << step;
-      if (!live.empty()) {
-        const IndexedRead& w = *live[rng.NextBounded(live.size())];
-        const Bytes in_begin = w.base + rng.NextBounded(w.end - w.base);
-        const Bytes in_end = in_begin + 1 + rng.NextBounded(w.end - in_begin);
-        const IndexedRead* want = FirstCoveringScan(live, in_begin, in_end, w.sub_block);
-        ASSERT_EQ(index.FindCovering(in_begin, in_end, w.sub_block), want)
-            << "seed " << seed << " step " << step;
-        shadowed += want != &w ? 1 : 0;
+/// Up to `n` blocks below 2^24 whose BlockTable probes start at the same
+/// slot in a table of `capacity` slots.
+std::vector<uint64_t> CollidingBlocks(size_t n, size_t capacity) {
+  std::vector<uint64_t> blocks;
+  const size_t home = BlockTable<int>::HomeSlot(0, capacity);
+  for (uint64_t b = 0; blocks.size() < n && b < (1u << 24); ++b) {
+    if (BlockTable<int>::HomeSlot(b, capacity) == home) blocks.push_back(b);
+  }
+  return blocks;
+}
+
+TEST(InFlightIndex, MatchesAFirstMatchScanInIssueOrder) {
+  // Dense: a small space, so windows overlap heavily. Growth: enough live
+  // 16-block windows that the block table doubles many times. Colliding:
+  // every window starts on a block of one probe cluster, so erases shift
+  // slots backward through long clusters.
+  const IndexShape kShapes[] = {{"dense", 64, 128, 100'000, 1000},
+                                {"growth", 4096, 1024, 24'000, 4000},
+                                {"colliding", 0, 128, 50'000, 1000, /*colliding=*/true}};
+  const std::vector<uint64_t> colliding = CollidingBlocks(64, 4096);
+  ASSERT_EQ(colliding.size(), 64u);
+  for (const IndexShape& shape : kShapes) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << shape.name << " seed " << seed);
+      Rng rng(seed);
+      InFlightIndex<IndexedRead> index;
+      std::vector<std::shared_ptr<IndexedRead>> live;  // issue order
+      auto start_block = [&] {
+        return shape.colliding ? colliding[rng.NextBounded(colliding.size())]
+                               : rng.NextBounded(shape.space_blocks);
+      };
+      uint64_t shadowed = 0;
+      size_t peak = 0;
+      int drained = 0;
+      for (int step = 0; step < shape.steps; ++step) {
+        // Alternate phases: filling (70% inserts) and erase-heavy churn (10%
+        // inserts), which empties the index again and again.
+        const uint64_t insert_pct = (step / shape.phase_steps) % 2 == 0 ? 70 : 10;
+        if (live.empty() ||
+            (live.size() < shape.max_live && rng.NextBounded(100) < insert_pct)) {
+          // Block windows: block base, 1-16 whole blocks (often exactly 16).
+          // Sub-block windows: DWORD base and size, up to 16 blocks.
+          auto r = std::make_shared<IndexedRead>();
+          r->sub_block = rng.NextBounded(2) == 1;
+          const uint64_t blocks =
+              rng.NextBounded(4) == 0 ? 16 : 1 + rng.NextBounded(16);
+          if (r->sub_block) {
+            r->base = start_block() * kBlockSize +
+                      rng.NextBounded(kBlockSize / kDwordBytes) * kDwordBytes;
+            const Bytes max_dwords =
+                rng.NextBounded(2) == 0 ? 64 : blocks * kBlockSize / kDwordBytes;
+            r->end = r->base + (1 + rng.NextBounded(max_dwords)) * kDwordBytes;
+          } else {
+            r->base = start_block() * kBlockSize;
+            r->end = r->base + blocks * kBlockSize;
+          }
+          index.Insert(r, r->base, r->end, r->sub_block);
+          live.push_back(std::move(r));
+        } else {
+          const size_t victim = rng.NextBounded(live.size());
+          index.Erase(live[victim].get(), live[victim]->base, live[victim]->end);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+          drained += live.empty() ? 1 : 0;
+        }
+        ASSERT_EQ(index.size(), live.size()) << "step " << step;
+        peak = std::max(peak, live.size());
+
+        // One span anywhere near the windows (mostly misses) and one inside
+        // a live window (a guaranteed candidate, often covered by several
+        // reads).
+        const bool sub_block = rng.NextBounded(2) == 1;
+        const Bytes begin = start_block() * kBlockSize + rng.NextBounded(17 * kBlockSize);
+        const Bytes end = begin + 1 + rng.NextBounded(2 * kBlockSize);
+        ASSERT_EQ(index.FindCovering(begin, end, sub_block),
+                  FirstCoveringScan(live, begin, end, sub_block))
+            << "step " << step;
+        if (!live.empty()) {
+          const IndexedRead& w = *live[rng.NextBounded(live.size())];
+          const Bytes in_begin = w.base + rng.NextBounded(w.end - w.base);
+          const Bytes in_end = in_begin + 1 + rng.NextBounded(w.end - in_begin);
+          const IndexedRead* want = FirstCoveringScan(live, in_begin, in_end, w.sub_block);
+          ASSERT_EQ(index.FindCovering(in_begin, in_end, w.sub_block), want)
+              << "step " << step;
+          shadowed += want != &w ? 1 : 0;
+        }
       }
+      // The churn phases really emptied the index, and the growth shape
+      // really filled it.
+      EXPECT_GT(drained, 2);
+      EXPECT_GE(peak, shape.max_live / 2);
+      // Issue order must actually decide: often an earlier-issued read also
+      // covers the span drawn from a later one.
+      EXPECT_GT(shadowed, static_cast<uint64_t>(shape.steps) / 50);
     }
-    // Issue order must actually decide: often an earlier-issued read also
-    // covers the span drawn from a later one.
-    EXPECT_GT(shadowed, static_cast<uint64_t>(kSteps) / 20) << "seed " << seed;
   }
 }
 
