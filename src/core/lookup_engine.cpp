@@ -61,16 +61,6 @@ LookupEngine::LookupEngine(SdmStore* store) : store_(store), loop_(store->loop()
   }
 }
 
-LookupEngine::RequestState* LookupEngine::AcquireRequest() {
-  if (free_states_.empty()) {
-    states_.push_back(std::make_unique<RequestState>());
-    return states_.back().get();
-  }
-  RequestState* st = free_states_.back();
-  free_states_.pop_back();
-  return st;
-}
-
 void LookupEngine::ReleaseRequest(RequestState* st) {
   // Only the run-slot array keeps its capacity. The per-row arrays are
   // freed: kept at each state's largest bag they would hold more memory
@@ -80,18 +70,7 @@ void LookupEngine::ReleaseRequest(RequestState* st) {
   run_slots.clear();
   *st = RequestState{};
   st->run_slots = std::move(run_slots);
-  free_states_.push_back(st);
-}
-
-LookupEngine::RunContext* LookupEngine::AcquireRun() {
-  if (free_runs_.empty()) {
-    run_chunks_.push_back(std::make_unique<RunContext[]>(kRunsPerChunk));
-    for (size_t i = kRunsPerChunk; i-- > 0;) free_runs_.push_back(&run_chunks_.back()[i]);
-  }
-  RunContext* run = free_runs_.back();
-  free_runs_.pop_back();
-  *run = RunContext{};
-  return run;
+  requests_.Release(st);
 }
 
 void LookupEngine::Complete(RequestState* st) {
@@ -156,7 +135,7 @@ uint32_t LookupEngine::BagDedup::FirstSlot(RowIndex row, uint32_t slot) {
 
 void LookupEngine::Lookup(LookupRequest request, LookupCallback cb) {
   lookups_->Add(1);
-  RequestState* st = AcquireRequest();
+  RequestState* st = requests_.Acquire();
   st->request = std::move(request);
   st->cb = std::move(cb);
   st->start = loop_->Now();

@@ -170,10 +170,10 @@ class LookupEngine {
     bool repairing = false;
   };
 
-  /// One lookup in progress. States come from the engine's free list and
-  /// go back to it once the lookup's callback has returned, which is after
-  /// its last run completion: a retry, backoff event or read-repair keeps
-  /// a run, and so its request, outstanding.
+  /// One lookup in progress. States come from the engine's requests_ slab
+  /// and go back to it once the lookup's callback has returned, which is
+  /// after its last run completion: a retry, backoff event or read-repair
+  /// keeps a run, and so its request, outstanding.
   struct RequestState {
     LookupRequest request;
     LookupCallback cb;
@@ -218,12 +218,35 @@ class LookupEngine {
     return f;
   }
 
-  /// A cleared request state off the free list (a new one when it is empty).
-  RequestState* AcquireRequest();
-  /// Returns `st` to the free list; it must have no outstanding run.
+  /// An object cache in the manner of Bonwick's slab allocator: objects
+  /// are carved from fixed chunks that never move, so pointers to them stay
+  /// valid, and a released object goes back on a free list. Memory tracks
+  /// the engine's peak of objects in use at once.
+  template <typename T, size_t kPerChunk>
+  class Slab {
+   public:
+    /// A free object: a new default-constructed one, or one Release took
+    /// back as its caller left it.
+    T* Acquire() {
+      if (free_.empty()) {
+        chunks_.push_back(std::make_unique<T[]>(kPerChunk));
+        for (size_t i = kPerChunk; i-- > 0;) free_.push_back(&chunks_.back()[i]);
+      }
+      T* obj = free_.back();
+      free_.pop_back();
+      return obj;
+    }
+    /// Takes `obj` back; the caller has cleared it.
+    void Release(T* obj) { free_.push_back(obj); }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::vector<T*> free_;
+  };
+
+  /// Clears `st` and returns it to requests_; it must have no outstanding
+  /// run.
   void ReleaseRequest(RequestState* st);
-  /// A fresh run context from the run slab (see runs_).
-  RunContext* AcquireRun();
   /// Fetch: routes the request (health shed / replica failover), plans its
   /// misses into runs and submits each.
   void StartIoPhase(RequestState* st);
@@ -281,17 +304,10 @@ class LookupEngine {
   EventLoop* loop_;
   PoolingCostModel cost_;
   BagDedup dedup_;
-  /// Every request state made; the free ones are also in free_states_.
-  std::vector<std::unique_ptr<RequestState>> states_;
-  std::vector<RequestState*> free_states_;
-  /// The run slab, an object cache in the manner of Bonwick's slab
-  /// allocator: run contexts are carved from fixed chunks that never move,
-  /// and a run whose completion will not run again goes back on the free
-  /// list. Run completions point into the chunks, and memory tracks the
-  /// engine's peak of concurrent runs.
-  static constexpr size_t kRunsPerChunk = 64;
-  std::vector<std::unique_ptr<RunContext[]>> run_chunks_;
-  std::vector<RunContext*> free_runs_;
+  /// Lookups in progress, and their runs: closures on the event loop and
+  /// run completions point into these. Every object goes back cleared.
+  Slab<RequestState, 16> requests_;
+  Slab<RunContext, 64> runs_;
   /// Planner scratch, cleared (not reallocated) by every IO phase.
   std::vector<IoPlanner::Miss> misses_;
   std::vector<PlannedRun> planned_;

@@ -63,7 +63,7 @@ void LookupEngine::StartIoPhase(RequestState* st) {
 
   st->outstanding_ios = static_cast<int>(planned_.size());
   for (const PlannedRun& planned : planned_) {
-    RunContext* run = AcquireRun();
+    RunContext* run = runs_.Acquire();
     run->st = st;
     run->run = planned;
     run->device = device;
@@ -241,7 +241,8 @@ void LookupEngine::CompleteRun(RunContext* run, const Status& status, const uint
     }
   }
   // The run is done: its completion will not run again.
-  free_runs_.push_back(run);
+  *run = RunContext{};
+  runs_.Release(run);
   if (--st->outstanding_ios == 0) FinishRequest(st);
 }
 

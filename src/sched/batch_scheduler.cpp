@@ -327,10 +327,13 @@ BatchScheduler::Admission BatchScheduler::Append(ReadRequest& req, Bytes budget)
   p.rows = req.rows;
   p.per_row_bus = req.per_row_bus;
   p.service_local = req.service_local;
-  // Room for a few riders up front: joins then do not regrow the list.
-  p.subscribers.reserve(kReservedSubscribers);
+  if (config_.cross_request) {
+    // Only cross-request batching brings riders, and only it reads the
+    // prefilter.
+    p.subscribers.reserve(kReservedSubscribers);
+    CountPending(p.first_block, p.last_block, +1);
+  }
   p.subscribers.push_back(std::move(req.cb));
-  CountPending(p.first_block, p.last_block, +1);
   pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(SectionEnd(req.kind)),
                   std::move(p));
   ++section_size_[Index(req.kind)];
@@ -601,7 +604,9 @@ void BatchScheduler::Flush() {
   std::vector<IoEngine::ReadOp> ops;
   ops.reserve(n);
   for (size_t j = 0; j < n; ++j) {
-    CountPending(pending_[j].first_block, pending_[j].last_block, -1);
+    if (config_.cross_request) {
+      CountPending(pending_[j].first_block, pending_[j].last_block, -1);
+    }
     auto read = std::make_shared<Read>(std::move(pending_[j]));
     const Read& p = *read;
     // The device lands data at its alignment base: the first byte of the

@@ -835,6 +835,64 @@ const IndexedRead* FirstCoveringScan(
   return nullptr;
 }
 
+TEST(InFlightIndex, MatchesAFirstMatchScanInIssueOrder) {
+  constexpr uint64_t kSpaceBlocks = 64;  // small, so windows overlap heavily
+  constexpr size_t kMaxLive = 128;
+  constexpr int kSteps = 100'000;
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    InFlightIndex<IndexedRead> index;
+    std::vector<std::shared_ptr<IndexedRead>> live;  // issue order
+    uint64_t shadowed = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      if (live.empty() || (live.size() < kMaxLive && rng.NextBounded(2) == 0)) {
+        // Block windows: block base, 1-16 whole blocks. Sub-block windows:
+        // DWORD base and size, up to 16 blocks.
+        auto r = std::make_shared<IndexedRead>();
+        r->sub_block = rng.NextBounded(2) == 1;
+        if (r->sub_block) {
+          const Bytes dwords = kSpaceBlocks * kBlockSize / kDwordBytes;
+          r->base = rng.NextBounded(dwords) * kDwordBytes;
+          const Bytes max_dwords =
+              rng.NextBounded(2) == 0 ? 64 : 16 * kBlockSize / kDwordBytes;
+          r->end = r->base + (1 + rng.NextBounded(max_dwords)) * kDwordBytes;
+        } else {
+          r->base = rng.NextBounded(kSpaceBlocks) * kBlockSize;
+          r->end = r->base + (1 + rng.NextBounded(16)) * kBlockSize;
+        }
+        index.Insert(r, r->base, r->end, r->sub_block);
+        live.push_back(std::move(r));
+      } else {
+        const size_t victim = rng.NextBounded(live.size());
+        index.Erase(live[victim].get(), live[victim]->base, live[victim]->end);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+      ASSERT_EQ(index.size(), live.size());
+
+      // One span anywhere (mostly misses) and one inside a live window
+      // (a guaranteed candidate, often covered by several reads).
+      const bool sub_block = rng.NextBounded(2) == 1;
+      const Bytes begin = rng.NextBounded((kSpaceBlocks + 16) * kBlockSize);
+      const Bytes end = begin + 1 + rng.NextBounded(2 * kBlockSize);
+      ASSERT_EQ(index.FindCovering(begin, end, sub_block),
+                FirstCoveringScan(live, begin, end, sub_block))
+          << "seed " << seed << " step " << step;
+      if (!live.empty()) {
+        const IndexedRead& w = *live[rng.NextBounded(live.size())];
+        const Bytes in_begin = w.base + rng.NextBounded(w.end - w.base);
+        const Bytes in_end = in_begin + 1 + rng.NextBounded(w.end - in_begin);
+        const IndexedRead* want = FirstCoveringScan(live, in_begin, in_end, w.sub_block);
+        ASSERT_EQ(index.FindCovering(in_begin, in_end, w.sub_block), want)
+            << "seed " << seed << " step " << step;
+        shadowed += want != &w ? 1 : 0;
+      }
+    }
+    // Issue order must actually decide: often an earlier-issued read also
+    // covers the span drawn from a later one.
+    EXPECT_GT(shadowed, static_cast<uint64_t>(kSteps) / 20) << "seed " << seed;
+  }
+}
+
 /// One shape of index workload: where windows start and how many reads
 /// stay live.
 struct IndexShape {
@@ -846,7 +904,10 @@ struct IndexShape {
   int phase_steps;
   /// Windows start only on blocks whose probes all begin at one slot of a
   /// 4096-slot table (and so of every smaller one).
-  bool colliding = false;
+  bool colliding;
+  /// Per seed, how many spans drawn from a live window an earlier-issued
+  /// read must answer: half the lowest count measured on seeds 1-3.
+  uint64_t min_shadowed;
 };
 
 /// Up to `n` blocks below 2^24 whose BlockTable probes start at the same
@@ -860,14 +921,18 @@ std::vector<uint64_t> CollidingBlocks(size_t n, size_t capacity) {
   return blocks;
 }
 
-TEST(InFlightIndex, MatchesAFirstMatchScanInIssueOrder) {
-  // Dense: a small space, so windows overlap heavily. Growth: enough live
-  // 16-block windows that the block table doubles many times. Colliding:
-  // every window starts on a block of one probe cluster, so erases shift
-  // slots backward through long clusters.
-  const IndexShape kShapes[] = {{"dense", 64, 128, 100'000, 1000},
-                                {"growth", 4096, 1024, 24'000, 4000},
-                                {"colliding", 0, 128, 50'000, 1000, /*colliding=*/true}};
+TEST(InFlightIndex, MatchesAFirstMatchScanUnderChurnGrowthAndCollisions) {
+  // Every shape alternates filling phases (70% inserts) with erase-heavy
+  // ones (10%). Dense churn: the small space of the test above, so windows
+  // overlap heavily. Growth: enough live 16-block windows that the block
+  // table doubles many times. Colliding: every window starts on a block of
+  // one probe cluster, so erases shift slots backward through long
+  // clusters. Measured shadowed counts, seeds
+  // 1-3: dense churn 35,623 / 35,042 / 35,869; growth 2,521 / 2,516 / 2,578;
+  // colliding 4,378 / 4,241 / 4,220.
+  const IndexShape kShapes[] = {{"dense churn", 64, 128, 100'000, 1000, false, 17'500},
+                                {"growth", 4096, 1024, 24'000, 4000, false, 1'250},
+                                {"colliding", 0, 128, 50'000, 1000, true, 2'100}};
   const std::vector<uint64_t> colliding = CollidingBlocks(64, 4096);
   ASSERT_EQ(colliding.size(), 64u);
   for (const IndexShape& shape : kShapes) {
@@ -941,7 +1006,7 @@ TEST(InFlightIndex, MatchesAFirstMatchScanInIssueOrder) {
       EXPECT_GE(peak, shape.max_live / 2);
       // Issue order must actually decide: often an earlier-issued read also
       // covers the span drawn from a later one.
-      EXPECT_GT(shadowed, static_cast<uint64_t>(shape.steps) / 50);
+      EXPECT_GE(shadowed, shape.min_shadowed);
     }
   }
 }
