@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/event_loop.h"
+#include "obs/metrics.h"
+
 namespace sdm {
 
 namespace {
@@ -53,6 +56,7 @@ int64_t Histogram::BucketUpperBound(size_t bucket) const {
 }
 
 void Histogram::Record(int64_t value) {
+  if (tap_ != nullptr) tap_->Record(clock_->Now(), value);
   // Clamp into the tracked domain [1, max_value] BEFORE touching the summary
   // stats, not just the bucket index — otherwise a negative or oversized
   // sample corrupts mean()/min()/max() (and quantiles, which are capped at

@@ -4,6 +4,10 @@
 // (~3% by default), so p50/p95/p99 queries over millions of samples are O(1)
 // memory. Used for every latency metric in the serving simulator — the paper
 // reports p95/p99 SLAs (§2.3).
+//
+// Like a Counter (common/stats.h), a histogram can be tapped into a
+// windowed series (src/obs): every Record then lands in both, at the
+// clock's Now().
 #pragma once
 
 #include <cstdint>
@@ -14,6 +18,9 @@
 
 namespace sdm {
 
+class EventLoop;
+class WindowedHistogram;
+
 class Histogram {
  public:
   /// Tracks values in [1, max_value] nanoseconds-equivalents with the given
@@ -22,6 +29,13 @@ class Histogram {
 
   void Record(int64_t value);
   void Record(SimDuration d) { Record(d.nanos()); }
+
+  /// Forwards every later Record to `series`, stamped with `clock`'s Now().
+  /// A null series (observability off) attaches nothing.
+  void Tap(WindowedHistogram* series, const EventLoop* clock) {
+    tap_ = series;
+    clock_ = clock;
+  }
 
   /// Merges another histogram's samples into this one (same geometry only).
   void Merge(const Histogram& other);
@@ -54,6 +68,8 @@ class Histogram {
   double sum_ = 0;
   int64_t observed_min_ = 0;
   int64_t observed_max_ = 0;
+  WindowedHistogram* tap_ = nullptr;
+  const EventLoop* clock_ = nullptr;
 };
 
 }  // namespace sdm

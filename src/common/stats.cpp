@@ -1,18 +1,15 @@
 #include "common/stats.h"
 
-#include <sstream>
+#include "common/event_loop.h"
+#include "obs/metrics.h"
 
 namespace sdm {
+
+void Counter::Forward(uint64_t delta) { tap_->Add(clock_->Now(), delta); }
 
 Counter* StatsRegistry::GetCounter(const std::string& name) {
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-Gauge* StatsRegistry::GetGauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
   return slot.get();
 }
 
@@ -21,32 +18,11 @@ uint64_t StatsRegistry::CounterValue(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second->value();
 }
 
-double StatsRegistry::GaugeValue(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second->value();
-}
-
 std::vector<std::pair<std::string, uint64_t>> StatsRegistry::Counters() const {
   std::vector<std::pair<std::string, uint64_t>> out;
   out.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) out.emplace_back(name, counter->value());
   return out;
-}
-
-void StatsRegistry::ResetAll() {
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Set(0);
-}
-
-std::string StatsRegistry::ToString() const {
-  std::ostringstream os;
-  for (const auto& [name, counter] : counters_) {
-    os << name << " = " << counter->value() << "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    os << name << " = " << gauge->value() << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace sdm

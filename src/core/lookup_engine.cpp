@@ -46,12 +46,12 @@ LookupEngine::LookupEngine(SdmStore* store) : store_(store), loop_(store->loop()
   read_repairs_ = stats_.GetCounter("read_repairs");
   Observability* obs = store->obs();
   const std::string& prefix = store->obs_prefix();
-  obs_lookups_ = ObsCounter(obs, prefix + "lookup/requests");
-  obs_cache_rows_ = ObsCounter(obs, prefix + "lookup/cache_rows");
-  obs_sm_rows_ = ObsCounter(obs, prefix + "lookup/sm_rows");
-  obs_degraded_ = ObsCounter(obs, prefix + "lookup/degraded");
-  obs_shed_ = ObsCounter(obs, prefix + "lookup/shed");
-  obs_lat_ = ObsHist(obs, prefix + "lookup/latency_ns");
+  lookups_->Tap(ObsCounter(obs, prefix + "lookup/requests"), loop_);
+  rows_cache_hit_->Tap(ObsCounter(obs, prefix + "lookup/cache_rows"), loop_);
+  rows_sm_read_->Tap(ObsCounter(obs, prefix + "lookup/sm_rows"), loop_);
+  degraded_lookups_->Tap(ObsCounter(obs, prefix + "lookup/degraded"), loop_);
+  shed_lookups_->Tap(ObsCounter(obs, prefix + "lookup/shed"), loop_);
+  latency_.Tap(ObsHist(obs, prefix + "lookup/latency_ns"), loop_);
   obs_spans_ = ObsSpans(obs);
   if (obs_spans_ != nullptr) {
     std::string process = prefix;
@@ -77,13 +77,6 @@ void LookupEngine::Complete(RequestState* st) {
   const SimTime now = loop_->Now();
   st->trace.latency = now - st->start;
   latency_.Record(st->trace.latency);
-  if (obs_lookups_ != nullptr) {
-    obs_lookups_->Add(now);
-    obs_cache_rows_->Add(now, st->trace.rows_from_cache);
-    obs_sm_rows_->Add(now, st->trace.rows_from_sm);
-    if (st->trace.degraded) obs_degraded_->Add(now);
-    obs_lat_->Record(now, st->trace.latency);
-  }
   if (obs_spans_ != nullptr && st->request.traced) {
     // One stack-formatted arg blob; string temporaries per traced lookup
     // would dominate the recording cost.

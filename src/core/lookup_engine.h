@@ -272,8 +272,8 @@ class LookupEngine {
   /// Pool: fan-out, per-source row accounting, dequantize and pool.
   void FinishRequest(RequestState* st);
   /// Both completion tails (pooled-cache hit, FinishRequest): stamps and
-  /// records the latency, the windowed metrics and the (sampled) lookup
-  /// span, calls back with st->pooled, and releases `st`.
+  /// records the latency and the (sampled) lookup span, calls back with
+  /// st->pooled, and releases `st`.
   void Complete(RequestState* st);
   /// Modeled CPU time of copying `bytes`.
   [[nodiscard]] static SimDuration CopyCost(Bytes bytes);
@@ -334,13 +334,8 @@ class LookupEngine {
   Counter* replica_reads_ = nullptr;
   Counter* read_repairs_ = nullptr;
 
-  // ---- Observability (src/obs); all null when off ----
-  WindowedCounter* obs_lookups_ = nullptr;
-  WindowedCounter* obs_cache_rows_ = nullptr;
-  WindowedCounter* obs_sm_rows_ = nullptr;
-  WindowedCounter* obs_degraded_ = nullptr;
-  WindowedCounter* obs_shed_ = nullptr;
-  WindowedHistogram* obs_lat_ = nullptr;
+  // ---- Observability (src/obs): the counters and latency_ above feed
+  // their windowed series through taps; spans are null when off ----
   SpanRecorder* obs_spans_ = nullptr;
   SpanRecorder::TrackId obs_track_ = 0;
 };

@@ -40,7 +40,6 @@ void LookupEngine::StartIoPhase(RequestState* st) {
     const auto route = svc.FindReplicaRoute(table.extent_id, device);
     if (!route.has_value()) {
       shed_lookups_->Add(1);
-      if (obs_shed_ != nullptr) obs_shed_->Add(loop_->Now());
       FinishRequest(st);  // the IO rows keep no source: they pool as failed
       return;
     }

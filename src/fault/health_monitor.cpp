@@ -21,8 +21,8 @@ HealthMonitor::HealthMonitor(HealthMonitorConfig config, size_t endpoints)
 void HealthMonitor::set_obs(Observability* obs, EventLoop* loop,
                             const std::string& name) {
   obs_loop_ = loop;
-  obs_sick_ = ObsCounter(obs, name + "health/sick_transitions");
-  obs_sheds_ = ObsCounter(obs, name + "health/sheds");
+  sick_transitions_->Tap(ObsCounter(obs, name + "health/sick_transitions"), loop);
+  sheds_->Tap(ObsCounter(obs, name + "health/sheds"), loop);
   obs_spans_ = ObsSpans(obs);
   if (obs_spans_ != nullptr) {
     std::string process = name;
@@ -49,7 +49,6 @@ void HealthMonitor::Record(size_t endpoint, bool ok) {
   const bool edge = sick && !was_sick_[endpoint];
   if (edge) {
     sick_transitions_->Add(1);
-    if (obs_sick_ != nullptr) obs_sick_->Add(obs_loop_->Now());
     if (obs_spans_ != nullptr) {
       obs_spans_->Instant(obs_track_, "sick", obs_loop_->Now(),
                           "{\"endpoint\":" + std::to_string(endpoint) + "}");
@@ -86,7 +85,6 @@ bool HealthMonitor::AdmitProbe(size_t endpoint) {
     probes_admitted_->Add(1);
   } else {
     sheds_->Add(1);
-    if (obs_sheds_ != nullptr) obs_sheds_->Add(obs_loop_->Now());
   }
   return admit;
 }

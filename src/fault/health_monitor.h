@@ -64,10 +64,11 @@ class HealthMonitor {
   [[nodiscard]] const HealthMonitorConfig& config() const { return config_; }
   [[nodiscard]] const StatsRegistry& stats() const { return stats_; }
 
-  /// Observability (src/obs): windowed metrics under `<name>health/` plus
-  /// sick/recovered trace instants. The monitor has no clock of its own, so
-  /// the caller lends it `loop` for timestamps. Does NOT use the (single)
-  /// sick-transition listener slot — that belongs to the ReplicationManager.
+  /// Observability (src/obs): taps the counters into windowed series under
+  /// `<name>health/` and records sick/recovered trace instants. The monitor
+  /// has no clock of its own, so the caller lends it `loop` for timestamps.
+  /// Does NOT use the (single) sick-transition listener slot — that belongs
+  /// to the ReplicationManager.
   void set_obs(Observability* obs, EventLoop* loop, const std::string& name);
 
  private:
@@ -88,10 +89,9 @@ class HealthMonitor {
   std::vector<uint8_t> was_sick_;  ///< per-endpoint edge detector
   std::function<void(size_t)> sick_listener_;
 
-  // ---- Observability (src/obs); all null when off ----
-  EventLoop* obs_loop_ = nullptr;
-  WindowedCounter* obs_sick_ = nullptr;
-  WindowedCounter* obs_sheds_ = nullptr;
+  // ---- Observability (src/obs): the counters feed their series through
+  // taps; spans are null when off ----
+  EventLoop* obs_loop_ = nullptr;  ///< stamps the trace instants
   SpanRecorder* obs_spans_ = nullptr;
   SpanRecorder::TrackId obs_track_ = 0;
 };

@@ -29,9 +29,9 @@ ReplicationManager::ReplicationManager(SharedDeviceService* service, EventLoop* 
 }
 
 void ReplicationManager::set_obs(Observability* obs, const std::string& name) {
-  obs_replicated_ = ObsCounter(obs, name + "repl/extents_replicated");
-  obs_abandoned_ = ObsCounter(obs, name + "repl/extents_abandoned");
-  obs_bytes_ = ObsCounter(obs, name + "repl/bytes_copied");
+  extents_replicated_->Tap(ObsCounter(obs, name + "repl/extents_replicated"), loop_);
+  extents_abandoned_->Tap(ObsCounter(obs, name + "repl/extents_abandoned"), loop_);
+  bytes_copied_->Tap(ObsCounter(obs, name + "repl/bytes_copied"), loop_);
   obs_spans_ = ObsSpans(obs);
   if (obs_spans_ != nullptr) {
     std::string process = name;
@@ -135,7 +135,6 @@ void ReplicationManager::CopyChunk(Bytes done, int attempts_left) {
 void ReplicationManager::FinishExtent(bool copied) {
   if (!copied) {
     extents_abandoned_->Add(1);
-    if (obs_abandoned_ != nullptr) obs_abandoned_->Add(loop_->Now());
     if (obs_spans_ != nullptr) {
       obs_spans_->Instant(obs_track_, "extent_abandoned", loop_->Now(),
                           "{\"extent\":" + std::to_string(job_.extent) + "}");
@@ -160,14 +159,12 @@ void ReplicationManager::FinishExtent(bool copied) {
     return;
   }
   bytes_copied_->Add(span_.size);
-  if (obs_bytes_ != nullptr) obs_bytes_->Add(loop_->Now(), span_.size);
   const uint64_t id = job_.extent;
   const SharedDeviceService::ReplicaLocation loc = replica_;
   // Publish only once the write lands: a replica must never be routable
   // before its bytes exist.
   loop_->ScheduleAfter(wrote.value(), [this, id, loc] {
     extents_replicated_->Add(1);
-    if (obs_replicated_ != nullptr) obs_replicated_->Add(loop_->Now());
     if (obs_spans_ != nullptr) {
       obs_spans_->Instant(obs_track_, "extent_replicated", loop_->Now(),
                           "{\"extent\":" + std::to_string(id) + "}");

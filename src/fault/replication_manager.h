@@ -59,8 +59,9 @@ class ReplicationManager {
   [[nodiscard]] uint64_t bytes_copied() const { return bytes_copied_->value(); }
   [[nodiscard]] const StatsRegistry& stats() const { return stats_; }
 
-  /// Observability (src/obs): windowed metrics under `<name>repl/` and
-  /// replicate/abandon trace instants. Null obs keeps every handle null.
+  /// Observability (src/obs): taps the counters into windowed series under
+  /// `<name>repl/` and records replicate/abandon trace instants. Null obs
+  /// attaches nothing.
   void set_obs(Observability* obs, const std::string& name);
 
  private:
@@ -94,10 +95,8 @@ class ReplicationManager {
   Counter* bytes_copied_ = nullptr;
   Counter* chunk_retries_ = nullptr;
 
-  // ---- Observability (src/obs); all null when off ----
-  WindowedCounter* obs_replicated_ = nullptr;
-  WindowedCounter* obs_abandoned_ = nullptr;
-  WindowedCounter* obs_bytes_ = nullptr;
+  // ---- Observability (src/obs): the counters feed their series through
+  // taps; spans are null when off ----
   SpanRecorder* obs_spans_ = nullptr;
   SpanRecorder::TrackId obs_track_ = 0;
 };

@@ -34,10 +34,10 @@ IoEngine::IoEngine(NvmeDevice* device, EventLoop* loop, IoEngineConfig config)
 }
 
 void IoEngine::set_obs(Observability* obs, const std::string& name) {
-  obs_submitted_ = ObsCounter(obs, name + "io/submitted");
-  obs_errors_ = ObsCounter(obs, name + "io/errors");
-  obs_spilled_ = ObsCounter(obs, name + "io/spilled");
-  obs_lat_ = ObsHist(obs, name + "io/latency_ns");
+  submitted_->Tap(ObsCounter(obs, name + "io/submitted"), loop_);
+  errors_->Tap(ObsCounter(obs, name + "io/errors"), loop_);
+  spilled_->Tap(ObsCounter(obs, name + "io/spilled"), loop_);
+  latency_.Tap(ObsHist(obs, name + "io/latency_ns"), loop_);
   obs_spans_ = ObsSpans(obs);
   if (obs_spans_ != nullptr) {
     std::string process = name;
@@ -64,12 +64,10 @@ void IoEngine::SubmitRead(Bytes offset, Bytes length, bool sub_block,
 void IoEngine::SubmitReadLocal(Bytes offset, Bytes length, bool sub_block,
                                std::span<uint8_t> dest, Callback cb) {
   submitted_->Add(1);
-  if (obs_submitted_ != nullptr) obs_submitted_->Add(loop_->Now());
   cpu_ns_->Add(static_cast<uint64_t>(config_.cpu_submit_cost.nanos()));
   Pending p{offset, length, sub_block, dest, std::move(cb), loop_->Now()};
   if (outstanding_ >= config_.queue_depth) {
     spilled_->Add(1);
-    if (obs_spilled_ != nullptr) obs_spilled_->Add(loop_->Now());
     pending_.push_back(std::move(p));
     return;
   }
@@ -126,7 +124,6 @@ void IoEngine::SubmitBatchLocal(std::span<ReadOp> ops) {
   batches_->Add(1);
   batch_sqes_->Add(ops.size());
   submitted_->Add(ops.size());
-  if (obs_submitted_ != nullptr) obs_submitted_->Add(loop_->Now(), ops.size());
   // One doorbell for the whole batch; SQEs after the first are nearly free.
   cpu_ns_->Add(static_cast<uint64_t>(
       config_.cpu_submit_cost.nanos() +
@@ -138,7 +135,6 @@ void IoEngine::SubmitBatchLocal(std::span<ReadOp> ops) {
               loop_->Now()};
     if (outstanding_ >= config_.queue_depth) {
       spilled_->Add(1);
-      if (obs_spilled_ != nullptr) obs_spilled_->Add(loop_->Now());
       pending_.push_back(std::move(p));
       continue;
     }
@@ -178,16 +174,12 @@ void IoEngine::OnDeviceComplete(SimTime submitted_at, Status status, Callback cb
   cpu_ns_->Add(static_cast<uint64_t>(reap_cpu.nanos()));
   const SimDuration delivery = interrupt ? config_.interrupt_delay : SimDuration(0);
 
-  if (!status.ok()) {
-    errors_->Add(1);
-    if (obs_errors_ != nullptr) obs_errors_->Add(loop_->Now());
-  }
+  if (!status.ok()) errors_->Add(1);
   completed_->Add(1);
 
   auto finish = [this, submitted_at, status = std::move(status), cb = std::move(cb)]() mutable {
     const SimDuration e2e = loop_->Now() - submitted_at;
     latency_.Record(e2e);
-    if (obs_lat_ != nullptr) obs_lat_->Record(loop_->Now(), e2e);
     if (obs_spans_ != nullptr) {
       obs_spans_->Span(obs_track_, "io.read", submitted_at, loop_->Now());
     }

@@ -132,8 +132,9 @@ class IoEngine {
 
   [[nodiscard]] const StatsRegistry& stats() const { return stats_; }
 
-  /// Observability (src/obs): windowed metrics under `<name>io/` and one
-  /// device-service trace track. Null obs keeps every handle null.
+  /// Observability (src/obs): taps the counters and latency into windowed
+  /// series under `<name>io/` and registers one device-service trace track.
+  /// Null obs attaches nothing.
   void set_obs(Observability* obs, const std::string& name);
 
  private:
@@ -176,11 +177,8 @@ class IoEngine {
   Counter* coalesced_reads_ = nullptr;
   Counter* bytes_saved_ = nullptr;
 
-  // ---- Observability (src/obs); all null when off ----
-  WindowedCounter* obs_submitted_ = nullptr;
-  WindowedCounter* obs_errors_ = nullptr;
-  WindowedCounter* obs_spilled_ = nullptr;
-  WindowedHistogram* obs_lat_ = nullptr;  ///< submit -> delivery, end to end
+  // ---- Observability (src/obs): counters and latency_ feed their series
+  // through taps; spans are null when off ----
   SpanRecorder* obs_spans_ = nullptr;
   SpanRecorder::TrackId obs_track_ = 0;
 };

@@ -6,6 +6,11 @@
 // *active* window — the in-run time series the end-of-run reports cannot
 // express (when did p99 spike, when did the hedges fire).
 //
+// Most series are fed by a tapped cumulative Counter or Histogram
+// (Counter::Tap, Histogram::Tap), so an event is recorded once and a
+// series' points always sum to its twin's total; several counters may feed
+// one series. Series with no cumulative twin are updated directly.
+//
 // Windows close lazily at update time, not on a scheduled sampler tick: a
 // self-rescheduling loop event would keep RunUntilIdle from terminating and
 // would add events to the loop being measured. Closing on the next update

@@ -7,6 +7,14 @@
 //
 // Components hold `Observability*` that is nullptr when the subsystem is
 // off; every accessor below is also null-safe to keep call sites one-liners.
+//
+// One recording path: an event with a cumulative twin (a StatsRegistry
+// Counter or a component Histogram) is recorded only there, and the
+// component taps that twin into its windowed series once, at set-up:
+//   `x_->Tap(ObsCounter(obs, prefix + "group/metric"), loop_)`.
+// With obs off the tap is null and Add/Record pay one null check. Only
+// series with no cumulative twin (query depth and latency, the scheduler's
+// in-flight gauge, fabric and prefetch stats) are recorded explicitly.
 #pragma once
 
 #include <memory>
@@ -45,9 +53,10 @@ class Observability {
 
 // ---------------------------------------------------------------------------
 // Null-safe handle resolution for instrumented components. Each returns the
-// metric handle when that part of observability is on, else nullptr; the
-// component stores the pointer and guards each hot-path update with one
-// branch (`if (x_ != nullptr) x_->Add(...)`).
+// metric handle when that part of observability is on, else nullptr. Most
+// handles go straight into a Counter/Histogram tap; a component keeps one
+// only for a series with no cumulative twin, and guards its updates with
+// one branch (`if (x_ != nullptr) x_->Set(...)`).
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] inline WindowedCounter* ObsCounter(Observability* obs,

@@ -49,15 +49,18 @@ BatchScheduler::BatchScheduler(IoEngine* engine, BufferArena* arena, EventLoop* 
 }
 
 void BatchScheduler::set_obs(Observability* obs, const std::string& name) {
-  obs_sqes_ = ObsCounter(obs, name + "sched/sqes");
-  obs_singleflight_ = ObsCounter(obs, name + "sched/singleflight");
-  obs_merges_ = ObsCounter(obs, name + "sched/merges");
-  obs_hedges_ = ObsCounter(obs, name + "sched/hedges");
-  obs_expired_ = ObsCounter(obs, name + "sched/expired");
-  obs_pf_dropped_ = ObsCounter(obs, name + "sched/prefetch_dropped");
-  obs_bg_parked_ = ObsCounter(obs, name + "sched/background_parked");
+  // Every lane's SQEs feed one series; single-flight counts demand only.
+  WindowedCounter* sqes = ObsCounter(obs, name + "sched/sqes");
+  for (Counter* reads : reads_) reads->Tap(sqes, loop_);
+  singleflight_[Index(Kind::kDemand)]->Tap(ObsCounter(obs, name + "sched/singleflight"),
+                                           loop_);
+  cross_request_merges_->Tap(ObsCounter(obs, name + "sched/merges"), loop_);
+  hedges_issued_->Tap(ObsCounter(obs, name + "sched/hedges"), loop_);
+  deadline_expired_->Tap(ObsCounter(obs, name + "sched/expired"), loop_);
+  prefetch_dropped_->Tap(ObsCounter(obs, name + "sched/prefetch_dropped"), loop_);
+  background_parked_->Tap(ObsCounter(obs, name + "sched/background_parked"), loop_);
+  demand_latency_.Tap(ObsHist(obs, name + "sched/read_latency_ns"), loop_);
   obs_inflight_ = ObsGauge(obs, name + "sched/inflight");
-  obs_read_lat_ = ObsHist(obs, name + "sched/read_latency_ns");
   obs_spans_ = ObsSpans(obs);
   if (obs_spans_ != nullptr) {
     std::string process = name;
@@ -151,10 +154,7 @@ size_t BatchScheduler::SectionEnd(Kind kind) const {
 
 void BatchScheduler::RecordJoin(const ReadRequest& req, uint32_t owner_tenant) {
   singleflight_[Index(req.kind)]->Add(1);
-  if (req.kind == Kind::kDemand) {
-    if (obs_singleflight_ != nullptr) obs_singleflight_->Add(loop_->Now());
-    singleflight_bytes_saved_->Add(BusOf(req));
-  }
+  if (req.kind == Kind::kDemand) singleflight_bytes_saved_->Add(BusOf(req));
   // Speculation riding an existing read saves no tenant any demand bytes;
   // the ledger tracks demand-side sharing only.
   if (req.kind == Kind::kPrefetch) return;
@@ -351,11 +351,9 @@ BatchScheduler::Admission BatchScheduler::Append(ReadRequest& req, Bytes budget)
 BatchScheduler::Admission BatchScheduler::Refuse(ReadRequest& req) {
   if (Policy(req.kind).droppable) {
     prefetch_dropped_->Add(1);
-    if (obs_pf_dropped_ != nullptr) obs_pf_dropped_->Add(loop_->Now());
     return Admission::kDropped;
   }
   background_parked_->Add(1);
-  if (obs_bg_parked_ != nullptr) obs_bg_parked_->Add(loop_->Now());
   LaneOf(req.kind).parked.push_back(std::move(req));
   return Admission::kNewRead;
 }
@@ -450,7 +448,6 @@ BatchScheduler::Admission BatchScheduler::Join(ReadRequest& req, size_t i, Kind 
     RecordJoin(req, p.tenant);
   } else if (kind == Kind::kDemand) {
     cross_request_merges_->Add(1);
-    if (obs_merges_ != nullptr) obs_merges_->Add(loop_->Now());
   }
   p.service_local = p.service_local && req.service_local;
   p.subscribers.push_back(std::move(req.cb));
@@ -498,7 +495,6 @@ void BatchScheduler::FuseOverlappingPending(size_t i) {
       for (Completion& cb : q.subscribers) p.subscribers.push_back(std::move(cb));
       CountPending(q.first_block, q.last_block, -1);
       cross_request_merges_->Add(1);
-      if (obs_merges_ != nullptr) obs_merges_->Add(loop_->Now());
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(j));
       --section_size_[Index(Kind::kDemand)];
       if (j < i) --i;
@@ -657,7 +653,6 @@ void BatchScheduler::Flush() {
   // pending.
   pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(n));
   engine_->SubmitBatch(ops);
-  if (obs_sqes_ != nullptr) obs_sqes_->Add(loop_->Now(), n);
   if (obs_inflight_ != nullptr) {
     obs_inflight_->Set(loop_->Now(), static_cast<double>(live_reads_.size()));
   }
@@ -713,9 +708,6 @@ void BatchScheduler::SettleRead(const std::shared_ptr<Read>& read,
   // not the one this scheduler's hedge threshold watches.
   if (status.ok() && read->kind == Kind::kDemand && !replica_win) {
     demand_latency_.Record(loop_->Now() - read->issued_at);
-    if (obs_read_lat_ != nullptr) {
-      obs_read_lat_->Record(loop_->Now(), loop_->Now() - read->issued_at);
-    }
   }
   for (Completion& cb : read->subscribers) {
     cb(status, data, read->base);
@@ -741,7 +733,6 @@ void BatchScheduler::CompleteRead(const std::shared_ptr<Read>& read,
 void BatchScheduler::ExpireRead(const std::shared_ptr<Read>& read) {
   if (!read->live) return;  // completed (or hedge-settled) in time
   deadline_expired_->Add(1);
-  if (obs_expired_ != nullptr) obs_expired_->Add(loop_->Now());
   if (obs_spans_ != nullptr) obs_spans_->Instant(obs_track_, "deadline_expired", loop_->Now());
   // NOTE: read->buf is NOT released here. A spilled op may still be
   // dispatched later and the device memcpy targets that buffer; the late
@@ -756,7 +747,6 @@ void BatchScheduler::MaybeHedge(const std::shared_ptr<Read>& read) {
   if (read->hedged || !read->live) return;  // a hedge is racing, or settled
   read->hedged = true;
   hedges_issued_->Add(1);
-  if (obs_hedges_ != nullptr) obs_hedges_->Add(loop_->Now());
   if (obs_spans_ != nullptr) obs_spans_->Instant(obs_track_, "hedge", loop_->Now());
   const Bytes length = read->span_end - read->span_begin;
   read->hedge_buf = arena_->Acquire(read->buf->size());

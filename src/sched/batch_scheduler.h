@@ -336,9 +336,9 @@ class BatchScheduler {
   /// deployment lives on (§4).
   [[nodiscard]] double BatchOccupancy() const { return Snapshot().BatchOccupancy(); }
 
-  /// Observability (src/obs): registers this scheduler's windowed metrics
-  /// under `<name>sched/` and its trace track. Null (or metrics-off) obs
-  /// leaves every handle null, so recording stays a dead branch.
+  /// Observability (src/obs): taps this scheduler's counters into windowed
+  /// series under `<name>sched/` and registers its trace track. Null (or
+  /// metrics-off) obs attaches nothing.
   void set_obs(Observability* obs, const std::string& name);
 
  private:
@@ -544,16 +544,10 @@ class BatchScheduler {
   /// population behind the adaptive hedge threshold.
   Histogram demand_latency_;
 
-  // ---- Observability (src/obs); all null when off ----
-  WindowedCounter* obs_sqes_ = nullptr;         ///< SQEs issued, all lanes
-  WindowedCounter* obs_singleflight_ = nullptr; ///< demand runs served by sharing
-  WindowedCounter* obs_merges_ = nullptr;
-  WindowedCounter* obs_hedges_ = nullptr;
-  WindowedCounter* obs_expired_ = nullptr;
-  WindowedCounter* obs_pf_dropped_ = nullptr;
-  WindowedCounter* obs_bg_parked_ = nullptr;
+  // ---- Observability (src/obs): counters and demand_latency_ feed their
+  // series through taps; the in-flight gauge has no cumulative twin. All
+  // null when off ----
   WindowedGauge* obs_inflight_ = nullptr;
-  WindowedHistogram* obs_read_lat_ = nullptr;   ///< doorbell -> settle, demand
   SpanRecorder* obs_spans_ = nullptr;
   SpanRecorder::TrackId obs_track_ = 0;
 };

@@ -34,7 +34,7 @@ InferenceEngine::InferenceEngine(SdmStore* store, const ModelConfig& model,
 
   Observability* obs = store->obs();
   const std::string& prefix = store->obs_prefix();
-  obs_queries_ = ObsCounter(obs, prefix + "query/requests");
+  queries_->Tap(ObsCounter(obs, prefix + "query/requests"), loop_);
   obs_degraded_ = ObsCounter(obs, prefix + "query/degraded");
   obs_queue_depth_ = ObsGauge(obs, prefix + "query/queue_depth");
   obs_lat_ = ObsHist(obs, prefix + "query/latency_ns");
@@ -167,11 +167,8 @@ void InferenceEngine::FinishQuery(const std::shared_ptr<QueryState>& st) {
     user_path_.Record(st->trace.user_path);
     item_path_.Record(st->trace.item_path);
     queries_->Add(1);
-    if (obs_queries_ != nullptr) {
-      obs_queries_->Add(loop_->Now());
-      if (st->trace.degraded) obs_degraded_->Add(loop_->Now());
-      obs_lat_->Record(loop_->Now(), st->trace.total);
-    }
+    if (obs_degraded_ != nullptr && st->trace.degraded) obs_degraded_->Add(loop_->Now());
+    if (obs_lat_ != nullptr) obs_lat_->Record(loop_->Now(), st->trace.total);
     if (obs_spans_ != nullptr && st->traced) {
       char args[96];
       std::snprintf(args, sizeof(args),

@@ -117,12 +117,13 @@ class InferenceEngine {
   Counter* errors_ = nullptr;
   Counter* cpu_ns_ = nullptr;
 
-  // ---- Observability (src/obs); all null when off. Handles resolve from
-  // the store's Observability in the ctor; query tracing samples every
+  // ---- Observability (src/obs). queries_ feeds query/requests through
+  // its tap; the series below have no cumulative twin and are recorded
+  // here, all null when off. Handles resolve from the store's
+  // Observability in the ctor; query tracing samples every
   // SpanRecorder::sample_every()'th submission (by stable submit sequence,
   // so the sample set is identical run to run) and marks its lookups
   // `traced` so the engine records their spans too. ----
-  WindowedCounter* obs_queries_ = nullptr;
   WindowedCounter* obs_degraded_ = nullptr;
   WindowedGauge* obs_queue_depth_ = nullptr;
   WindowedHistogram* obs_lat_ = nullptr;

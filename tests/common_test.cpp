@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "obs/observability.h"
 
 namespace sdm {
 namespace {
@@ -453,21 +454,95 @@ TEST(Stats, SameNameSameCounter) {
   EXPECT_NE(reg.GetCounter("x"), reg.GetCounter("y"));
 }
 
-TEST(Stats, GaugeSetAndAdd) {
-  StatsRegistry reg;
-  Gauge* g = reg.GetGauge("depth");
-  g->Set(4);
-  g->Add(2);
-  EXPECT_DOUBLE_EQ(reg.GaugeValue("depth"), 6.0);
+/// Adds `delta` to `counter` at virtual time `at`.
+void AddAt(EventLoop& loop, SimDuration at, Counter* counter, uint64_t delta) {
+  loop.ScheduleAt(SimTime(0) + at, [counter, delta] { counter->Add(delta); });
 }
 
-TEST(Stats, ResetAllZeroes) {
+/// (window start, value) of every closed window of `series`.
+std::vector<std::pair<int64_t, double>> Points(const WindowedCounter* series) {
+  std::vector<std::pair<int64_t, double>> out;
+  for (const WindowSample& w : series->series()) out.emplace_back(w.window_start_ns, w.value);
+  return out;
+}
+
+TEST(Stats, TappedCounterRecordsAtTheClocksNow) {
+  EventLoop loop;
+  MetricsRegistry metrics(Millis(1));
   StatsRegistry reg;
-  reg.GetCounter("a")->Add(5);
-  reg.GetGauge("b")->Set(7);
-  reg.ResetAll();
-  EXPECT_EQ(reg.CounterValue("a"), 0u);
-  EXPECT_DOUBLE_EQ(reg.GaugeValue("b"), 0.0);
+  Counter* c = reg.GetCounter("ios");
+  c->Tap(metrics.Counter("dev/ios"), &loop);
+  AddAt(loop, Micros(200), c, 2);
+  AddAt(loop, Micros(900), c, 1);
+  AddAt(loop, Micros(3500), c, 4);
+  loop.RunUntilIdle();
+  metrics.Finalize();
+  EXPECT_EQ(c->value(), 7u);
+  const std::vector<std::pair<int64_t, double>> want = {{0, 3.0}, {3'000'000, 4.0}};
+  EXPECT_EQ(Points(metrics.Counter("dev/ios")), want);
+}
+
+TEST(Stats, CountersSharingASeriesSumIntoIt) {
+  EventLoop loop;
+  MetricsRegistry metrics(Millis(1));
+  StatsRegistry reg;
+  Counter* demand = reg.GetCounter("device_reads");
+  Counter* prefetch = reg.GetCounter("prefetch_reads");
+  WindowedCounter* sqes = metrics.Counter("sched/sqes");
+  demand->Tap(sqes, &loop);
+  prefetch->Tap(sqes, &loop);
+  AddAt(loop, Micros(100), demand, 2);
+  AddAt(loop, Micros(600), prefetch, 5);
+  AddAt(loop, Micros(1500), prefetch, 1);
+  loop.RunUntilIdle();
+  metrics.Finalize();
+  const std::vector<std::pair<int64_t, double>> want = {{0, 7.0}, {1'000'000, 1.0}};
+  EXPECT_EQ(Points(sqes), want);
+  EXPECT_EQ(demand->value() + prefetch->value(), 8u);
+}
+
+TEST(Stats, UntappedCounterCreatesNoSeries) {
+  EventLoop loop;
+  ObsConfig on;
+  on.enable_metrics = true;
+  on.metrics_interval = Millis(1);
+  Observability obs(on);
+  Observability off{ObsConfig{}};
+  StatsRegistry reg;
+  Counter* tapped = reg.GetCounter("tapped");
+  Counter* untapped = reg.GetCounter("untapped");
+  Counter* obs_off = reg.GetCounter("obs_off");
+  tapped->Tap(ObsCounter(&obs, "dev/tapped"), &loop);
+  obs_off->Tap(ObsCounter(&off, "dev/obs_off"), &loop);  // a null tap
+  for (Counter* c : {tapped, untapped, obs_off}) c->Add(3);
+  obs.Finalize();
+  std::vector<MetricsRegistry::SeriesRef> refs;
+  obs.metrics()->CollectSeries(&refs);
+  ASSERT_EQ(refs.size(), 1u);
+  EXPECT_EQ(*refs[0].name, "dev/tapped");
+  EXPECT_EQ(reg.CounterValue("untapped"), 3u);
+  EXPECT_EQ(reg.CounterValue("obs_off"), 3u);
+}
+
+TEST(Stats, TappedHistogramRecordsAtTheClocksNow) {
+  EventLoop loop;
+  MetricsRegistry metrics(Millis(1));
+  Histogram h;
+  h.Tap(metrics.Hist("io/latency_ns"), &loop);
+  for (const int64_t at_us : {100, 700, 2100}) {
+    loop.ScheduleAt(SimTime(0) + Micros(at_us), [&h, at_us] { h.Record(at_us * 10); });
+  }
+  loop.RunUntilIdle();
+  metrics.Finalize();
+  const std::vector<WindowSample>& series = metrics.Hist("io/latency_ns")->series();
+  ASSERT_EQ(series.size(), 2u);
+  EXPECT_EQ(series[0].window_start_ns, 0);
+  EXPECT_EQ(series[0].count, 2u);
+  EXPECT_EQ(series[0].max, 7000);
+  EXPECT_EQ(series[1].window_start_ns, 2'000'000);
+  EXPECT_EQ(series[1].count, 1u);
+  EXPECT_EQ(series[1].max, 21000);
+  EXPECT_EQ(series[0].count + series[1].count, h.count());
 }
 
 TEST(Stats, SnapshotSorted) {

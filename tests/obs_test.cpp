@@ -8,9 +8,12 @@
 //   3. The primitives behave: windows close lazily and stay sparse, span
 //      rings bound memory by dropping NEW events, SLO watchdogs debounce and
 //      emit both edges through the pluggable log sink.
+//   4. One recording path: every series fed by a tapped counter or
+//      histogram sums to that cumulative twin.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,6 +21,8 @@
 
 #include "common/logging.h"
 #include "dlrm/model_zoo.h"
+#include "fault/fault_injector.h"
+#include "fault/replication_manager.h"
 #include "obs/observability.h"
 #include "serving/cluster.h"
 #include "serving/host.h"
@@ -470,6 +475,126 @@ TEST(ObsServing, PrivateStackClusterExportsFromItsOneInstance) {
   EXPECT_TRUE(Contains(metrics, "host1/dev0/"));
   EXPECT_FALSE(Contains(metrics, "svc/"));
   EXPECT_TRUE(Contains(cluster.ObsTraceJson(), "\"name\":\"query\""));
+}
+
+// ---------------------------------------------------------------------------
+// One recording path: a tapped series cannot drift from its counter.
+// ---------------------------------------------------------------------------
+
+/// A ClusterSimulation that lends each host's engine to the pair check.
+class InspectableCluster : public ClusterSimulation {
+ public:
+  using ClusterSimulation::ClusterSimulation;
+  [[nodiscard]] InferenceEngine& engine(size_t i) { return *host(i).engine; }
+};
+
+TEST(ObsTaps, EveryTappedSeriesSumsToItsCounterUnderAFaultStorm) {
+  // The disaggregated profile with every fault response on: deadlines,
+  // hedges, checksums, the health monitor and re-replication.
+  HostSimConfig cfg = ObsHostConfig();
+  cfg.tuning.obs = MetricsOnly();
+  // Batching, the row cache, prefetch and a shallow device queue put the
+  // merge, cache-row, prefetch and spill counters to work too.
+  cfg.tuning.max_batch_delay = Micros(200);
+  cfg.tuning.enable_row_cache = true;
+  cfg.tuning.enable_prefetch = true;
+  cfg.tuning.io_queue_depth = 8;
+  cfg.tuning.io_deadline = Millis(2);
+  cfg.tuning.hedge_latency_factor = 2.0;
+  cfg.tuning.hedge_min_samples = 64;
+  // Copy retries back off long enough to outlast the error burst.
+  cfg.tuning.retry_backoff_base = Millis(40);
+  cfg.tuning.enable_checksums = true;
+  cfg.tuning.enable_health_monitor = true;
+  cfg.tuning.health_window = 8;
+  cfg.tuning.health_probe_interval = 16;
+  cfg.tuning.enable_replication = true;
+  InspectableCluster cluster(2, cfg, RoutingPolicy::kUserSticky,
+                             DisaggregatedConfig{.enabled = true});
+  ASSERT_TRUE(cluster.LoadModel(ObsModel()).ok());
+  FaultPlan plan;
+  plan.ErrorBurst(At(Millis(100)), At(Millis(300)), /*probability=*/1.0, /*device=*/0)
+      .FailSlow(At(Millis(350)), At(Millis(450)), /*multiplier=*/10.0, /*device=*/1)
+      .FabricPartition(At(Millis(500)), At(Millis(550)))
+      .FabricDrop(At(Millis(650)), At(Millis(800)), /*probability=*/0.2);
+  FaultInjector injector(plan, cluster.host_store(0).loop(), /*seed=*/23);
+  cluster.fabric_service()->InstallFaultInjector(&injector);
+  (void)cluster.Run(/*total_qps=*/1000, /*num_queries=*/1200);
+
+  Observability* obs = cluster.host_store(0).obs();
+  obs->Finalize();
+  MetricsRegistry& metrics = *obs->metrics();
+  // (series, cumulative twin): counters sum their points, histograms their
+  // window counts.
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  std::vector<std::pair<std::string, uint64_t>> hists;
+  for (size_t h = 0; h < cluster.size(); ++h) {
+    const std::string host = "host" + std::to_string(h) + "/";
+    LookupEngine& lookups = cluster.engine(h).lookups();
+    const StatsRegistry& ls = lookups.stats();
+    counters.emplace_back(host + "query/requests",
+                          cluster.engine(h).stats().CounterValue("queries"));
+    counters.emplace_back(host + "lookup/requests", ls.CounterValue("lookups"));
+    counters.emplace_back(host + "lookup/cache_rows", ls.CounterValue("rows_cache_hit"));
+    counters.emplace_back(host + "lookup/sm_rows", ls.CounterValue("rows_sm_read"));
+    counters.emplace_back(host + "lookup/degraded", ls.CounterValue("degraded_lookups"));
+    counters.emplace_back(host + "lookup/shed", ls.CounterValue("shed_lookups"));
+    hists.emplace_back(host + "lookup/latency_ns", lookups.latency().count());
+  }
+  SharedDeviceService& svc = cluster.fabric_service()->device_service();
+  for (size_t d = 0; d < svc.device_count(); ++d) {
+    const std::string dev = "svc/dev" + std::to_string(d) + "/";
+    const StatsRegistry& io = svc.io_engine(d).stats();
+    counters.emplace_back(dev + "io/submitted", io.CounterValue("submitted"));
+    counters.emplace_back(dev + "io/errors", io.CounterValue("errors"));
+    counters.emplace_back(dev + "io/spilled", io.CounterValue("spilled"));
+    hists.emplace_back(dev + "io/latency_ns", svc.io_engine(d).latency().count());
+    const BatchScheduler& sched = svc.scheduler(d);
+    const StatsRegistry& ss = sched.stats();
+    counters.emplace_back(dev + "sched/sqes", ss.CounterValue("device_reads") +
+                                                  ss.CounterValue("background_reads") +
+                                                  ss.CounterValue("prefetch_reads"));
+    counters.emplace_back(dev + "sched/singleflight", ss.CounterValue("singleflight_hits"));
+    counters.emplace_back(dev + "sched/merges", ss.CounterValue("cross_request_merges"));
+    counters.emplace_back(dev + "sched/hedges", ss.CounterValue("hedges_issued"));
+    counters.emplace_back(dev + "sched/expired", ss.CounterValue("deadline_expired"));
+    counters.emplace_back(dev + "sched/prefetch_dropped", ss.CounterValue("prefetch_dropped"));
+    counters.emplace_back(dev + "sched/background_parked",
+                          ss.CounterValue("background_parked"));
+    hists.emplace_back(dev + "sched/read_latency_ns", sched.demand_latency_samples());
+  }
+  const StatsRegistry& health = svc.health().stats();
+  counters.emplace_back("svc/health/sick_transitions", health.CounterValue("sick_transitions"));
+  counters.emplace_back("svc/health/sheds", health.CounterValue("sheds"));
+  const ReplicationManager& repl = *svc.replication();
+  counters.emplace_back("svc/repl/extents_replicated", repl.extents_replicated());
+  counters.emplace_back("svc/repl/extents_abandoned", repl.extents_abandoned());
+  counters.emplace_back("svc/repl/bytes_copied", repl.bytes_copied());
+
+  std::map<std::string, uint64_t> totals;
+  for (const auto& [name, want] : counters) {
+    double sum = 0;
+    for (const WindowSample& w : metrics.Counter(name)->series()) sum += w.value;
+    EXPECT_EQ(sum, static_cast<double>(want)) << name;
+    totals[name] = want;
+  }
+  for (const auto& [name, want] : hists) {
+    uint64_t count = 0;
+    for (const WindowSample& w : metrics.Hist(name)->series()) count += w.count;
+    EXPECT_EQ(count, want) << name;
+    totals[name] = want;
+  }
+  // The run reached every fault response, so most sums above are not
+  // vacuous zeros (the lane budgets never filled: nothing was dropped or
+  // parked).
+  for (const char* name :
+       {"host0/lookup/cache_rows", "host0/lookup/degraded", "host1/lookup/shed",
+        "svc/dev0/io/errors", "svc/dev0/io/spilled", "svc/dev0/sched/expired",
+        "svc/dev1/sched/hedges", "svc/dev0/sched/merges", "svc/dev0/sched/singleflight",
+        "svc/health/sick_transitions", "svc/health/sheds", "svc/repl/extents_replicated",
+        "svc/repl/extents_abandoned", "svc/repl/bytes_copied"}) {
+    EXPECT_GT(totals[name], 0u) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -251,6 +251,38 @@ TEST(SelfHealing, PerRowModeFailsOverToAReplica) {
   EXPECT_EQ(r.queries_completed, r.queries_served);
 }
 
+TEST(SelfHealing, AbandonedExtentsSeriesCountsEveryAbandon) {
+  // One SM device: a sick endpoint has no peer to heal to, so each extent
+  // queued for re-replication is abandoned in Pump's no-target branch. The
+  // windowed series must count those abandons like the cumulative counter.
+  HostSimConfig cfg = HealHostConfig();
+  cfg.host.ssds.resize(1);
+  cfg.tuning.enable_health_monitor = true;
+  cfg.tuning.health_window = 32;
+  cfg.tuning.health_probe_interval = 16;
+  cfg.tuning.enable_replication = true;
+  cfg.tuning.obs.enable_metrics = true;
+  HostSimulation sim(cfg);
+  ASSERT_TRUE(sim.LoadModel(HealModel()).ok());
+  SharedDeviceService& svc = sim.store().device_service();
+  for (int i = 0; i < 32; ++i) svc.health().Record(0, false);
+  ASSERT_TRUE(svc.health().Sick(0));
+
+  (void)sim.Run(200, 400);
+  const ReplicationManager* repl = svc.replication();
+  ASSERT_NE(repl, nullptr);
+  EXPECT_GT(repl->extents_abandoned(), 0u);
+  EXPECT_EQ(repl->extents_replicated(), 0u);
+  Observability* obs = sim.store().obs();
+  obs->Finalize();
+  double sum = 0;
+  for (const WindowSample& w :
+       obs->metrics()->Counter("host0/repl/extents_abandoned")->series()) {
+    sum += w.value;
+  }
+  EXPECT_EQ(sum, static_cast<double>(repl->extents_abandoned()));
+}
+
 /// One sick-endpoint episode (the harness of the test above) under `tuning`'s
 /// replication knobs; reports the copy counters and how many primary extents
 /// endpoint 0 actually held (the replication candidate pool).

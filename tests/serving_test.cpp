@@ -244,7 +244,7 @@ TEST(HostSim, OneHostClusterKeepsTheHostSeedsIsPinned) {
             "iops=80844 amp=1.00 cpu/q=27us sf=1 xmerge=0 occ=2.4 pf=0 pfhit=0.0% "
             "pfwaste=0KiB err=0 retry=0 ddl=0 hedge=0/0 deg=0 rowsf=0 shed=0 rot=0 "
             "rrd=0 rep=0 xrep=0");
-  EXPECT_EQ(sim.ObsMetricsJson().size(), 131'856u);
+  EXPECT_EQ(sim.ObsMetricsJson().size(), 131'252u);
 }
 
 // ---------------------------------------------------------------------------
