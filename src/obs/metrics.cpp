@@ -25,6 +25,8 @@ void AppendJsonNumber(std::string* out, double v) {
 // ---------------------------------------------------------------------------
 
 void WindowedCounter::Add(SimTime now, uint64_t delta) {
+  // A zero delta is no event: it must not open a window of its own.
+  if (delta == 0) return;
   // Fast path: still inside the open window — two compares, no division.
   const int64_t t = now.nanos();
   if (!open_ || t < window_start_ || t >= window_end_) {

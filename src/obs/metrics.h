@@ -45,7 +45,7 @@ struct WindowSample {
   int64_t max = 0;
 };
 
-/// Per-window delta counter. Sparse: windows with no Add emit no point.
+/// Per-window delta counter. Sparse: windows with no nonzero Add emit no point.
 class WindowedCounter {
  public:
   void Add(SimTime now, uint64_t delta = 1);

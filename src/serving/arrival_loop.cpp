@@ -1,6 +1,7 @@
 #include "serving/arrival_loop.h"
 
 #include <cassert>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -17,12 +18,12 @@ std::vector<ArrivalStats> RunInterleavedArrivals(
     for (uint64_t q = 0; q < participants[i].queries; ++q) {
       next_arrival += Seconds(arrivals.NextExponential(1.0 / qps_each));
       loop.ScheduleAt(next_arrival, [&participants, &stats, &route, i] {
-        const Query query = participants[i].workload->Next();
+        Query query = participants[i].workload->Next();
         const size_t target = route(i, query);
         ArrivalStats& st = stats[target];
         ++st.served;
         participants[target].engine->Submit(
-            query, [&st](Status status, const QueryTrace& trace) {
+            std::move(query), [&st](Status status, const QueryTrace& trace) {
               if (status.ok()) {
                 st.latencies.Record(trace.total);
                 ++st.completed;

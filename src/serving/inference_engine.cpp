@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdio>
+#include <utility>
 
 namespace sdm {
 
@@ -47,9 +48,9 @@ InferenceEngine::InferenceEngine(SdmStore* store, const ModelConfig& model,
   }
 }
 
-void InferenceEngine::Submit(const Query& query, QueryCallback cb) {
+void InferenceEngine::Submit(Query query, QueryCallback cb) {
   auto st = std::make_shared<QueryState>();
-  st->query = query;
+  st->query = std::move(query);
   st->cb = std::move(cb);
   st->arrival = loop_->Now();
   // Sample by submission sequence (not completion order) so the traced set
@@ -107,7 +108,8 @@ void InferenceEngine::Start(std::shared_ptr<QueryState> st) {
 void InferenceEngine::LaunchOperator(const std::shared_ptr<QueryState>& st, size_t table_idx) {
   LookupRequest req;
   req.table = MakeTableId(static_cast<uint32_t>(table_idx));
-  req.indices = st->query.indices[table_idx];
+  // Each operator launches once and nothing reads its index list after.
+  req.indices = std::move(st->query.indices[table_idx]);
   req.traced = st->traced;
   if (req.indices.empty()) {
     // Feature absent for this sample: completes instantly with a zero

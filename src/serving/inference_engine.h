@@ -73,7 +73,7 @@ class InferenceEngine {
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   /// Submits one query; callback fires on the event loop at completion.
-  void Submit(const Query& query, QueryCallback cb);
+  void Submit(Query query, QueryCallback cb);
 
   [[nodiscard]] int in_flight() const { return in_flight_; }
   [[nodiscard]] size_t queued() const { return admission_queue_.size(); }

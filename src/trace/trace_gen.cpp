@@ -1,8 +1,14 @@
 #include "trace/trace_gen.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <utility>
 
 namespace sdm {
 
@@ -102,12 +108,12 @@ std::vector<RowIndex> QueryGenerator::ItemTableIndices(size_t table) {
   return out;
 }
 
-Query QueryGenerator::Next() {
+Query QueryGenerator::Draw() {
   const UserId user = user_permuter_.Permute(user_sampler_.Sample(rng_));
-  return ForUser(user);
+  return Generate(user);
 }
 
-Query QueryGenerator::ForUser(UserId user) {
+Query QueryGenerator::Generate(UserId user) {
   Query q;
   q.user = user;
   q.indices.resize(model_.tables.size());
@@ -127,6 +133,101 @@ Query QueryGenerator::ForUser(UserId user) {
     }
   }
   return q;
+}
+
+/// The worker and its ring. Slots [head, head + count) (mod kLookahead)
+/// hold generated queries in stream order; only the worker writes the
+/// slot after them, and it publishes the slot by raising `count` under the
+/// mutex, so the caller and the worker never touch one slot at once.
+struct QueryGenerator::Lookahead {
+  struct Slot {
+    Query query;
+    Rng rng_before{0};  ///< the generator's Rng before `query` was drawn
+  };
+
+  std::mutex mu;
+  std::condition_variable ready;  ///< a query was published (caller waits)
+  std::condition_variable space;  ///< half the ring drained (worker waits)
+  std::array<Slot, kLookahead> ring;
+  size_t head = 0;
+  size_t count = 0;
+  bool stop = false;
+  bool caller_waiting = false;
+  bool worker_waiting = false;
+  std::exception_ptr failure;  ///< what ended the worker early; Next rethrows it
+  std::thread worker;
+
+  /// The worker: draws the sequential stream into the ring until stopped.
+  /// A query it has started is always published, so the oldest
+  /// unconsumed slot's Rng state is where a quiesce rewinds to. A draw
+  /// that throws ends the worker with the Rng rewound to before it.
+  void Run(QueryGenerator& gen) {
+    std::unique_lock lock(mu);
+    while (!stop) {
+      if (count == kLookahead) {
+        worker_waiting = true;
+        space.wait(lock, [this] { return stop || count <= kLookahead / 2; });
+        worker_waiting = false;
+        continue;
+      }
+      Slot& slot = ring[(head + count) % kLookahead];
+      lock.unlock();
+      slot.rng_before = gen.rng_;
+      try {
+        slot.query = gen.Draw();
+      } catch (...) {
+        gen.rng_ = slot.rng_before;
+        lock.lock();
+        failure = std::current_exception();
+        if (caller_waiting) ready.notify_one();
+        return;
+      }
+      lock.lock();
+      ++count;
+      if (caller_waiting) ready.notify_one();
+    }
+  }
+};
+
+QueryGenerator::~QueryGenerator() { Quiesce(); }
+
+Query QueryGenerator::Next() {
+  if (lookahead_ == nullptr) {
+    auto la = std::make_unique<Lookahead>();
+    la->worker = std::thread(&Lookahead::Run, la.get(), std::ref(*this));
+    lookahead_ = std::move(la);
+  }
+  Lookahead& la = *lookahead_;
+  std::unique_lock lock(la.mu);
+  if (la.count == 0) {
+    la.caller_waiting = true;
+    la.ready.wait(lock, [&la] { return la.count > 0 || la.failure != nullptr; });
+    la.caller_waiting = false;
+    if (la.count == 0) std::rethrow_exception(la.failure);
+  }
+  Query q = std::move(la.ring[la.head].query);
+  la.head = (la.head + 1) % kLookahead;
+  --la.count;
+  if (la.worker_waiting && la.count <= kLookahead / 2) la.space.notify_one();
+  return q;
+}
+
+Query QueryGenerator::ForUser(UserId user) {
+  Quiesce();
+  return Generate(user);
+}
+
+void QueryGenerator::Quiesce() {
+  if (lookahead_ == nullptr) return;
+  Lookahead& la = *lookahead_;
+  {
+    const std::lock_guard lock(la.mu);
+    la.stop = true;
+  }
+  la.space.notify_one();
+  la.worker.join();
+  if (la.count > 0) rng_ = la.ring[la.head].rng_before;
+  lookahead_.reset();
 }
 
 }  // namespace sdm

@@ -12,6 +12,10 @@
 //     from one user re-issue (mostly) the same indices, which is what makes
 //     user-to-host sticky routing and the pooled-embedding cache work;
 //   - item-table indices are drawn fresh per query (B_I items batched).
+//
+// Lookahead: QueryGenerator::Next() hands out queries that a worker thread
+// generated ahead of time (see QueryGenerator below). The stream is the
+// sequential one, query for query.
 #pragma once
 
 #include <cstdint>
@@ -97,25 +101,66 @@ struct Query {
   std::vector<std::vector<RowIndex>> indices;
 };
 
+/// Draws the query stream of one workload.
+///
+/// Generation runs ahead of the caller. The first Next() starts one worker
+/// thread (the constructor starts none, so a generator that is never drawn
+/// from costs no thread). The worker runs the sequential generation code
+/// and fills a ring of kLookahead queries, each stored with the Rng state
+/// from before it was generated; while the ring is full it sleeps on a
+/// condition variable until the caller has drained half of it. Next() pops
+/// the oldest query and waits only when the ring is empty.
+///
+/// Determinism: while the worker runs it is the only code that touches the
+/// generator's Rng, samplers and permuter memos, and it generates queries
+/// one after another in the order Next() returns them. So the i-th Next()
+/// returns exactly the i-th query of the sequential stream, whatever the
+/// thread timing. ForUser() and stream() quiesce first: they stop and join
+/// the worker, drop the unconsumed queries and rewind the Rng to the state
+/// saved with the oldest of them, which is the state the sequential code
+/// would have after the queries consumed so far (the memos only cache
+/// values, so they need no rewind). The next Next() starts a new worker
+/// from there. The destructor stops and joins the worker too.
+///
+/// One generator must be called from one thread at a time. A reference
+/// returned by stream() must not be used across a later Next(): its
+/// permuter memo is then the worker's again. model() and config() never
+/// change and may be read at any time.
 class QueryGenerator {
  public:
   QueryGenerator(const ModelConfig& model, WorkloadConfig config);
+  ~QueryGenerator();
+  QueryGenerator(const QueryGenerator&) = delete;
+  QueryGenerator& operator=(const QueryGenerator&) = delete;
 
-  /// Generates the next query (user drawn from the popularity law).
+  /// The next query of the stream (user drawn from the popularity law).
   [[nodiscard]] Query Next();
 
   /// Generates a query for a specific user (sticky-routing experiments).
+  /// Quiesces the lookahead; draws from the stream's Rng where Next()
+  /// would have.
   [[nodiscard]] Query ForUser(UserId user);
 
   [[nodiscard]] const ModelConfig& model() const { return model_; }
   [[nodiscard]] const WorkloadConfig& config() const { return config_; }
-  [[nodiscard]] const TableAccessStream& stream(size_t table) const {
+  /// Quiesces the lookahead; the reference is valid until the next Next().
+  [[nodiscard]] const TableAccessStream& stream(size_t table) {
+    Quiesce();
     return streams_[table];
   }
 
  private:
+  /// Queries the worker generates ahead of the caller.
+  static constexpr size_t kLookahead = 32;
+  struct Lookahead;
+
+  /// The sequential stream: the next query and the one for `user`.
+  [[nodiscard]] Query Draw();
+  [[nodiscard]] Query Generate(UserId user);
   [[nodiscard]] std::vector<RowIndex> UserTableIndices(UserId user, size_t table);
   [[nodiscard]] std::vector<RowIndex> ItemTableIndices(size_t table);
+  /// Stops and joins the worker and rewinds rng_ past what it drew ahead.
+  void Quiesce();
 
   ModelConfig model_;
   WorkloadConfig config_;
@@ -123,6 +168,7 @@ class QueryGenerator {
   ZipfSampler user_sampler_;
   IndexPermuter user_permuter_;
   Rng rng_;
+  std::unique_ptr<Lookahead> lookahead_;  ///< non-null while a worker runs
 };
 
 }  // namespace sdm

@@ -223,6 +223,40 @@ TEST(ObsNamePrefix, ObsLayerItselfIsExempt) {
 }
 
 // ---------------------------------------------------------------------------
+// no-host-threads
+// ---------------------------------------------------------------------------
+
+TEST(NoHostThreads, FiresOnEveryWayToStartAThread) {
+  const auto findings = LintSrc(R"cpp(
+    void Spawn(Work* w) {
+      std::thread t([w] { w->Run(); });
+      std::jthread j([w] { w->Run(); });
+      auto f = std::async(std::launch::async, [w] { w->Run(); });
+      pthread_t p;
+      pthread_create(&p, nullptr, &RunWork, w);
+    }
+  )cpp");
+  ASSERT_EQ(findings.size(), 4u) << Describe(findings);
+  for (const Finding& f : findings) EXPECT_EQ(f.check, "no-host-threads");
+}
+
+TEST(NoHostThreads, QuietOnLookalikes) {
+  const auto findings = LintSrc(R"cpp(
+    struct Track { int thread = 0; };
+    int Tid(const Track& t, Pool& pool) { return t.thread + pool.async(1); }
+    auto* tracks = spans->Track(process, "thread");
+  )cpp");
+  EXPECT_TRUE(findings.empty()) << Describe(findings);
+}
+
+TEST(NoHostThreads, TheQueryGeneratorIsTheOneAllowedPlace) {
+  const std::string code = R"cpp(std::thread worker(&Lookahead::Run, la, std::ref(gen));)cpp";
+  EXPECT_TRUE(Fired(LintSrc(code, "src/serving/host.cpp"), "no-host-threads"));
+  EXPECT_TRUE(Fired(LintSrc(code, "src/trace/trace_gen.h"), "no-host-threads"));
+  EXPECT_FALSE(Fired(LintSrc(code, "src/trace/trace_gen.cpp"), "no-host-threads"));
+}
+
+// ---------------------------------------------------------------------------
 // Suppressions
 // ---------------------------------------------------------------------------
 

@@ -93,6 +93,29 @@ TEST(ObsMetrics, WindowsCloseLazilyAndSparseWindowsEmitNoPoints) {
       << doc;
 }
 
+TEST(ObsMetrics, ZeroDeltasOpenNoWindow) {
+  Observability obs(MetricsOnly());
+  WindowedCounter* c = ObsCounter(&obs, "t/rows");
+  ASSERT_NE(c, nullptr);
+  c->Add(At(Micros(100)), 0);
+  c->Add(At(Micros(200)), 3);
+  // Window 1 sees only zero deltas, and so does window 3 after the last
+  // real add: neither may appear, and window 0 closes with its own sum.
+  c->Add(At(Millis(1) + Micros(500)), 0);
+  c->Add(At(Millis(2) + Micros(500)), 1);
+  c->Add(At(Millis(3) + Micros(500)), 0);
+  obs.Finalize();
+  const std::string doc = obs.MetricsJson();
+  EXPECT_TRUE(Contains(doc,
+                       "{\"name\":\"t/rows\",\"kind\":\"counter\","
+                       "\"points\":[[0,3],[2000000,1]]}"))
+      << doc;
+  // A counter that only ever saw zeros exports no series.
+  ObsCounter(&obs, "t/never")->Add(At(Millis(4)), 0);
+  obs.Finalize();
+  EXPECT_FALSE(Contains(obs.MetricsJson(), "t/never"));
+}
+
 TEST(ObsMetrics, SameNameResolvesToTheSameHandle) {
   Observability obs(MetricsOnly());
   EXPECT_EQ(obs.metrics()->Counter("x"), obs.metrics()->Counter("x"));

@@ -11,6 +11,7 @@
 #include "reference_index_permuter.h"
 #include "trace/locality.h"
 #include "trace/trace_gen.h"
+#include "workload_shapes.h"
 
 namespace sdm {
 namespace {
@@ -243,36 +244,12 @@ TEST(QueryGen, InferenceEvalStillStartsWithTheRoutedUser) {
 
 // The first 10^4 queries of three workload shapes, pinned by digest: the
 // M1-mini and M2-mini models and the replicated model of the 16-host
-// disaggregated cluster, with the user populations, churn and seeds the
-// end-to-end benchmark gives them. Any change to what the generator draws
-// (sampler, permutation, memo, stickiness) moves a digest.
-// Row width does not change what is drawn, so the shapes leave it default.
-ModelConfig MiniModel(uint64_t alpha_seed, size_t user_tables, uint64_t user_rows,
-                      double user_pf, size_t item_tables, uint64_t item_rows, int item_batch) {
-  ModelConfig model;
-  model.item_batch_size = item_batch;
-  Rng rng(alpha_seed);
-  for (size_t i = 0; i < user_tables + item_tables; ++i) {
-    const bool user = i < user_tables;
-    TableConfig t;
-    t.name = (user ? "user." : "item.") + std::to_string(i);
-    t.role = user ? TableRole::kUser : TableRole::kItem;
-    t.num_rows = user ? user_rows : item_rows;
-    t.avg_pooling_factor = user ? user_pf : 4;
-    t.zipf_alpha = user ? rng.NextDouble(0.65, 0.9) : rng.NextDouble(0.9, 1.15);
-    model.tables.push_back(t);
-  }
-  return model;
-}
+// disaggregated cluster (tests/workload_shapes.h). Any change to what the
+// generator draws (sampler, permutation, memo, stickiness) moves a digest.
 
 /// FNV-1a over each query's user, per-table index count and indices.
-uint64_t DigestOfFirstQueries(const ModelConfig& model, uint64_t users, double churn,
-                              uint64_t seed) {
-  WorkloadConfig w;
-  w.num_users = users;
-  w.user_index_churn = churn;
-  w.seed = seed;
-  QueryGenerator gen(model, w);
+uint64_t DigestOfFirstQueries(const WorkloadShape& shape) {
+  QueryGenerator gen(shape.model, shape.workload);
   uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](uint64_t v) {
     h ^= v;
@@ -290,23 +267,15 @@ uint64_t DigestOfFirstQueries(const ModelConfig& model, uint64_t users, double c
 }
 
 TEST(QueryGen, FirstQueriesOfM1ShapeArePinned) {
-  const ModelConfig m1 = MiniModel(0x81, 12, 30'000, 10, 6, 2'000, 10);
-  EXPECT_EQ(DigestOfFirstQueries(m1, 1500, 0.02, 8), 0x6a80c3358529f7f8ULL);
+  EXPECT_EQ(DigestOfFirstQueries(M1Shape()), 0x6a80c3358529f7f8ULL);
 }
 
 TEST(QueryGen, FirstQueriesOfM2ShapeArePinned) {
-  const ModelConfig m2 = MiniModel(0x92, 30, 25'000, 8, 15, 3'000, 30);
-  EXPECT_EQ(DigestOfFirstQueries(m2, 6000, 0.05, 9), 0xc143b26eb60d33f8ULL);
+  EXPECT_EQ(DigestOfFirstQueries(M2Shape()), 0xc143b26eb60d33f8ULL);
 }
 
 TEST(QueryGen, FirstQueriesOfDisagg16ShapeArePinned) {
-  ModelConfig model = MakeTinyUniformModel(64, 3, 1, 40'000);
-  model.tables.back().num_rows = 4'000;
-  for (auto& t : model.tables) {
-    if (t.role == TableRole::kUser) t.zipf_alpha = 1.1;
-  }
-  EXPECT_EQ(DigestOfFirstQueries(model, 2000, WorkloadConfig{}.user_index_churn, 11),
-            0x4172ec537590070aULL);
+  EXPECT_EQ(DigestOfFirstQueries(Disagg16Shape()), 0x4172ec537590070aULL);
 }
 
 // ---------------------------------------------------------------------------

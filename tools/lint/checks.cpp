@@ -1,4 +1,4 @@
-// The five shipping sdm_lint checks. Each encodes a real invariant of this
+// The six shipping sdm_lint checks. Each encodes a real invariant of this
 // repository (see lint_engine.h for the registry contract):
 //
 //   no-wall-clock    simulation code must read virtual time (EventLoop), not
@@ -17,6 +17,10 @@
 //                    "group/metric" scheme: a runtime source prefix plus a
 //                    lowercase slash-separated literal, so hosts sharing one
 //                    registry stay disjoint.
+//   no-host-threads  host threads live in one audited place: the query
+//                    generator's lookahead worker (src/trace/trace_gen.cpp).
+//                    Anywhere else a thread would race the event loop's
+//                    single-threaded state and break replay.
 #include <cctype>
 
 #include "lint/lint_engine.h"
@@ -462,6 +466,38 @@ class ObsNamePrefixCheck : public Check {
   }
 };
 
+// ---------------------------------------------------------------------------
+// no-host-threads
+// ---------------------------------------------------------------------------
+
+class NoHostThreadsCheck : public Check {
+ public:
+  const char* name() const override { return "no-host-threads"; }
+  const char* description() const override {
+    return "ban std::thread, std::jthread, std::async and pthread_create "
+           "outside src/trace/trace_gen.cpp, the one audited worker thread";
+  }
+
+  void RunFile(const FileContext& ctx, std::vector<Finding>* out) const override {
+    if (PathEndsWith(ctx.path, "src/trace/trace_gen.cpp")) return;
+    const auto& toks = ctx.tokens;
+    for (size_t i = 0; i < toks.size(); ++i) {
+      if (toks[i].kind != Token::Kind::kIdent) continue;
+      const std::string& id = toks[i].text;
+      const bool std_member = i >= 2 && toks[i - 1].IsPunct("::") && toks[i - 2].IsIdent("std");
+      if (id == "pthread_create" ||
+          (std_member && (id == "thread" || id == "jthread" || id == "async"))) {
+        const std::string what = id == "pthread_create" ? id : "std::" + id;
+        out->push_back({name(), ctx.path, toks[i].line,
+                        "host thread '" + what +
+                            "' — simulation state is single-threaded; only "
+                            "the query generator's lookahead "
+                            "(src/trace/trace_gen.cpp) may start a thread"});
+      }
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<std::unique_ptr<Check>> BuildAllChecks() {
@@ -471,6 +507,7 @@ std::vector<std::unique_ptr<Check>> BuildAllChecks() {
   checks.push_back(std::make_unique<OrderedExportsCheck>());
   checks.push_back(std::make_unique<KnobInertnessCheck>());
   checks.push_back(std::make_unique<ObsNamePrefixCheck>());
+  checks.push_back(std::make_unique<NoHostThreadsCheck>());
   return checks;
 }
 

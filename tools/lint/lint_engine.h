@@ -98,7 +98,7 @@ class Check {
                           std::vector<Finding>* out) const;
 };
 
-/// The five shipping checks, in registration order.
+/// The six shipping checks, in registration order.
 std::vector<std::unique_ptr<Check>> BuildAllChecks();
 
 // ---------------------------------------------------------------------------
